@@ -677,13 +677,13 @@ def _make_stream(
     batch: BatchedLRU,
     traces: Sequence[PhaseTrace],
     geom: CacheGeometry,
-    seed: Optional[List[List[int]]],
+    seed: Optional[np.ndarray],
 ) -> _Stream:
     _prime_lines(traces, geom)
     parts = [t.lines_for(geom) for t in traces]
     lens = np.array([p.size for p in parts], dtype=np.int64)
     lines = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    handle = batch.add_stream(lines, geom.n_sets, geom.assoc, seed_sets=seed)
+    handle = batch.add_stream(lines, geom.n_sets, geom.assoc, seed_ways=seed)
     ends = np.cumsum(lens)
     return _Stream(handle, ends - lens, ends)
 
@@ -810,8 +810,9 @@ def _replay_workload(
         for side, traces in sides_all.items():
             if not traces or not use_sim[side]:
                 continue
-            seed = [list(ways) for ways in sims[side]._sets]
-            side_stream[side] = _make_stream(batch, traces, geoms[side], seed)
+            side_stream[side] = _make_stream(
+                batch, traces, geoms[side], sims[side].ways()
+            )
             all_streams.append(side_stream[side])
         for ci in range(len(configs)):
             per_config.append(
@@ -837,13 +838,13 @@ def _writeback_sims(
         env.reset_caches()
         for side, (stream, _base) in per_config[-1].items():
             sim = sims[side]
-            sim._sets = batch.final_sets(stream.handle)
+            sim.load_ways(batch.final_ways(stream.handle))
             sim.hits = stream.hits_total
             sim.misses = stream.misses_total
     else:
         for side, (stream, _base) in (per_config[-1] if per_config else {}).items():
             sim = sims[side]
-            sim._sets = batch.final_sets(stream.handle)
+            sim.load_ways(batch.final_ways(stream.handle))
             sim.hits += stream.hits_total
             sim.misses += stream.misses_total
 

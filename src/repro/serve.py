@@ -29,9 +29,10 @@ when the engine has a :class:`~repro.core.gridrun.RunLedger`, recorded as
 **Semantics.** Each client is its own physical device: it sees a private
 client D-cache, cold at fleet start and warming across its own queries in
 arrival order (the batched replay continues each client's cache state
-across micro-batches via warm seeding).  The server is one physical
-machine: its L1 is *shared service state*, warming across every served
-query in dispatch order, whoever issued it.  Serving is therefore
+across micro-batches by warm seeding, carried as a
+:class:`~repro.sim.cache.BatchedLRU` way matrix).  The server is one
+physical machine: its L1 is *shared service state*, warming across every
+served query in dispatch order, whoever issued it.  Serving is therefore
 *plan-for-plan identical* to serving the same dispatch sequence one query
 at a time — ``planner="serial"`` runs that reference implementation, and
 the differential suite pins the two together; a single-client fleet
@@ -248,20 +249,27 @@ def _cold_clone(sim: CacheSim) -> CacheSim:
     return CacheSim(sim.n_sets * sim.assoc * sim.line_bytes, sim.assoc, sim.line_bytes)
 
 
+def _cold_ways(sim: CacheSim) -> np.ndarray:
+    """An empty way matrix (:meth:`CacheSim.ways`) with ``sim``'s geometry."""
+    return np.full((sim.n_sets, sim.assoc), -1, dtype=np.int64)
+
+
 class _ClientState:
     """One client's service-side state: virtual D-cache + energy meter.
 
-    The sim starts cold at fleet start and warms across the client's own
-    queries only — each client device is independent, whoever else shares
-    its micro-batches.  (The server's L1 is *service* state, shared across
-    the fleet; :meth:`QueryService.serve` owns it.)
+    The D-cache is a way matrix (:meth:`~repro.sim.cache.CacheSim.ways`),
+    updated in place by each micro-batch.  It starts cold at fleet start
+    and warms across the client's own queries only — each client device is
+    independent, whoever else shares its micro-batches.  (The server's L1
+    is *service* state, shared across the fleet; :meth:`QueryService.serve`
+    owns it.)
     """
 
-    __slots__ = ("profile", "sim", "spent_j")
+    __slots__ = ("profile", "ways", "spent_j")
 
     def __init__(self, profile: ClientProfile, env: Environment) -> None:
         self.profile = profile
-        self.sim = _cold_clone(env.client_cpu.dcache)
+        self.ways = _cold_ways(env.client_cpu.dcache)
         self.spent_j = 0.0
 
 
@@ -387,7 +395,7 @@ class QueryService:
 
         env = self.engine.env
         states = {cid: _ClientState(p, env) for cid, p in profiles.items()}
-        server_sim = _cold_clone(env.server_cpu.l1)
+        server_ways = _cold_ways(env.server_cpu.l1)
         outcomes: List[Optional[QueryOutcome]] = [None] * len(reqs)
         queue: List[int] = []
         t_free = 0.0
@@ -424,16 +432,16 @@ class QueryService:
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
             if planner == "columnar":
-                served = self._serve_columnar(batch_reqs, states, server_sim)
+                served = self._serve_columnar(batch_reqs, states, server_ways)
             else:
                 if planner == "batched":
                     plans, verdicts = self._plan_batch(
-                        batch_reqs, states, server_sim
+                        batch_reqs, states, server_ways
                     )
                     results = self._price_batch(batch_reqs, plans, states)
                 else:
                     plans, results, verdicts = self._serve_serial(
-                        batch_reqs, states, server_sim
+                        batch_reqs, states, server_ways
                     )
                 served = [
                     (
@@ -442,7 +450,7 @@ class QueryService:
                             for s in plan.steps
                             if isinstance(s, ServerComputeStep)
                         ),
-                        tuple(int(a) for a in plan.answer_ids),
+                        tuple(plan.answer_ids.tolist()),
                         plan.n_results,
                         result,
                         verdict,
@@ -521,7 +529,7 @@ class QueryService:
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
-        server_sim: CacheSim,
+        server_ways: np.ndarray,
     ):
         """Traverse and replay one micro-batch; no plan objects yet.
 
@@ -529,12 +537,13 @@ class QueryService:
         (cross-client dedup through the engine's phase cache); one
         :class:`~repro.sim.cache.BatchedLRU` replays every client's private
         D-cache stream plus the single shared server-L1 stream together,
-        each warm-seeded from its saved state so every timeline continues
-        exactly where the last batch left it.  The environment's own caches
-        are never touched; the per-client sims and ``server_sim`` are
-        advanced in place.  Returns ``(phases, slots, slot_costs,
-        verdicts)`` with one entry per request — the shared front half of
-        both the batched (plan-object) and columnar service paths.
+        each warm-seeded from its saved way matrix so every timeline
+        continues exactly where the last batch left it.  The environment's
+        own caches are never touched; the per-client way matrices and
+        ``server_ways`` are advanced in place.  Returns ``(phases, slots,
+        slot_costs, verdicts)`` with one entry per request — the shared
+        front half of both the batched (plan-object) and columnar service
+        paths.
 
         With a shared semantic cache on the engine, phase data comes from
         :func:`~repro.core.semcache.compute_query_phases_semantic` — the
@@ -584,10 +593,8 @@ class QueryService:
                 ]
                 if not traces:
                     continue
-                # Defensive copy: BatchedLRU keeps the seed lists it is given.
-                seed = [list(ways) for ways in states[cid].sim._sets]
                 client_streams[cid] = _make_stream(
-                    lru, traces, geoms["client"], seed
+                    lru, traces, geoms["client"], states[cid].ways
                 )
         server_stream = None
         if server_cpu.use_cache_sim:
@@ -598,9 +605,8 @@ class QueryService:
                 if side == "server"
             ]
             if server_traces:
-                seed = [list(ways) for ways in server_sim._sets]
                 server_stream = _make_stream(
-                    lru, server_traces, geoms["server"], seed
+                    lru, server_traces, geoms["server"], server_ways
                 )
         lru.run()
         for stream in client_streams.values():
@@ -637,25 +643,20 @@ class QueryService:
                     server_seq += 1
             slot_costs.append(query_costs)
         for cid, stream in client_streams.items():
-            sim = states[cid].sim
-            sim._sets = lru.final_sets(stream.handle)
-            sim.hits += stream.hits_total
-            sim.misses += stream.misses_total
+            states[cid].ways[...] = lru.final_ways(stream.handle)
         if server_stream is not None:
-            server_sim._sets = lru.final_sets(server_stream.handle)
-            server_sim.hits += server_stream.hits_total
-            server_sim.misses += server_stream.misses_total
+            server_ways[...] = lru.final_ways(server_stream.handle)
         return phases, slots, slot_costs, verdicts
 
     def _plan_batch(
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
-        server_sim: CacheSim,
+        server_ways: np.ndarray,
     ) -> Tuple[List[QueryPlan], List[str]]:
         """Plan one micro-batch through the batched machinery."""
         phases, slots, slot_costs, verdicts = self._replay_batch(
-            batch_reqs, states, server_sim
+            batch_reqs, states, server_ways
         )
         costs = self.engine.env.dataset.costs
         plans = [
@@ -674,7 +675,7 @@ class QueryService:
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
-        server_sim: CacheSim,
+        server_ways: np.ndarray,
     ) -> List[Tuple[float, Tuple[int, ...], int, RunResult, str]]:
         """Serve one micro-batch through the fused columnar compile/price.
 
@@ -689,7 +690,7 @@ class QueryService:
         from repro.core.colplan import compile_slots, price_compiled
 
         phases, slots, slot_costs, verdicts = self._replay_batch(
-            batch_reqs, states, server_sim
+            batch_reqs, states, server_ways
         )
         env = self.engine.env
         compiled = []
@@ -725,7 +726,7 @@ class QueryService:
         return [
             (
                 server_cycles[k],
-                tuple(int(a) for a in compiled[k].answer_ids),
+                tuple(compiled[k].answer_ids.tolist()),
                 compiled[k].n_results,
                 results[k],
                 verdicts[k],
@@ -760,9 +761,13 @@ class QueryService:
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
-        server_sim: CacheSim,
+        server_ways: np.ndarray,
     ) -> Tuple[List[QueryPlan], List[RunResult], List[str]]:
         """The per-query scalar reference: swap in each query's caches.
+
+        Each query loads its client's way matrix into a scalar
+        :class:`~repro.sim.cache.CacheSim` and stores it back after
+        planning; the shared server L1 converts once per batch.
 
         With a shared semantic cache the scalar walk goes through
         :func:`~repro.core.semcache.plan_one_semantic` — the same cache
@@ -773,14 +778,17 @@ class QueryService:
         env = engine.env
         client, server = env.client_cpu, env.server_cpu
         saved = (client.dcache, server.l1)
+        client_sim = _cold_clone(client.dcache)
+        server_sim = _cold_clone(server.l1)
+        server_sim.load_ways(server_ways)
         plans: List[QueryPlan] = []
         results: List[RunResult] = []
         verdicts: List[str] = []
         try:
-            server.l1 = server_sim
+            client.dcache, server.l1 = client_sim, server_sim
             for r in batch_reqs:
                 st = states[r.client_id]
-                client.dcache = st.sim
+                client_sim.load_ways(st.ways)
                 if engine.semantic_cache is not None:
                     from repro.core.semcache import plan_one_semantic
 
@@ -790,9 +798,11 @@ class QueryService:
                 else:
                     plan = plan_query(r.query, st.profile.scheme, env)
                     verdict = ""
+                st.ways[...] = client_sim.ways()
                 plans.append(plan)
                 verdicts.append(verdict)
                 results.append(price_plan(plan, env, st.profile.policy))
         finally:
             client.dcache, server.l1 = saved
+        server_ways[...] = server_sim.ways()
         return plans, results, verdicts

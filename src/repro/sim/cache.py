@@ -99,6 +99,27 @@ class CacheSim:
             self.access(addr, nbytes)
         return (self.hits - h0, self.misses - m0)
 
+    def ways(self) -> np.ndarray:
+        """The cache contents as an ``(n_sets, assoc)`` int64 tag matrix.
+
+        Row ``s`` holds set ``s``'s tags most-recently-used first, with
+        ``-1`` for each empty way: the warm-state format
+        :class:`BatchedLRU` takes as ``seed_ways`` and returns from
+        :meth:`BatchedLRU.final_ways`.
+        """
+        W = np.full((self.n_sets, self.assoc), -1, dtype=np.int64)
+        for row, tags in enumerate(self._sets):
+            if tags:
+                W[row, : len(tags)] = tags[::-1]
+        return W
+
+    def load_ways(self, ways: np.ndarray) -> None:
+        """Replace the contents with a :meth:`ways` matrix; counters stay."""
+        ways = _check_ways(ways, self.n_sets, self.assoc)
+        self._sets = [
+            [t for t in row if t != -1] for row in ways[:, ::-1].tolist()
+        ]
+
     @property
     def accesses(self) -> int:
         """Total line touches so far."""
@@ -109,6 +130,33 @@ class CacheSim:
         """Fraction of line touches that missed (0 when untouched)."""
         total = self.accesses
         return self.misses / total if total else 0.0
+
+
+def _check_ways(ways, n_sets: int, assoc: int) -> np.ndarray:
+    """``ways`` as int64 after checking it is a well-formed tag matrix.
+
+    Well-formed means shape ``(n_sets, assoc)``, tags >= 0 with ``-1`` only
+    as empty ways after every valid way of the row, and no tag twice in a
+    row: the state some sequence of line accesses can leave behind.
+    """
+    ways = np.asarray(ways)
+    if ways.shape != (n_sets, assoc) or ways.dtype.kind != "i":
+        raise ValueError(
+            f"ways must be an ({n_sets}, {assoc}) integer matrix, got "
+            f"{ways.dtype} {ways.shape}"
+        )
+    ways = ways.astype(np.int64, copy=False)
+    if ways.size and int(ways.min()) < -1:
+        raise ValueError("ways tags must be >= 0, or -1 for an empty way")
+    if assoc > 1:
+        empty = ways == -1
+        if (empty[:, :-1] > empty[:, 1:]).any():
+            raise ValueError("ways has an empty way before a valid way")
+        # Sorted, a row is its -1 fillers then strictly increasing tags.
+        s = np.sort(ways, axis=1)
+        if ((s[:, 1:] == s[:, :-1]) & (s[:, 1:] != -1)).any():
+            raise ValueError("ways repeats a tag within a set")
+    return ways
 
 
 #: Reusable scratch buffers keyed by (site name, dtype): the replay's large
@@ -223,8 +271,15 @@ class BatchedLRU:
 
     Usage: :meth:`add_stream` each line-granular trace (with its cache
     geometry and optional warm-start state), then :meth:`run` once, then read
-    :meth:`hits` / :meth:`final_sets` per stream.  Streams never share state;
-    each models its own freshly-seeded :class:`CacheSim`.
+    :meth:`hits_of` / :meth:`final_ways` per stream.  Streams never share
+    state; each models its own freshly-seeded :class:`CacheSim`.
+
+    Warm state crosses this boundary in one format only: the MRU-first
+    ``(n_sets, assoc)`` int64 tag matrix the replay itself keeps, ``-1``
+    marking an empty way (:meth:`CacheSim.ways` / :meth:`CacheSim.load_ways`
+    convert at the scalar edge).  A :meth:`final_ways` matrix is directly the
+    ``seed_ways`` of the next replay, so callers that chain replays (the
+    serve tier's per-client caches) never touch per-set Python lists.
 
     Exactness hinges on three facts, each unit-tested against the scalar
     simulator:
@@ -252,27 +307,30 @@ class BatchedLRU:
         lines: np.ndarray,
         n_sets: int,
         assoc: int,
-        seed_sets: Optional[List[List[int]]] = None,
+        seed_ways: Optional[np.ndarray] = None,
     ) -> int:
         """Register one line-address trace with its cache geometry.
 
-        ``lines`` is an int array of line-granular addresses in access order
-        (the sequence :meth:`CacheSim.access_line` would see).  ``seed_sets``
-        warm-starts the cache: per-set MRU-*last* tag lists, exactly the
-        ``CacheSim._sets`` layout.  Returns the stream's handle.
+        ``lines`` is an int array of non-negative line-granular addresses in
+        access order (the sequence :meth:`CacheSim.access_line` would see).
+        ``seed_ways`` warm-starts the cache: an ``(n_sets, assoc)`` MRU-first
+        tag matrix, ``-1`` for empty ways (the :meth:`final_ways` layout).
+        It is read at :meth:`run` and never written.  Returns the stream's
+        handle.
         """
         if self._ran:
             raise RuntimeError("add_stream after run()")
         if n_sets <= 0 or assoc <= 0:
             raise ValueError("cache geometry parameters must be positive")
-        if seed_sets is not None and len(seed_sets) != n_sets:
-            raise ValueError(f"seed_sets must have {n_sets} entries")
+        if seed_ways is not None:
+            seed_ways = _check_ways(seed_ways, n_sets, assoc)
         lines = np.asarray(lines)
+        if lines.size and int(lines.min()) < 0:
+            # Tag -1 means an empty way, and the sort keys are unsigned.
+            raise ValueError("line addresses must be non-negative")
         if lines.dtype != np.int32:
             lines = lines.astype(np.int64, copy=False)
-            if lines.size and 0 <= int(lines.min()) and (
-                int(lines.max()) <= np.iinfo(np.int32).max
-            ):
+            if lines.size and int(lines.max()) <= np.iinfo(np.int32).max:
                 # Narrow early: every downstream derived array (set index,
                 # tag, sort keys) inherits the width, halving memory traffic
                 # on the replay hot path.
@@ -283,7 +341,7 @@ class BatchedLRU:
                 "n_sets": n_sets,
                 "assoc": assoc,
                 "offset": self._n_vsets,
-                "seed": seed_sets,
+                "seed": seed_ways,
             }
         )
         self._n_vsets += n_sets
@@ -318,9 +376,12 @@ class BatchedLRU:
         is simply ``i - pv(i) <= 2``, and for assoc 3/4 only the count of
         small-``pv`` entries in ``[pv(i)+3, i-1]`` remains — answered with a
         block-decomposed range-minimum (assoc 3) or range-second-minimum
-        (assoc 4) structure over ``pv``, all NumPy.  Warm-start seeds are
-        replayed as synthetic prefix accesses (LRU to MRU order recreates
-        the state); their verdicts are discarded.  Verified
+        (assoc 4) structure over ``pv``, all NumPy.  Warm-start seed
+        matrices are replayed as synthetic prefix accesses, read off in LRU
+        to MRU order through one mask (which recreates the state); their
+        verdicts are discarded.  The final state is read back per set
+        without a per-set Python loop: the last one or two kept accesses
+        for assoc <= 2, a short MRU-first window for assoc 3/4.  Verified
         access-for-access against :class:`CacheSim` by the unit suite.
 
         Streams are partitioned by associativity regime (assoc <= 2 vs
@@ -369,8 +430,11 @@ class BatchedLRU:
         nv = sum(s["n_sets"] for s in streams)
         row_map = np.empty(nv, dtype=np.int64)  # class row -> global W row
         assoc_row = np.empty(nv, dtype=np.int64)
-        syn_vset_parts = []
-        syn_tag_parts = []
+        # Seeds of the whole class, MRU-first, -1-padded to the class width.
+        seed_w = None
+        if any(s["seed"] is not None for s in streams):
+            width = max(s["assoc"] for s in streams)
+            seed_w = np.full((nv, width), -1, dtype=np.int64)
         vset_parts = []
         tag_parts = []
         out_slices = []  # (class-local real range, global hits slice)
@@ -383,29 +447,7 @@ class BatchedLRU:
             )
             assoc_row[off : off + ns] = s["assoc"]
             if s["seed"] is not None:
-                lens = np.fromiter(
-                    (len(ways) for ways in s["seed"]),
-                    dtype=np.int64,
-                    count=ns,
-                )
-                if lens.max(initial=0) > s["assoc"]:
-                    raise ValueError("seed set exceeds associativity")
-                if lens.any():
-                    syn_vset_parts.append(
-                        np.repeat(
-                            np.arange(off, off + ns, dtype=np.int32), lens
-                        )
-                    )
-                    stags = np.fromiter(
-                        (t for ways in s["seed"] for t in ways),
-                        dtype=np.int64,
-                        count=int(lens.sum()),
-                    )
-                    if 0 <= int(stags.min()) and (
-                        int(stags.max()) <= np.iinfo(np.int32).max
-                    ):
-                        stags = stags.astype(np.int32)
-                    syn_tag_parts.append(stags)
+                seed_w[off : off + ns, : s["assoc"]] = s["seed"]
             lines = s["lines"]
             if ns & (ns - 1) == 0:
                 # Power-of-two set count: mask/shift instead of div/mod.
@@ -422,17 +464,28 @@ class BatchedLRU:
             pos += lines.size
             off += ns
         n_real = pos
-        n_syn = sum(p.size for p in syn_vset_parts)
-        all_parts_v = syn_vset_parts + vset_parts
-        all_parts_t = syn_tag_parts + tag_parts
+        n_syn = 0
+        if seed_w is not None:
+            # Seeds replay as synthetic prefix accesses: each set's valid
+            # ways read LRU -> MRU, so one mask over the column-reversed
+            # matrix yields them in row-major (set, then age) order.
+            lru_first = seed_w[:, ::-1]
+            valid = lru_first >= 0
+            stags = lru_first[valid]
+            n_syn = stags.size
+            if n_syn:
+                if int(stags.max()) <= np.iinfo(np.int32).max:
+                    stags = stags.astype(np.int32)
+                vset_parts.insert(0, np.nonzero(valid)[0].astype(np.int32))
+                tag_parts.insert(0, stags)
         n = n_syn + n_real
         if n == 0:
             return
         vset = _buf("cf_vset", n, np.int32)
-        np.concatenate(all_parts_v, out=vset)
-        tdt = np.result_type(*[p.dtype for p in all_parts_t])
+        np.concatenate(vset_parts, out=vset)
+        tdt = np.result_type(*[p.dtype for p in tag_parts])
         tag = _buf("cf_tag", n, tdt)
-        np.concatenate(all_parts_t, out=tag)
+        np.concatenate(tag_parts, out=tag)
         chits = _buf("cf_chits", n_real, bool)
         chits[:] = False
 
@@ -540,14 +593,46 @@ class BatchedLRU:
             hits[out] = chits[a:b]
 
         # Final state: per set, the last `assoc` distinct tags, MRU first.
-        gs = np.nonzero(knew)[0]
-        ge = np.append(gs[1:], m)
-        for i in range(gs.size):
-            a, b = int(gs[i]), int(ge[i])
-            row = int(ksv[a])
-            assoc = int(assoc_row[row])
-            chunk = min(b - a, 4 * assoc)
+        # Arrays here are per set, never per access.
+        gs = np.flatnonzero(knew)
+        ge = np.empty_like(gs)
+        ge[:-1] = gs[1:]
+        ge[-1] = m
+        rows = ksv[gs]
+        wrow = row_map[rows]
+        ga = assoc_row[rows]
+        if int(assoc_row[0]) <= 2:
+            # Kept neighbours in a set differ, so a set's last two kept
+            # accesses are its two most recent distinct tags.
+            W[wrow, 0] = ktag[ge - 1]
+            two = (ga == 2) & (ge - gs >= 2)
+            if two.any():
+                W[wrow[two], 1] = ktag[ge[two] - 2]
+            return
+        # Assoc 3/4: peel each set's distinct tags off, most recent first,
+        # from an MRU-first window of its last 4*assoc kept accesses.  Each
+        # round takes the window's first entry not equal to a tag taken.
+        span = np.minimum(ge - gs, 4 * ga)
+        back = np.arange(4 * int(ga.max()))
+        win = ktag[np.maximum(ge[:, None] - 1 - back, 0)]
+        left = back < span[:, None]  # window entries not yet taken
+        n_found = np.zeros(gs.size, dtype=np.int64)
+        every = np.arange(gs.size)
+        for col in range(int(ga.max())):
+            take = left.any(axis=1) & (col < ga)
+            tag = win[every, left.argmax(axis=1)]
+            W[wrow[take], col] = tag[take]
+            n_found += take
+            left &= win != tag[:, None]
+        # A window holding fewer than `assoc` distinct tags but not the whole
+        # set (long ping-pong runs) widens through the scalar scan below.
+        wide = (n_found < ga) & (span < ge - gs)
+        for g in np.flatnonzero(wide).tolist():
+            a, b = int(gs[g]), int(ge[g])
+            assoc = int(ga[g])
+            chunk = int(span[g])
             while True:
+                chunk = min(b - a, chunk * 4)
                 found: List[int] = []
                 seen = set()
                 for t in ktag[b - chunk : b].tolist()[::-1]:
@@ -558,8 +643,7 @@ class BatchedLRU:
                             break
                 if len(found) == assoc or chunk == b - a:
                     break
-                chunk = min(b - a, chunk * 4)
-            W[row_map[row], : len(found)] = found
+            W[wrow[g], : len(found)] = found
 
     def _run_generational(self) -> None:
         """Per-generation state-matrix simulation (any associativity)."""
@@ -568,6 +652,7 @@ class BatchedLRU:
         # Valid tags stay a prefix: insertions happen at column 0 and the
         # -1 tail only ever shifts right into itself.
         W = np.full((self._n_vsets, max_assoc), -1, dtype=np.int64)
+        self._W = W
         assoc_row = np.empty(self._n_vsets, dtype=np.int64)
         vset_parts = []
         tag_parts = []
@@ -576,11 +661,7 @@ class BatchedLRU:
             rows = slice(s["offset"], s["offset"] + s["n_sets"])
             assoc_row[rows] = s["assoc"]
             if s["seed"] is not None:
-                for i, ways in enumerate(s["seed"]):
-                    if len(ways) > s["assoc"]:
-                        raise ValueError("seed set exceeds associativity")
-                    for col, t in enumerate(reversed(ways)):
-                        W[s["offset"] + i, col] = t
+                W[rows, : s["assoc"]] = s["seed"]
             lines = s["lines"]
             s["slice"] = slice(pos, pos + lines.size)
             pos += lines.size
@@ -677,7 +758,6 @@ class BatchedLRU:
                 hits[ko[a:b]] = out
                 W[row, :assoc] = -1
                 W[row, : len(ways)] = ways[::-1]
-        self._W = W
 
     def hits_of(self, stream: int) -> np.ndarray:
         """Per-access hit verdicts for one stream (True = hit), in order."""
@@ -685,18 +765,16 @@ class BatchedLRU:
             raise RuntimeError("run() not called")
         return self._hits[self._streams[stream]["slice"]]
 
-    def final_sets(self, stream: int) -> List[List[int]]:
-        """Final cache state for one stream as ``CacheSim._sets`` lists.
+    def final_ways(self, stream: int) -> np.ndarray:
+        """Final cache state for one stream: a fresh ``(n_sets, assoc)``
+        MRU-first int64 tag matrix, ``-1`` for empty ways.
 
-        Per-set tag lists, most-recently-used *last* — assignable directly
-        onto a reset :class:`CacheSim` to continue a warm simulation.
+        Pass it as the next replay's ``seed_ways`` to continue a warm
+        simulation, or to :meth:`CacheSim.load_ways`.
         """
         if not self._ran:
             raise RuntimeError("run() not called")
         s = self._streams[stream]
-        # One bulk tolist over the stream's rows: reversing MRU-first rows
-        # gives MRU-last with the -1 fillers at the front, dropped below.
-        rows = self._W[s["offset"] : s["offset"] + s["n_sets"], : s["assoc"]]
-        return [
-            [t for t in row if t != -1] for row in rows[:, ::-1].tolist()
-        ]
+        return self._W[
+            s["offset"] : s["offset"] + s["n_sets"], : s["assoc"]
+        ].copy()

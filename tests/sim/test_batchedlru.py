@@ -5,15 +5,27 @@ The batched planner's cache verdicts come from
 loop with a closed-form LRU stack-distance computation (associativities up
 to 4) or a generational state-matrix replay (above 4).  Both paths must
 reproduce the scalar simulator's hit/miss verdicts AND final cache state
-exactly, including under warm-start seeding.
+exactly, including under warm-start seeding.  Warm state crosses the
+replay boundary as an MRU-first ``(n_sets, assoc)`` tag matrix (``-1`` =
+empty way), the format of :meth:`CacheSim.ways`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cache import BatchedLRU, CacheSim
+
+
+def _as_ways(sets, assoc):
+    """MRU-last per-set tag lists as an MRU-first ``-1``-padded matrix."""
+    ways = np.full((len(sets), assoc), -1, dtype=np.int64)
+    for row, tags in enumerate(sets):
+        ways[row, : len(tags)] = tags[::-1]
+    return ways
 
 
 def _scalar_reference(lines, n_sets, assoc, seed_sets=None):
@@ -69,7 +81,7 @@ def test_cold_start_matches_scalar(n_sets, assoc):
     for h, t in zip(handles, traces):
         ref_hits, ref_sets = _scalar_reference(t, n_sets, assoc)
         assert np.array_equal(batch.hits_of(h), ref_hits)
-        assert batch.final_sets(h) == ref_sets
+        assert np.array_equal(batch.final_ways(h), _as_ways(ref_sets, assoc))
 
 
 @pytest.mark.parametrize("n_sets,assoc", GEOMETRIES)
@@ -80,11 +92,11 @@ def test_warm_seed_matches_scalar(n_sets, assoc):
     _, seed = _scalar_reference(warm, n_sets, assoc)
 
     batch = BatchedLRU()
-    h = batch.add_stream(work, n_sets, assoc, seed_sets=[list(s) for s in seed])
+    h = batch.add_stream(work, n_sets, assoc, seed_ways=_as_ways(seed, assoc))
     batch.run()
     ref_hits, ref_sets = _scalar_reference(work, n_sets, assoc, seed_sets=seed)
     assert np.array_equal(batch.hits_of(h), ref_hits)
-    assert batch.final_sets(h) == ref_sets
+    assert np.array_equal(batch.final_ways(h), _as_ways(ref_sets, assoc))
 
 
 def test_matches_cachesim_class(n_sets=64, assoc=4, line_bytes=32):
@@ -98,7 +110,7 @@ def test_matches_cachesim_class(n_sets=64, assoc=4, line_bytes=32):
     h = batch.add_stream(lines, n_sets, assoc)
     batch.run()
     assert np.array_equal(batch.hits_of(h), scalar_hits)
-    assert batch.final_sets(h) == sim._sets
+    assert np.array_equal(batch.final_ways(h), _as_ways(sim._sets, assoc))
 
 
 def test_mixed_geometries_one_batch():
@@ -114,7 +126,7 @@ def test_mixed_geometries_one_batch():
     for h, t, n_sets, assoc in traces:
         ref_hits, ref_sets = _scalar_reference(t, n_sets, assoc)
         assert np.array_equal(batch.hits_of(h), ref_hits)
-        assert batch.final_sets(h) == ref_sets
+        assert np.array_equal(batch.final_ways(h), _as_ways(ref_sets, assoc))
 
 
 def test_repeat_heavy_trace_dup_collapse():
@@ -127,7 +139,7 @@ def test_repeat_heavy_trace_dup_collapse():
     batch.run()
     ref_hits, ref_sets = _scalar_reference(lines, 16, 2)
     assert np.array_equal(batch.hits_of(h), ref_hits)
-    assert batch.final_sets(h) == ref_sets
+    assert np.array_equal(batch.final_ways(h), _as_ways(ref_sets, 2))
 
 
 def test_empty_and_tiny_traces():
@@ -141,6 +153,22 @@ def test_empty_and_tiny_traces():
     assert np.array_equal(batch.hits_of(h2), [False, True])
 
 
+def _ok_seed():
+    return np.array([[5, 2], [7, -1], [-1, -1], [0, 3]], dtype=np.int64)
+
+
+#: Seeds for a 4-set 2-way stream that are not a reachable cache state.
+_MALFORMED_SEEDS = [
+    np.full((3, 2), -1, dtype=np.int64),  # too few sets
+    np.full((4, 3), -1, dtype=np.int64),  # too many ways
+    np.full(8, -1, dtype=np.int64),  # flat
+    _ok_seed().astype(np.float64),  # not integer
+    np.array([[5, 2], [7, -2], [-1, -1], [0, 3]]),  # tag < -1
+    np.array([[5, 2], [-1, 7], [-1, -1], [0, 3]]),  # -1 before a valid way
+    np.array([[5, 5], [7, -1], [-1, -1], [0, 3]]),  # tag twice in a row
+]
+
+
 def test_api_misuse_raises():
     batch = BatchedLRU()
     batch.add_stream(np.array([1, 2, 3]), 16, 2)
@@ -151,5 +179,141 @@ def test_api_misuse_raises():
         batch.add_stream(np.array([1]), 16, 2)
     with pytest.raises(ValueError):
         BatchedLRU().add_stream(np.array([1]), 0, 2)
-    with pytest.raises(ValueError):
-        BatchedLRU().add_stream(np.array([1]), 16, 2, seed_sets=[[]])
+    with pytest.raises(RuntimeError):
+        BatchedLRU().final_ways(0)
+    # Negative lines would wrap the unsigned sort keys and alias tag -1.
+    for lines in (np.array([3, -1, 5]), np.array([-7], dtype=np.int32)):
+        with pytest.raises(ValueError, match="non-negative"):
+            BatchedLRU().add_stream(lines, 16, 2)
+    lines = np.array([1, 2, 3])
+    BatchedLRU().add_stream(lines, 4, 2, seed_ways=_ok_seed())  # well-formed
+    for seed in _MALFORMED_SEEDS:
+        with pytest.raises(ValueError):
+            BatchedLRU().add_stream(lines, 4, 2, seed_ways=seed)
+        with pytest.raises(ValueError):
+            CacheSim(4 * 2 * 8, 2, 8).load_ways(seed)
+
+
+def test_seed_ways_not_mutated():
+    seed = _ok_seed()
+    batch = BatchedLRU()
+    h = batch.add_stream(np.array([1, 9, 2, 13, 4]), 4, 2, seed_ways=seed)
+    batch.run()
+    assert np.array_equal(seed, _ok_seed())
+    out = batch.final_ways(h)
+    out[:] = 99  # a fresh array: the replay's state is not aliased
+    assert not np.array_equal(batch.final_ways(h), out)
+
+
+def test_window_widening_final_state():
+    """Assoc 4, one set: A B C D then (E F)x20 ends as [F, E, D, C].
+
+    The last 16 kept accesses hold only E and F, so the final-state window
+    must widen to find D and C behind the ping-pong run.
+    """
+    A, B, C, D, E, F = range(10, 16)
+    lines = np.array([A, B, C, D] + [E, F] * 20)
+    batch = BatchedLRU()
+    h = batch.add_stream(lines, 1, 4)
+    batch.run()
+    assert batch.final_ways(h).tolist() == [[F, E, D, C]]
+    ref_hits, ref_sets = _scalar_reference(lines, 1, 4)
+    assert np.array_equal(batch.hits_of(h), ref_hits)
+    assert ref_sets == [[C, D, E, F]]
+
+
+def test_ways_load_ways_round_trip():
+    rng = np.random.default_rng(11)
+    sim = CacheSim(16 * 4 * 32, 4, 32)
+    for line in _random_trace(rng, 300, 16 * 4 * 2).tolist():
+        sim.access_line(line)
+    sim.hits, sim.misses = 3, 4
+    ways = sim.ways()
+    assert ways.shape == (16, 4) and ways.dtype == np.int64
+    assert np.array_equal(ways, _as_ways(sim._sets, 4))
+    other = CacheSim(16 * 4 * 32, 4, 32)
+    other.load_ways(ways)
+    assert other._sets == sim._sets
+    assert (other.hits, other.misses) == (0, 0)  # counters are not state
+    assert np.array_equal(other.ways(), ways)
+    cold = CacheSim(16 * 4 * 32, 4, 32)
+    assert (cold.ways() == -1).all()
+    cold.load_ways(cold.ways())
+    assert cold._sets == [[] for _ in range(16)]
+    # Continuing from loaded state matches continuing the original.
+    more = _random_trace(rng, 200, 16 * 4 * 2).tolist()
+    assert [other.access_line(x) for x in more] == [
+        sim.access_line(x) for x in more
+    ]
+    assert other._sets == sim._sets
+
+
+# ----------------------------------------------------------------------
+# Property test: the way-matrix boundary against CacheSim, mixed batches.
+
+#: Set counts for the property batches, non-powers of two included.
+_SET_COUNTS = [1, 2, 3, 5, 6, 7, 8, 12, 16, 64]
+
+
+@st.composite
+def _line_lists(draw, n_sets, universe, max_size):
+    """Uniform draws over a small universe, then a ping-pong tail.
+
+    The tail repeats a few lines of one set, hiding that set's older
+    distinct tags behind a long run of few tags.
+    """
+    lines = draw(
+        st.lists(st.integers(0, universe - 1), max_size=max_size // 2)
+    )
+    pattern = draw(st.lists(st.integers(0, universe - 1), max_size=3))
+    if pattern:
+        home = pattern[0] % n_sets
+        pattern = [x - x % n_sets + home for x in pattern]
+        lines += pattern * draw(st.integers(0, max_size // 2 // len(pattern)))
+    return lines
+
+
+@st.composite
+def _mixed_batches(draw):
+    """Stream specs ``(n_sets, assoc, prefix or None, lines)`` for one batch.
+
+    The batch's top associativity picks the regime: 2 keeps every stream
+    in the closed-form assoc 1/2 class, 4 mixes that class with the 3/4
+    class, 8 sends the batch down the generational path.  ``prefix`` warms
+    a CacheSim whose ways seed the stream (None = a cold, unseeded stream);
+    ``lines`` may be empty, seeded or not.
+    """
+    top = draw(st.sampled_from([2, 4, 8]))
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_sets = draw(st.sampled_from(_SET_COUNTS))
+        assoc = draw(st.integers(1, top))
+        universe = draw(st.integers(1, n_sets * assoc * 3))
+        prefix = draw(st.none() | _line_lists(n_sets, universe, 120))
+        lines = draw(st.just([]) | _line_lists(n_sets, universe, 240))
+        specs.append((n_sets, assoc, prefix, lines))
+    return specs
+
+
+@given(_mixed_batches())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_property_way_matrix_boundary(specs):
+    batch = BatchedLRU()
+    expected = []
+    for n_sets, assoc, prefix, lines in specs:
+        sim = CacheSim(n_sets * assoc * 8, assoc, 8)
+        seed = None
+        if prefix is not None:
+            for line in prefix:
+                sim.access_line(line)
+            seed = sim.ways()
+        h = batch.add_stream(
+            np.array(lines, dtype=np.int64), n_sets, assoc, seed_ways=seed
+        )
+        verdicts = np.array([sim.access_line(x) for x in lines], dtype=bool)
+        expected.append((h, verdicts, sim.ways()))
+    batch.run()
+    for h, verdicts, ways in expected:
+        assert np.array_equal(batch.hits_of(h), verdicts)
+        assert np.array_equal(batch.final_ways(h), ways)
