@@ -1,12 +1,11 @@
-"""Fused columnar engine vs the scalar pipeline, end to end, on fig5 PA.
+"""Batched engine vs the scalar pipeline, end to end, on fig5 PA.
 
-The acceptance bar for the columnar engine (this PR's tentpole gate): the
-full workload→RunTable pipeline — 100 full-scale PA range queries under
-all six Table 1 adequate-memory configurations, priced over the standard
-bandwidth sweep — through ``Session.run(planner="columnar")`` must be at
-least **10x** faster wall-clock than the per-query scalar planner+pricer,
-with the RunTables bit-identical to the batched object path and within
-1e-9 of the scalar oracle (checked on the warm-up pass inside
+The acceptance bar for the batched engine: the full workload→RunTable
+pipeline — 100 full-scale PA range queries under all six Table 1
+adequate-memory configurations, priced over the standard bandwidth sweep —
+through ``Session.run()`` must be at least **10x** faster wall-clock than
+the per-query scalar planner+pricer, with the RunTables within 1e-9 of the
+scalar oracle (checked on the warm-up pass inside
 :func:`repro.bench.e2ebench.measure_e2e_speedup`).
 
 The machine-readable record lands in ``benchmarks/results/BENCH_e2e.json``.
@@ -21,7 +20,7 @@ from repro.data.workloads import DEFAULT_RUNS, range_queries
 E2E_SPEEDUP_FLOOR = 10.0
 
 
-def test_fig5_workload_columnar_e2e_speedup(pa_env, save_report, save_json):
+def test_fig5_workload_batched_e2e_speedup(pa_env, save_report, save_json):
     qs = range_queries(pa_env.dataset, DEFAULT_RUNS)
     record = measure_e2e_speedup(
         pa_env, qs, ADEQUATE_MEMORY_CONFIGS, repeats=3
@@ -31,15 +30,12 @@ def test_fig5_workload_columnar_e2e_speedup(pa_env, save_report, save_json):
     save_report("e2e_speedup", render_e2e_speedup(record))
     save_json("BENCH_e2e", record)
 
-    assert record["columnar_exact_vs_batched"], (
-        "columnar RunTable differs from the batched object path"
-    )
     assert record["tables_match"], (
-        f"columnar disagrees with the scalar oracle beyond "
+        f"batched disagrees with the scalar oracle beyond "
         f"{record['rel_tol']:g} (worst {record['max_rel_err_vs_scalar']:.2e})"
     )
-    assert record["columnar_vs_scalar"] >= E2E_SPEEDUP_FLOOR, (
-        f"columnar end-to-end only {record['columnar_vs_scalar']:.2f}x faster "
-        f"({record['columnar_seconds']:.3f}s vs "
+    assert record["batched_vs_scalar"] >= E2E_SPEEDUP_FLOOR, (
+        f"batched end-to-end only {record['batched_vs_scalar']:.2f}x faster "
+        f"({record['batched_seconds']:.3f}s vs "
         f"{record['scalar_seconds']:.3f}s scalar)"
     )

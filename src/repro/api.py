@@ -70,8 +70,6 @@ __all__ = [
     "SweepCell",
     "ENGINES",
     "PLANNERS",
-    "MATERIALIZING_PLANNERS",
-    "PlanMaterializationError",
 ]
 
 #: Pricing engines a session can run: ``"batched"`` is the vectorized
@@ -82,34 +80,7 @@ ENGINES = ("batched", "scalar")
 #: workload at once (:mod:`repro.core.batchplan`, the default), ``"scalar"``
 #: walks one query at a time through ``plan_query``.  Both produce
 #: bit-identical plans; the differential suite holds them to that.
-#: ``"columnar"`` fuses planning and pricing into one array pass
-#: (:mod:`repro.core.colplan`) — it never materializes plan objects, so it
-#: is only valid for :meth:`Session.run` / :meth:`Engine.run_columnar`.
-PLANNERS = ("batched", "scalar", "columnar")
-
-#: The planners that produce :class:`~repro.core.executor.QueryPlan`
-#: objects, i.e. the ones ``plan``/``plan_grid`` accept.
-MATERIALIZING_PLANNERS = ("batched", "scalar")
-
-
-class PlanMaterializationError(ValueError):
-    """A planner that cannot materialize plan objects was asked to.
-
-    Raised by :meth:`Engine.plan_grid` / :meth:`Session.plan_grid` when
-    ``planner`` names an engine (like ``"columnar"``) that fuses planning
-    and pricing.  Carries the offending ``planner`` and the ``allowed``
-    alternatives so front ends (the CLI included) can surface them.
-    """
-
-    def __init__(self, planner: str, allowed: Sequence[str] = MATERIALIZING_PLANNERS):
-        self.planner = planner
-        self.allowed = tuple(allowed)
-        super().__init__(
-            f"planner={planner!r} fuses planning and pricing and never "
-            "materializes plans; use Session.run(planner='columnar') or "
-            "Engine.run_columnar(), or choose a materializing planner "
-            f"({', '.join(repr(p) for p in self.allowed)})"
-        )
+PLANNERS = ("batched", "scalar")
 
 
 @dataclass(frozen=True)
@@ -425,8 +396,6 @@ class Engine:
             raise ValueError(
                 f"unknown planner {planner!r}; choose from {PLANNERS}"
             )
-        if planner not in MATERIALIZING_PLANNERS:
-            raise PlanMaterializationError(planner)
         if self.semantic_cache is not None and planner != "batched":
             raise ValueError(
                 "semantic_cache requires planner='batched' (the scalar "
@@ -555,66 +524,6 @@ class Engine:
         )
         return results
 
-    def run_columnar(
-        self,
-        workload: Union[Query, Sequence[Query]],
-        schemes: Union[SchemeConfig, Sequence[SchemeConfig]],
-        policies: Union[Policy, Sequence[Policy], None] = None,
-        *,
-        reset_caches: bool = True,
-        processes: Optional[int] = None,
-    ) -> List[GridResult]:
-        """Plan and price the grid in one fused columnar pass.
-
-        Returns one :class:`~repro.core.gridrun.GridResult` per scheme
-        (scheme order), each bit-identical to pricing the batched planner's
-        plans through :meth:`price_grid`.  No plan objects exist, so the
-        plan cache is bypassed; the phase cache still dedups traversals.
-        ``processes`` shards the traversal over query blocks (exact).
-        """
-        from repro.core.colplan import plan_and_price_columnar
-
-        queries = self._as_queries(workload)
-        configs = self._as_schemes(schemes)
-        pols = self._as_policies(policies)
-        start = time.perf_counter()
-        grids = plan_and_price_columnar(
-            self.env,
-            queries,
-            configs,
-            pols,
-            reset_caches=reset_caches,
-            phase_cache=self.phase_cache,
-            processes=processes,
-            semantic_cache=self.semantic_cache,
-        )
-        elapsed = time.perf_counter() - start
-        if self.semantic_cache is not None:
-            self.record(
-                "semcache",
-                dataset=self.dataset.name,
-                **self.semantic_cache.stats_dict(),
-            )
-        store = getattr(self.env, "shard_store", None)
-        shard_fields = store.take_stats() if store is not None else {}
-        if self.ledger is not None:
-            per_scheme = elapsed / len(configs) if configs else 0.0
-            for config in configs:
-                self.ledger.record(
-                    "plan",
-                    dataset=self.dataset.name,
-                    scheme=config.label,
-                    planner="columnar",
-                    n_queries=len(queries),
-                    seconds=per_scheme,
-                    cache_hit=False,
-                    cache_hits=self.plan_cache.hits,
-                    cache_misses=self.plan_cache.misses,
-                    cache_hit_rate=self.plan_cache.hit_rate,
-                    **shard_fields,
-                )
-        return grids
-
 
 class Session:
     """Plan, price and record experiment grids over one dataset.
@@ -699,11 +608,6 @@ class Session:
         """The engine's semantic candidate cache (``None`` when disabled)."""
         return self.engine.semantic_cache
 
-    # Backwards-compatible aliases for the pre-Engine attribute layout.
-    _as_queries = staticmethod(Engine._as_queries)
-    _as_policies = staticmethod(Engine._as_policies)
-    _as_schemes = staticmethod(Engine._as_schemes)
-
     # ------------------------------------------------------------------
     def plan(
         self,
@@ -763,46 +667,14 @@ class Session:
         queries = core._as_queries(workload)
         configs = core._as_schemes(schemes)
         pols = core._as_policies(policies)
+        if not queries:
+            raise ValueError("run() requires at least one query")
+        if not pols:
+            raise ValueError("run() requires at least one policy")
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
-        if planner == "columnar":
-            if engine != "batched":
-                raise ValueError(
-                    "planner='columnar' prices through the grid engine; "
-                    "it cannot be combined with engine='scalar'"
-                )
-            start = time.perf_counter()
-            grids = core.run_columnar(
-                queries, configs, pols, reset_caches=reset_caches
-            )
-            priced = time.perf_counter() - start
-            rows = []
-            per_scheme = priced / len(configs) if configs else 0.0
-            for config, grid in zip(configs, grids):
-                scheme_rows = [
-                    RunRow(
-                        scheme=config.label,
-                        policy=pol,
-                        result=grid.combine_policy(j),
-                        dwell=grid.dwell(j),
-                    )
-                    for j, pol in enumerate(pols)
-                ]
-                if core.ledger is not None:
-                    core.record(
-                        "price",
-                        engine="columnar",
-                        scheme=config.label,
-                        n_plans=len(queries),
-                        n_policies=len(pols),
-                        seconds=per_scheme,
-                    )
-                    for row in scheme_rows:
-                        core.record("run", **row.to_record())
-                rows.extend(scheme_rows)
-            return RunTable(rows=tuple(rows))
         grid_plans = core.plan_grid(
             queries, configs, reset_caches=reset_caches, planner=planner
         )

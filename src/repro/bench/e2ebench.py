@@ -1,8 +1,8 @@
-"""End-to-end workload→RunTable benchmark: fused columnar vs the object paths.
+"""End-to-end workload→RunTable benchmark: the batched engine vs scalar.
 
 Where :mod:`repro.bench.planbench` times *planning* alone, this measures the
 whole pipeline a caller actually pays for — :meth:`repro.api.Session.run`
-from a raw workload to a finished :class:`~repro.api.RunTable` — under three
+from a raw workload to a finished :class:`~repro.api.RunTable` — under two
 engine/planner pairings:
 
 ``scalar``
@@ -12,22 +12,18 @@ engine/planner pairings:
 ``batched``
     ``planner="batched", engine="batched"`` — batched traversal into plan
     objects, then the vectorized grid pricer.
-``columnar``
-    ``planner="columnar", engine="batched"`` — the fused
-    :func:`~repro.core.colplan.plan_and_price_columnar` pass (no plan
-    objects at all).
 
 Methodology matches planbench: every side runs once untimed (page-fault
 warm-up is not engine work) and that warm-up pass doubles as the parity
-check — columnar must match batched **bit for bit** and the scalar
-reference to ``rel_tol``; then ``repeats`` timed rounds interleaved in one
-process, minimum per side.  Each timed round constructs a fresh
-:class:`~repro.api.Session` (fresh plan/phase/compile caches) so no side
-amortizes another's warm state; the environment itself is shared because
-``Session.run`` resets the cache sims per workload.
+check — batched must match the scalar reference to ``rel_tol``; then
+``repeats`` timed rounds interleaved in one process, minimum per side.
+Each timed round constructs a fresh :class:`~repro.api.Session` (fresh
+plan/phase/compile caches) so no side amortizes another's warm state; the
+environment itself is shared because ``Session.run`` resets the cache sims
+per workload.
 
-One measurement routine shared by ``repro planbench --planner columnar``,
-the ``benchmarks/test_e2e_speedup.py`` gate (which archives
+One measurement routine shared by ``repro planbench --e2e``, the
+``benchmarks/test_e2e_speedup.py`` gate (which archives
 ``BENCH_e2e.json``) and the CI bench-smoke step.
 """
 
@@ -58,7 +54,6 @@ __all__ = [
 E2E_SIDES: Dict[str, Tuple[str, str]] = {
     "scalar": ("scalar", "scalar"),
     "batched": ("batched", "batched"),
-    "columnar": ("columnar", "batched"),
 }
 
 
@@ -171,20 +166,18 @@ def measure_e2e_speedup(
     repeats: int = 3,
     rel_tol: float = 1e-9,
 ) -> Dict[str, object]:
-    """Time scalar vs batched vs columnar end-to-end on one workload.
+    """Time scalar vs batched end-to-end on one workload.
 
     Returns the ``BENCH_e2e.json`` payload::
 
         {"benchmark": "e2e_speedup", "dataset": ..., "n_queries": ...,
          "n_configs": ..., "n_policies": ..., "repeats": ..., "rel_tol": ...,
-         "scalar_seconds": ..., "batched_seconds": ..., "columnar_seconds": ...,
-         "columnar_vs_scalar": ..., "batched_vs_scalar": ...,
-         "columnar_vs_batched": ...,
-         "tables_match": <all parity checks passed>,
-         "columnar_exact_vs_batched": ..., "max_rel_err_vs_scalar": ...}
+         "scalar_seconds": ..., "batched_seconds": ...,
+         "batched_vs_scalar": ..., "tables_match": ...,
+         "max_rel_err_vs_scalar": ...}
 
-    Parity is established on the warm-up pass: columnar vs batched must be
-    bit-identical, columnar vs the scalar reference within ``rel_tol``.
+    Parity is established on the warm-up pass: batched vs the scalar
+    reference within ``rel_tol``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -199,9 +192,8 @@ def measure_e2e_speedup(
         )[0]
         for side, (planner, engine) in E2E_SIDES.items()
     }
-    exact_ok, _ = tables_match(tables["columnar"], tables["batched"])
-    scalar_ok, scalar_err = tables_match(
-        tables["columnar"], tables["scalar"], rel_tol=rel_tol
+    parity_ok, scalar_err = tables_match(
+        tables["batched"], tables["scalar"], rel_tol=rel_tol
     )
 
     seconds = {side: float("inf") for side in E2E_SIDES}
@@ -225,12 +217,8 @@ def measure_e2e_speedup(
         "rel_tol": rel_tol,
         "scalar_seconds": seconds["scalar"],
         "batched_seconds": seconds["batched"],
-        "columnar_seconds": seconds["columnar"],
-        "columnar_vs_scalar": ratio(seconds["scalar"], seconds["columnar"]),
         "batched_vs_scalar": ratio(seconds["scalar"], seconds["batched"]),
-        "columnar_vs_batched": ratio(seconds["batched"], seconds["columnar"]),
-        "tables_match": bool(exact_ok and scalar_ok),
-        "columnar_exact_vs_batched": bool(exact_ok),
+        "tables_match": bool(parity_ok),
         "max_rel_err_vs_scalar": scalar_err,
     }
 
@@ -251,7 +239,7 @@ def measure_e2e_speedup_kinds(
 
         {"benchmark": "e2e_speedup_kinds", "dataset": ..., "runs": ...,
          "repeats": ..., "kinds": {"range": {<measure_e2e_speedup row>}, ...},
-         "tables_match": <all kinds>, "min_speedup": <worst columnar_vs_scalar>}
+         "tables_match": <all kinds>, "min_speedup": <worst batched_vs_scalar>}
     """
     from repro.bench.planbench import _kind_workload
 
@@ -271,26 +259,22 @@ def measure_e2e_speedup_kinds(
         "repeats": repeats,
         "kinds": rows,
         "tables_match": all(r["tables_match"] for r in rows.values()),
-        "min_speedup": min(r["columnar_vs_scalar"] for r in rows.values()),
+        "min_speedup": min(r["batched_vs_scalar"] for r in rows.values()),
     }
 
 
 def render_e2e_speedup(record: Dict[str, object]) -> str:
     """One human-readable block for a :func:`measure_e2e_speedup` record."""
     lines = [
-        "e2e_speedup: workload -> RunTable, fused columnar vs object paths",
+        "e2e_speedup: workload -> RunTable, batched engine vs scalar",
         f"  dataset      : {record['dataset']}"
         f"  ({record['n_queries']} queries x {record['n_configs']} configs"
         f" x {record['n_policies']} policies, min of {record['repeats']})",
         f"  scalar       : {record['scalar_seconds']:.3f} s",
         f"  batched      : {record['batched_seconds']:.3f} s"
         f"  ({record['batched_vs_scalar']:.2f}x)",
-        f"  columnar     : {record['columnar_seconds']:.3f} s"
-        f"  ({record['columnar_vs_scalar']:.2f}x scalar,"
-        f" {record['columnar_vs_batched']:.2f}x batched)",
         f"  tables match : {record['tables_match']}"
-        f"  (exact vs batched: {record['columnar_exact_vs_batched']},"
-        f" worst rel err vs scalar: {record['max_rel_err_vs_scalar']:.2e})",
+        f"  (worst rel err vs scalar: {record['max_rel_err_vs_scalar']:.2e})",
     ]
     return "\n".join(lines)
 
@@ -301,13 +285,12 @@ def render_e2e_speedup_kinds(record: Dict[str, object]) -> str:
         "e2e_speedup_kinds: workload -> RunTable per query kind",
         f"  dataset : {record['dataset']}"
         f"  ({record['runs']} queries/kind, min of {record['repeats']})",
-        "  kind   scalar_s  columnar_s  vs_scalar  vs_batched  tables_match",
+        "  kind   scalar_s  batched_s  speedup  tables_match",
     ]
     for kind, row in record["kinds"].items():
         lines.append(
             f"  {kind:<6} {row['scalar_seconds']:>8.3f} "
-            f"{row['columnar_seconds']:>11.3f} "
-            f"{row['columnar_vs_scalar']:>8.2f}x "
-            f"{row['columnar_vs_batched']:>10.2f}x  {row['tables_match']}"
+            f"{row['batched_seconds']:>10.3f} "
+            f"{row['batched_vs_scalar']:>7.2f}x  {row['tables_match']}"
         )
     return "\n".join(lines)

@@ -71,14 +71,10 @@ def _sweep(
     configs: Sequence[SchemeConfig],
     base_policy: Policy,
     bandwidths_mbps: Sequence[float] = BANDWIDTHS_MBPS,
-    planner: str = "batched",
 ) -> Dict[str, List[SweepCell]]:
-    """The evaluation section's standard grid, via the batched engine
-    (``planner="columnar"`` routes through the fused columnar pass)."""
+    """The evaluation section's standard grid, via the batched engine."""
     policies = [base_policy.with_bandwidth(bw * MBPS) for bw in bandwidths_mbps]
-    table = session.run(
-        queries, schemes=configs, policies=policies, planner=planner
-    )
+    table = session.run(queries, schemes=configs, policies=policies)
     return {
         label: [
             SweepCell(
@@ -108,22 +104,18 @@ def fig5_range_queries(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     base_policy: Policy = Policy(),
-    planner: str = "batched",
 ) -> Dict[str, List[SweepCell]]:
     """Figure 5 (PA) / Figure 7 (NYC): range queries, all six Table 1
     configurations x bandwidths."""
     session = _session(env)
     qs = range_queries(session.dataset, n_runs)
-    return _sweep(
-        session, qs, ADEQUATE_MEMORY_CONFIGS, base_policy, planner=planner
-    )
+    return _sweep(session, qs, ADEQUATE_MEMORY_CONFIGS, base_policy)
 
 
 def fig6_nn_queries(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     base_policy: Policy = Policy(),
-    planner: str = "batched",
 ) -> Dict[str, List[SweepCell]]:
     """Figure 6: NN queries — only the two 'fully at' schemes apply."""
     session = _session(env)
@@ -132,7 +124,7 @@ def fig6_nn_queries(
         SchemeConfig(Scheme.FULLY_CLIENT),
         SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
     )
-    return _sweep(session, qs, configs, base_policy, planner=planner)
+    return _sweep(session, qs, configs, base_policy)
 
 
 def fig8_client_speed(

@@ -366,7 +366,7 @@ def cmd_planbench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.planner == "columnar":
+    if args.e2e:
         from repro.bench.e2ebench import (
             measure_e2e_speedup,
             measure_e2e_speedup_kinds,
@@ -385,10 +385,10 @@ def cmd_planbench(args: argparse.Namespace) -> int:
             record = measure_e2e_speedup(env, qs, configs, repeats=args.repeat)
             record["sweep"] = args.sweep
             render = render_e2e_speedup
-            worst = record["columnar_vs_scalar"]
+            worst = record["batched_vs_scalar"]
         parity = record["tables_match"]
-        parity_fail = "FAIL: columnar RunTables differ from the scalar oracle"
-        slow_fail = "FAIL: columnar engine slower than scalar"
+        parity_fail = "FAIL: batched RunTables differ from the scalar oracle"
+        slow_fail = "FAIL: batched engine slower than scalar end to end"
     elif kinds is not None:
         record = measure_plan_speedup_kinds(
             env, kinds, runs=args.runs, repeats=args.repeat
@@ -717,9 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--duration", type=float, default=10.0,
                     help="arrival-window length (simulated seconds)")
     sv.add_argument("--planner", default="batched",
-                    choices=("batched", "columnar", "serial"),
-                    help="micro-batched service, fused columnar service, "
-                         "or serial per-client baseline")
+                    choices=("batched", "serial"),
+                    help="micro-batched service or serial per-client baseline")
     sv.add_argument("--max-queue", type=int, default=256,
                     help="bounded arrival-queue capacity")
     sv.add_argument("--max-batch", type=int, default=64,
@@ -747,11 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated query kinds (point,range,nn,knn); "
                          "reports one speedup row per kind and overrides "
                          "--sweep")
-    pb.add_argument("--planner", default="batched",
-                    choices=("batched", "columnar"),
-                    help="batched: time planning alone vs the scalar walk; "
-                         "columnar: time the fused plan+price end-to-end "
-                         "vs the scalar reference")
+    pb.add_argument("--e2e", action="store_true",
+                    help="time the whole workload->RunTable pipeline "
+                         "(plan + price) vs the scalar reference instead "
+                         "of planning alone")
     pb.add_argument("--runs", type=int, default=100, help="queries per workload")
     pb.add_argument("--repeat", type=int, default=3,
                     help="timed rounds per planner (min is reported)")

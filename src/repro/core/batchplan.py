@@ -757,8 +757,7 @@ def _replay_workload(
 ) -> Tuple[BatchedLRU, List[Dict[str, Tuple[_Stream, int]]], Dict[str, object]]:
     """Build and run every configuration's per-side replay streams.
 
-    The shared replay core of :func:`plan_workload_batched` and the
-    columnar engine (:mod:`repro.core.colplan`).  Returns the finished
+    The replay core of :func:`plan_workload_batched`.  Returns the finished
     :class:`BatchedLRU`, one ``side -> (stream, first-phase offset)``
     mapping per configuration, and the live cache simulators by side
     (for :func:`_writeback_sims`).

@@ -454,10 +454,8 @@ class GridResult:
 class PlanAggregates:
     """:class:`CompiledPlan` fields as (N,) columns for one wire framing.
 
-    The columnar planner (:mod:`repro.core.colplan`) produces these arrays
-    directly from trace columns — without per-query plan objects — and both
-    engines price them through :func:`_price_framing_into`, so the two
-    paths are arithmetically identical by construction.
+    :func:`price_grid` gathers them from the compiled plans and prices
+    them through :func:`_price_framing_into`.
     """
 
     proc_cycles: np.ndarray
@@ -541,8 +539,7 @@ def _price_framing_into(
 
     This is the whole policy broadcast: every statement below is an exact
     algebraic regrouping of ``price_plan``'s scalar walk (see module
-    docstring), so any producer of :class:`PlanAggregates` — compiled plan
-    objects or the columnar planner's trace arrays — prices identically.
+    docstring).
     """
     j = np.asarray(cols_j, dtype=np.intp)
     bw = cols.bandwidth_bps[j]

@@ -135,25 +135,7 @@ def price_pipelined_workload(
     """Price ``plans`` with cross-query overlap (see module docstring)."""
     if not plans:
         raise ValueError("price_pipelined_workload() requires at least one plan")
-    chains = [_tasks_for_plan(p, env, policy) for p in plans]
-    sequential_wall = sum(
-        price_plan(p, env, policy).wall_seconds for p in plans
-    )
-    return _schedule_chains(chains, env, policy, sequential_wall)
 
-
-def _schedule_chains(
-    chains: List[List[Tuple[int, float, str, float]]],
-    env: Environment,
-    policy: Policy,
-    sequential_wall: float,
-) -> PipelinedResult:
-    """The two-resource list schedule over per-query task chains.
-
-    Shared by the object path (chains flattened from plans) and the
-    columnar path (chains built straight from trace columns by
-    :func:`repro.core.colplan.columnar_pipeline_data`).
-    """
     # Event-driven non-preemptive list schedule.  Each query is a chain of
     # tasks; a task becomes available when its predecessor in the chain
     # finishes.  When the CPU chooses among available tasks it prefers
@@ -161,6 +143,7 @@ def _schedule_chains(
     # the server fed, which is the whole point of pipelining; running a long
     # local refinement first would serialize the stream (the behaviour the
     # paper's sequential w4=0 model exhibits).
+    chains = [_tasks_for_plan(p, env, policy) for p in plans]
     ptr = [0] * len(chains)
     avail = [0.0] * len(chains)  # when each chain's next task may start
     resource_free = [0.0, 0.0]  # CPU, NET
@@ -235,6 +218,9 @@ def _schedule_chains(
                  - bucket_seconds["rx"]) * clock,
     )
 
+    sequential_wall = sum(
+        price_plan(p, env, policy).wall_seconds for p in plans
+    )
     return PipelinedResult(
         energy=energy,
         cycles=cycles,
@@ -257,21 +243,12 @@ def plan_and_price_pipelined(
     the workload is planned through the batched multi-query planner
     (:func:`repro.core.batchplan.plan_workload_batched`), which produces
     plans bit-identical to the scalar path, then priced with cross-query
-    overlap.  ``planner="columnar"`` feeds the scheduler straight from the
-    fused columnar engine's trace columns (identical task chains, no plan
-    objects); ``planner="scalar"`` falls back to per-query planning
+    overlap.  Pass ``planner="scalar"`` to fall back to per-query planning
     (mainly useful for differential testing).
     """
-    if planner not in ("batched", "scalar", "columnar"):
+    if planner not in ("batched", "scalar"):
         raise ValueError(f"unknown planner {planner!r}")
     queries = list(queries)
-    if planner == "columnar":
-        from repro.core.colplan import columnar_pipeline_data
-
-        chains, sequential_wall = columnar_pipeline_data(
-            env, queries, config, policy
-        )
-        return _schedule_chains(chains, env, policy, sequential_wall)
     if planner == "batched":
         plans = plan_workload_batched(env, queries, [config])[0]
     else:

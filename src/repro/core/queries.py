@@ -14,8 +14,10 @@ Road-atlas operations on line-segment data (section 3):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Union
 
 from repro.spatial.geometry import DEFAULT_EPS
@@ -45,6 +47,14 @@ class QueryKind(Enum):
         return self is not QueryKind.NEAREST_NEIGHBOR
 
 
+def _check_finite_point(q) -> None:
+    """Reject a non-finite anchor, which would plan to zero answers."""
+    if not (math.isfinite(q.x) and math.isfinite(q.y)):
+        raise ValueError(
+            f"{type(q).__name__} needs a finite point, got ({q.x}, {q.y})"
+        )
+
+
 @dataclass(frozen=True)
 class PointQuery:
     """All segments passing within ``eps`` of ``(x, y)``."""
@@ -54,6 +64,11 @@ class PointQuery:
     eps: float = DEFAULT_EPS
 
     kind = QueryKind.POINT
+
+    def __post_init__(self) -> None:
+        _check_finite_point(self)
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
     def focus(self) -> tuple[float, float]:
         """The query's anchor point (extraction centers shipments on it)."""
@@ -82,6 +97,9 @@ class NNQuery:
 
     kind = QueryKind.NEAREST_NEIGHBOR
 
+    def __post_init__(self) -> None:
+        _check_finite_point(self)
+
     def focus(self) -> tuple[float, float]:
         """The query point itself."""
         return (self.x, self.y)
@@ -103,6 +121,9 @@ class KNNQuery:
     kind = QueryKind.NEAREST_NEIGHBOR
 
     def __post_init__(self) -> None:
+        _check_finite_point(self)
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise TypeError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 

@@ -58,9 +58,9 @@ independent of micro-batch boundaries: serving queries one at a time and
 serving them 64 at a time produce the same verdict sequence and the same
 final cache, a property the serve suite asserts.
 
-:class:`NaiveSemanticCache` is the pure-Python reference for the decision
-layer (linear scans, no NumPy); the hypothesis suite pins the vectorized
-cache's verdicts, source choices, and eviction order against it.
+``tests/core/test_semcache.py`` keeps a pure-Python reference for the
+decision layer (linear scans, no NumPy) and pins the vectorized cache's
+verdicts, source choices, and eviction order against it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from repro.spatial.hilbert import DEFAULT_ORDER, xy_to_d
 
 __all__ = [
     "SemanticCache",
-    "NaiveSemanticCache",
     "CacheEntry",
     "SEMCACHE_VERDICTS",
     "MAX_UNION_SOURCES",
@@ -507,133 +506,6 @@ class SemanticCache:
         self._dirty = True
 
 
-class NaiveSemanticCache:
-    """Pure-Python reference for the cache's *decision* layer.
-
-    Same verdicts, source choices, recency motion, insertion and eviction
-    order as :class:`SemanticCache` — implemented with linear scans over a
-    recency-ordered list, no NumPy.  Stores window geometry only (the
-    candidate-set algebra is pinned separately against brute-force set
-    ops); the hypothesis suite drives both caches with identical
-    serve/insert sequences and asserts identical behaviour.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        pin_bucket_bits: int = 6,
-        pin_hits: int = 4,
-        extent=None,
-    ) -> None:
-        self.capacity = capacity
-        self.pin_bucket_bits = pin_bucket_bits
-        self.pin_hits = pin_hits
-        self.extent = extent
-        # (rect, seq, bucket), LRU first / MRU last.
-        self._entries: List[Tuple[tuple, int, int]] = []
-        self._seq = 0
-        self._bucket_hits: Dict[int, int] = {}
-        self._hot: set = set()
-
-    def rects(self) -> List[tuple]:
-        """Entry rects in recency order (LRU first)."""
-        return [rect for rect, _seq, _b in self._entries]
-
-    def match(self, rect) -> Tuple[str, str, Tuple[tuple, ...]]:
-        for r, _seq, _b in self._entries:
-            if r == rect:
-                return "hit", "exact", (rect,)
-        if not self._entries:
-            return "miss", "", ()
-        xmin, ymin, xmax, ymax = rect
-        containing = []
-        for r, seq, _b in self._entries:
-            if r[0] <= xmin and r[1] <= ymin and r[2] >= xmax and r[3] >= ymax:
-                area = (r[2] - r[0]) * (r[3] - r[1])
-                containing.append((area, seq, r))
-        if containing:
-            containing.sort(key=lambda t: (t[0], t[1]))
-            return "refine", "contain", tuple(r for _a, _s, r in containing[:2])
-        cover = self._cover(rect, transpose=False)
-        if cover is None:
-            cover = self._cover(rect, transpose=True)
-        if cover is not None:
-            return "refine", "cover", cover
-        return "miss", "", ()
-
-    def _cover(self, rect, *, transpose: bool) -> Optional[Tuple[tuple, ...]]:
-        xmin, ymin, xmax, ymax = rect
-        if transpose:
-            xmin, ymin, xmax, ymax = ymin, xmin, ymax, xmax
-        spanning = []
-        for r, seq, _b in self._entries:
-            lo = (r[1], r[0], r[3], r[2]) if transpose else r
-            if (
-                lo[1] <= ymin
-                and lo[3] >= ymax
-                and lo[0] <= xmax
-                and lo[2] >= xmin
-            ):
-                spanning.append((lo[0], -lo[2], seq, r))
-        if not spanning:
-            return None
-        spanning.sort()
-        chosen: List[tuple] = []
-        covered = xmin
-        i, n = 0, len(spanning)
-        while covered < xmax:
-            best = None
-            best_end = covered
-            while i < n and spanning[i][0] <= covered:
-                end = -spanning[i][1]
-                if end > best_end:
-                    best_end = end
-                    best = spanning[i][3]
-                i += 1
-            if best is None:
-                return None
-            chosen.append(best)
-            covered = best_end
-            if len(chosen) > MAX_UNION_SOURCES:
-                return None
-        return tuple(chosen) if chosen else None
-
-    def serve(self, rect) -> Tuple[str, str, Tuple[tuple, ...]]:
-        verdict, mode, keys = self.match(rect)
-        for k in keys:
-            for pos, (r, seq, b) in enumerate(self._entries):
-                if r == k:
-                    self._entries.append(self._entries.pop(pos))
-                    break
-        if verdict != "miss":
-            b = _hilbert_bucket(rect, self.extent, self.pin_bucket_bits)
-            count = self._bucket_hits.get(b, 0) + 1
-            self._bucket_hits[b] = count
-            if count >= self.pin_hits:
-                self._hot.add(b)
-        return verdict, mode, keys
-
-    def insert(self, rect) -> bool:
-        if self.capacity <= 0:
-            return False
-        for pos, (r, _seq, _b) in enumerate(self._entries):
-            if r == rect:
-                self._entries.append(self._entries.pop(pos))
-                return False
-        bucket = _hilbert_bucket(rect, self.extent, self.pin_bucket_bits)
-        self._entries.append((rect, self._seq, bucket))
-        self._seq += 1
-        while len(self._entries) > self.capacity:
-            victim = None
-            for pos, (_r, _seq, b) in enumerate(self._entries):
-                if b not in self._hot:
-                    victim = pos
-                    break
-            self._entries.pop(victim if victim is not None else 0)
-        return True
-
-
 # ----------------------------------------------------------------------
 # Semantic phase computation
 # ----------------------------------------------------------------------
@@ -909,8 +781,8 @@ def plan_one_semantic(
 ) -> Tuple[QueryPlan, str]:
     """One query planned semantically with scalar cache replay.
 
-    The per-query reference the differential suite pins the batched and
-    columnar semantic paths against: phase data from
+    The per-query reference the differential suite pins the batched
+    semantic path against: phase data from
     :func:`compute_query_phases_semantic` (single-query call), traces
     replayed line by line through the environment's *live*
     :class:`~repro.sim.cache.CacheSim` objects, steps assembled by the

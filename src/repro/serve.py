@@ -78,12 +78,9 @@ __all__ = [
 ]
 
 #: Service planners: ``"batched"`` coalesces each micro-batch through the
-#: batched planner/pricer (the point of the service); ``"columnar"`` runs
-#: the same replay but compiles and prices each micro-batch straight from
-#: the slot costs (:mod:`repro.core.colplan`) without materializing plan
-#: objects; ``"serial"`` is the per-query scalar reference the
-#: differential suite compares against.
-SERVE_PLANNERS = ("batched", "columnar", "serial")
+#: batched planner/pricer (the point of the service); ``"serial"`` is the
+#: per-query scalar reference the differential suite compares against.
+SERVE_PLANNERS = ("batched", "serial")
 
 #: Admission verdicts a request can receive.
 VERDICTS = ("served", "rejected-queue", "rejected-battery")
@@ -365,9 +362,8 @@ class QueryService:
         or the server's free time if later), admits every arrival up to it
         against the queue bound and each client's battery budget, then
         serves up to ``max_batch`` queued queries as one micro-batch.
-        ``planner`` selects the coalesced batched path, the fused
-        columnar path (same replay, no plan objects), or the per-query
-        serial reference (:data:`SERVE_PLANNERS`); all yield identical
+        ``planner`` selects the coalesced batched path or the per-query
+        serial reference (:data:`SERVE_PLANNERS`); both yield identical
         answers and cache states, and energies equal to the pricers'
         agreement tolerance.
         """
@@ -431,40 +427,30 @@ class QueryService:
                 continue
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
-            if planner == "columnar":
-                served = self._serve_columnar(batch_reqs, states, server_ways)
+            if planner == "batched":
+                plans, verdicts = self._plan_batch(
+                    batch_reqs, states, server_ways
+                )
+                results = self._price_batch(batch_reqs, plans, states)
             else:
-                if planner == "batched":
-                    plans, verdicts = self._plan_batch(
-                        batch_reqs, states, server_ways
-                    )
-                    results = self._price_batch(batch_reqs, plans, states)
-                else:
-                    plans, results, verdicts = self._serve_serial(
-                        batch_reqs, states, server_ways
-                    )
-                served = [
-                    (
-                        sum(
-                            s.cycles
-                            for s in plan.steps
-                            if isinstance(s, ServerComputeStep)
-                        ),
-                        tuple(plan.answer_ids.tolist()),
-                        plan.n_results,
-                        result,
-                        verdict,
-                    )
-                    for plan, result, verdict in zip(plans, results, verdicts)
-                ]
+                plans, results, verdicts = self._serve_serial(
+                    batch_reqs, states, server_ways
+                )
             # Contention: server-side compute serializes within the batch.
             clock = env.server_cpu.clock_hz
             cursor = 0.0
             for k, idx in enumerate(batch):
                 r = reqs[idx]
                 st = states[r.client_id]
-                server_cycles, answer_ids, n_results, result, semv = served[k]
-                server_s = server_cycles / clock
+                plan, result = plans[k], results[k]
+                server_s = (
+                    sum(
+                        s.cycles
+                        for s in plan.steps
+                        if isinstance(s, ServerComputeStep)
+                    )
+                    / clock
+                )
                 delay = (t_start - r.arrival_s) + cursor
                 cursor += server_s
                 contention_j = delay * _blocked_power_w(st.profile.policy, env)
@@ -483,9 +469,9 @@ class QueryService:
                     latency_s=delay + result.wall_seconds,
                     energy_j=energy_j,
                     contention_j=contention_j,
-                    answer_ids=answer_ids,
-                    n_results=n_results,
-                    semcache=semv,
+                    answer_ids=tuple(plan.answer_ids.tolist()),
+                    n_results=plan.n_results,
+                    semcache=verdicts[k],
                     result=result,
                 )
             t_free = t_start + cursor
@@ -540,10 +526,9 @@ class QueryService:
         each warm-seeded from its saved way matrix so every timeline
         continues exactly where the last batch left it.  The environment's
         own caches are never touched; the per-client way matrices and
-        ``server_ways`` are advanced in place.  Returns ``(phases, slots,
-        slot_costs, verdicts)`` with one entry per request — the shared
-        front half of both the batched (plan-object) and columnar service
-        paths.
+        ``server_ways`` are advanced in place.  Returns ``(phases,
+        slot_costs, verdicts)`` with one entry per request, which
+        :meth:`_plan_batch` assembles into plans.
 
         With a shared semantic cache on the engine, phase data comes from
         :func:`~repro.core.semcache.compute_query_phases_semantic` — the
@@ -646,7 +631,7 @@ class QueryService:
             states[cid].ways[...] = lru.final_ways(stream.handle)
         if server_stream is not None:
             server_ways[...] = lru.final_ways(server_stream.handle)
-        return phases, slots, slot_costs, verdicts
+        return phases, slot_costs, verdicts
 
     def _plan_batch(
         self,
@@ -655,7 +640,7 @@ class QueryService:
         server_ways: np.ndarray,
     ) -> Tuple[List[QueryPlan], List[str]]:
         """Plan one micro-batch through the batched machinery."""
-        phases, slots, slot_costs, verdicts = self._replay_batch(
+        phases, slot_costs, verdicts = self._replay_batch(
             batch_reqs, states, server_ways
         )
         costs = self.engine.env.dataset.costs
@@ -670,69 +655,6 @@ class QueryService:
             for k, r in enumerate(batch_reqs)
         ]
         return plans, verdicts
-
-    def _serve_columnar(
-        self,
-        batch_reqs: List[QueryRequest],
-        states: Dict[int, _ClientState],
-        server_ways: np.ndarray,
-    ) -> List[Tuple[float, Tuple[int, ...], int, RunResult, str]]:
-        """Serve one micro-batch through the fused columnar compile/price.
-
-        Same replay as :meth:`_plan_batch`, but each query compiles
-        straight from its slot costs (:func:`~repro.core.colplan.compile_slots`)
-        and the batch prices per policy group through
-        :func:`~repro.core.colplan.price_compiled` — no
-        :class:`~repro.core.executor.QueryPlan` objects exist.  Returns one
-        ``(server_cycles, answer_ids, n_results, result, semcache)`` tuple
-        per request, bit-identical to the batched path's.
-        """
-        from repro.core.colplan import compile_slots, price_compiled
-
-        phases, slots, slot_costs, verdicts = self._replay_batch(
-            batch_reqs, states, server_ways
-        )
-        env = self.engine.env
-        compiled = []
-        server_cycles = []
-        for k, r in enumerate(batch_reqs):
-            prof = states[r.client_id].profile
-            compiled.append(
-                compile_slots(
-                    phases[k],
-                    prof.scheme,
-                    slot_costs[k],
-                    env,
-                    prof.policy.network,
-                )
-            )
-            server_cycles.append(
-                sum(
-                    cost.cycles
-                    for (side, _), cost in zip(slots[k], slot_costs[k])
-                    if side == "server"
-                )
-            )
-        groups: Dict[object, List[int]] = {}
-        for k, r in enumerate(batch_reqs):
-            groups.setdefault(states[r.client_id].profile.policy, []).append(k)
-        results: List[Optional[RunResult]] = [None] * len(batch_reqs)
-        for policy, idxs in groups.items():
-            grid = price_compiled(
-                [compiled[k] for k in idxs], [policy], env, policy.network
-            )
-            for row, k in enumerate(idxs):
-                results[k] = grid.result(row, 0)
-        return [
-            (
-                server_cycles[k],
-                tuple(compiled[k].answer_ids.tolist()),
-                compiled[k].n_results,
-                results[k],
-                verdicts[k],
-            )
-            for k in range(len(batch_reqs))
-        ]
 
     def _price_batch(
         self,

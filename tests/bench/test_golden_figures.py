@@ -144,26 +144,9 @@ class TestFig5Golden:
                 )
 
 
-class TestColumnarGolden:
-    """The fused columnar engine reproduces the figure goldens to the byte.
-
-    The fig5 golden predates not just the lossy link but the columnar
-    engine itself — so this is the strongest pin available: a plan-free
-    single-pass engine reproducing numbers captured from the original
-    per-query object pipeline exactly.  The fig6 golden pins the NN sweep
-    the same way for both the batched and columnar paths.
-    """
-
-    def test_fig5_columnar_matches_pre_loss_golden_exactly(self, session):
-        sweep = fig5_range_queries(session, n_runs=N_RUNS, planner="columnar")
-        _check_golden("fig5_pa002_runs10.json", _fig5_records(sweep))
-
-    def test_fig6_columnar_matches_golden_exactly(self, session):
-        sweep = fig6_nn_queries(session, n_runs=N_RUNS, planner="columnar")
-        _check_golden("fig6_pa002_runs10.json", _fig5_records(sweep))
-
-    def test_fig6_batched_matches_same_golden(self, session):
-        """Batched and columnar pin to one shared fig6 golden file."""
+class TestFig6Golden:
+    def test_fig6_matches_golden_exactly(self, session):
+        """The NN sweep is bit-for-bit its golden."""
         sweep = fig6_nn_queries(session, n_runs=N_RUNS)
         _check_golden("fig6_pa002_runs10.json", _fig5_records(sweep))
 

@@ -198,6 +198,21 @@ class TestSessionRun:
         with pytest.raises(ValueError, match="unknown engine"):
             session.price([], Policy(), engine="quantum")
 
+    @pytest.mark.parametrize("planner,engine", [("batched", "batched"),
+                                                ("scalar", "scalar")])
+    def test_empty_workload_or_policies_rejected(self, env_small, pa_small,
+                                                  planner, engine):
+        qs = range_queries(pa_small, 1, seed=39)
+        session = Session(env_small)
+        kw = dict(schemes=FS, planner=planner, engine=engine)
+        with pytest.raises(ValueError, match=r"run\(\).*query"):
+            session.run([], policies=Policy(), **kw)
+        with pytest.raises(ValueError, match=r"run\(\).*policy"):
+            session.run(qs, policies=[], **kw)
+        with pytest.raises(ValueError, match=r"run\(\).*scheme"):
+            session.run(qs, schemes=[], policies=Policy())
+        assert session.plan_grid([], FS) == [[]]
+
     def test_bad_source_rejected(self):
         with pytest.raises(TypeError, match="SegmentDataset or an Environment"):
             Session(42)
@@ -233,21 +248,7 @@ class TestNNWorkloads:
 
 
 class TestPlanMaterialization:
-    """plan_grid's typed refusal of plan-free planners."""
-
-    def test_columnar_raises_typed_exception(self, env_small, pa_small):
-        from repro.api import MATERIALIZING_PLANNERS, PlanMaterializationError
-
-        qs = range_queries(pa_small, 1, seed=61)
-        with pytest.raises(PlanMaterializationError) as exc:
-            Session(env_small).plan_grid(qs, [FS], planner="columnar")
-        err = exc.value
-        assert isinstance(err, ValueError)  # backward compatible
-        assert err.planner == "columnar"
-        assert err.allowed == tuple(MATERIALIZING_PLANNERS)
-        assert err.allowed == ("batched", "scalar")
-        for name in err.allowed:
-            assert repr(name) in str(err)
+    """plan_grid's refusal of unknown planners."""
 
     def test_unknown_planner_still_generic_error(self, env_small, pa_small):
         qs = range_queries(pa_small, 1, seed=62)
@@ -255,15 +256,13 @@ class TestPlanMaterialization:
             Session(env_small).plan_grid(qs, [FS], planner="magic")
 
     def test_cli_surfaces_allowed_planners(self, env_small, pa_small):
-        from repro.api import PlanMaterializationError
+        from repro.api import PLANNERS
 
         qs = range_queries(pa_small, 1, seed=63)
-        try:
-            Session(env_small).plan_grid(qs, [FS], planner="columnar")
-        except PlanMaterializationError as err:
-            message = str(err)
-        assert "'batched'" in message and "'scalar'" in message
-        assert "run_columnar" in message
+        with pytest.raises(ValueError) as exc:
+            Session(env_small).plan_grid(qs, [FS], planner="fused")
+        assert PLANNERS == ("batched", "scalar")
+        assert "'batched'" in str(exc.value) and "'scalar'" in str(exc.value)
 
 
 class TestSemanticCacheWiring:
@@ -327,19 +326,3 @@ class TestSemanticCacheWiring:
         assert events
         assert events[-1]["misses"] >= 1
         assert events[-1]["entries"] >= 1
-
-    def test_run_columnar_with_semantic_cache(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 3, seed=67)
-        cached = Session(env_small, semantic_cache=SemanticCache(8))
-        got = cached.run(
-            qs, schemes=FS, policies=Policy(), planner="columnar"
-        )
-        want = Session(env_small).run(
-            qs, schemes=FS, policies=Policy(), planner="columnar"
-        )
-        assert [r.result.n_results for r in got] == [
-            r.result.n_results for r in want
-        ]
-        assert cached.semantic_cache.lookups == len(qs)

@@ -98,6 +98,22 @@ class TestBenchCommand:
         assert main(["--scale", "0.02", "bench", "--runs", "2", "--sweep", "fig6"]) == 0
         assert "price" in capsys.readouterr().out
 
+    def test_planbench_e2e(self, capsys, tmp_path):
+        import json
+
+        out_json = str(tmp_path / "e2e.json")
+        assert main(
+            [
+                "--scale", "0.02", "planbench", "--e2e",
+                "--runs", "8", "--repeat", "1", "--json", out_json,
+            ]
+        ) == 0
+        assert "batched engine vs scalar" in capsys.readouterr().out
+        with open(out_json) as fh:
+            record = json.load(fh)
+        assert record["benchmark"] == "e2e_speedup"
+        assert record["tables_match"] is True
+
     def test_serve(self, capsys, tmp_path):
         import json
 

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
-from repro.core.queries import NNQuery, PointQuery, QueryKind, RangeQuery
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.queries import (
+    KNNQuery,
+    NNQuery,
+    PointQuery,
+    QueryKind,
+    RangeQuery,
+)
 from repro.spatial.mbr import MBR
 
 
@@ -31,3 +42,30 @@ class TestKinds:
 
     def test_point_default_eps_positive(self):
         assert PointQuery(0, 0).eps > 0
+
+
+class TestValidation:
+    """Malformed queries fail at construction, as malformed MBRs do."""
+
+    @pytest.mark.parametrize("cls", [PointQuery, NNQuery, KNNQuery])
+    @pytest.mark.parametrize("x,y", [(math.inf, 0.0), (0.0, -math.inf),
+                                     (math.nan, 0.0), (math.nan, math.nan)])
+    def test_non_finite_point_rejected(self, cls, x, y):
+        with pytest.raises(ValueError, match="finite point"):
+            cls(x, y)
+
+    @pytest.mark.parametrize("eps", [-5.0, math.inf, math.nan])
+    def test_point_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            PointQuery(1.0, 2.0, eps=eps)
+
+    def test_point_zero_eps_allowed(self):
+        assert PointQuery(1.0, 2.0, eps=0.0).eps == 0.0
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_knn_non_integral_k_rejected(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            KNNQuery(1.0, 2.0, k=k)
+
+    def test_knn_numpy_integer_k_allowed(self):
+        assert KNNQuery(1.0, 2.0, k=np.int64(3)).k == 3

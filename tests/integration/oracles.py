@@ -1,11 +1,11 @@
 """Reusable differential-oracle layer for (planner, pricer) pairings.
 
-The repo's correctness story is *differential*: every fast path is pinned
-to the scalar per-query twin (``plan_query`` + ``price_plan``), and the
-fused columnar engine additionally to the batched object path **bit for
-bit**.  This module packages those comparisons so any suite — the
-dedicated columnar tests, the batchplan differential suite, hypothesis
-property tests — asserts the same contract through the same helpers:
+The repo's correctness story is *differential*: the batched engine is
+pinned to the scalar per-query twin (``plan_query`` + ``price_plan``).
+This module packages those comparisons so every suite — the engine
+differential suite, the batchplan differential suite, the shard and
+semantic-cache suites, hypothesis property tests — asserts the same
+contract through the same helpers:
 
 ``assert_grids_identical``
     Every array of two :class:`~repro.core.gridrun.GridResult`\\ s equal
@@ -15,13 +15,14 @@ property tests — asserts the same contract through the same helpers:
     :class:`~repro.api.RunTable` equality — exact for engine twins that
     share summation order, 1e-9 relative for the scalar oracle (its
     documented agreement bound), discrete fields exact either way.
-``assert_columnar_differential``
-    The full three-way pin: columnar ≡ batched exactly, both ≈ scalar,
-    and the environment's simulated cache state (hits, misses, LRU set
-    contents on both sides) left identical by all three paths.
+``assert_engine_differential``
+    The two-way pin: batched plans ≡ scalar plans exactly, batched grids
+    ≈ scalar cells to 1e-9, and the environment's simulated cache state
+    (hits, misses, LRU set contents on both sides) left identical by both
+    paths.
 ``run_ledger_shape``
     A ledger event stream reduced to its deterministic fields, so suites
-    can require the fused path to emit the same observability records
+    can require planner twins to emit the same observability records
     without comparing wall-clock timings.
 """
 
@@ -34,8 +35,7 @@ import numpy as np
 
 from repro.api import RunTable, Session
 from repro.bench.e2ebench import tables_match
-from repro.core.batchplan import plan_workload_batched
-from repro.core.colplan import plan_and_price_columnar
+from repro.core.batchplan import plan_workload_batched, plans_equal
 from repro.core.executor import Environment, Policy, plan_query, price_plan
 from repro.core.gridrun import GridResult, price_grid
 from repro.core.queries import Query
@@ -43,7 +43,8 @@ from repro.core.schemes import SchemeConfig
 
 __all__ = [
     "SCALAR_REL_TOL",
-    "assert_columnar_differential",
+    "assert_engine_differential",
+    "assert_grid_matches_cells",
     "assert_grids_identical",
     "assert_semcache_differential",
     "assert_shard_differential",
@@ -147,65 +148,69 @@ def run_ledger_shape(records: Sequence[dict]) -> List[dict]:
     ]
 
 
-def assert_columnar_differential(
+def assert_grid_matches_cells(grid: GridResult, cells) -> None:
+    """Every cell of ``grid`` against the scalar pricer's ``cells[i][j]``.
+
+    Energy buckets, cycle buckets and wall time to :data:`SCALAR_REL_TOL`;
+    op tallies, message shapes and answer ids exactly.
+    """
+    assert grid.shape == (len(cells), len(cells[0]))
+    for i, per_policy in enumerate(cells):
+        for j, want in enumerate(per_policy):
+            got = grid.result(i, j)
+            assert got.energy.total() == _approx(want.energy.total())
+            for f in dataclasses.fields(want.energy):
+                assert getattr(got.energy, f.name) == _approx(
+                    getattr(want.energy, f.name)
+                )
+            for f in dataclasses.fields(want.cycles):
+                assert getattr(got.cycles, f.name) == _approx(
+                    getattr(want.cycles, f.name)
+                )
+            assert got.wall_seconds == _approx(want.wall_seconds)
+            assert got.n_candidates == want.n_candidates
+            assert got.n_results == want.n_results
+            assert tuple(got.messages) == tuple(want.messages)
+            assert np.array_equal(
+                np.asarray(got.answer_ids), np.asarray(want.answer_ids)
+            )
+
+
+def assert_engine_differential(
     env: Environment,
     queries: Sequence[Query],
     configs: Sequence[SchemeConfig],
     policies: Optional[Sequence[Policy]] = None,
 ) -> None:
-    """The full three-way pin on one workload, from cold caches.
+    """The two-way pin on one workload, from cold caches.
 
-    1. Scalar twin: per-query plans priced per cell, cache state captured.
-    2. Batched object path: one traversal into plans, one grid pricing per
-       scheme; plans priced with :func:`price_grid`.
-    3. Fused columnar pass: must equal the batched grids **bit for bit**
-       (:func:`assert_grids_identical`) and the scalar cells to
-       :data:`SCALAR_REL_TOL`; all three leave identical cache state.
+    1. Scalar twin: per-query plans (one cold-cache walk per scheme),
+       cache state captured.
+    2. Batched engine: one traversal into plans, one grid pricing per
+       scheme.  Its plans must equal the scalar plans bit for bit
+       (``plans_equal``), every grid cell must match the scalar pricer's
+       cell (:func:`assert_grid_matches_cells`), and both paths must leave
+       identical cache state.
     """
     queries = list(queries)
     configs = list(configs)
     policies = list(policies) if policies is not None else [Policy()]
 
-    scalar_cells = []
+    scalar_plans = []
     for cfg in configs:
         env.reset_caches()
-        plans = [plan_query(q, cfg, env) for q in queries]
-        scalar_cells.append(
-            [[price_plan(p, env, pol) for pol in policies] for p in plans]
-        )
+        scalar_plans.append([plan_query(q, cfg, env) for q in queries])
     scalar_state = cache_state(env)
 
     batched_plans = plan_workload_batched(env, queries, configs)
-    batched_state = cache_state(env)
-    batched_grids = [price_grid(plans, policies, env) for plans in batched_plans]
-
-    columnar_grids = plan_and_price_columnar(env, queries, configs, policies)
-    columnar_state = cache_state(env)
-
-    assert batched_state == scalar_state
-    assert columnar_state == scalar_state
-    assert len(columnar_grids) == len(batched_grids) == len(configs)
-    for col, obj, cells in zip(columnar_grids, batched_grids, scalar_cells):
-        assert_grids_identical(col, obj)
-        for i, per_policy in enumerate(cells):
-            for j, want in enumerate(per_policy):
-                got = col.result(i, j)
-                assert got.energy.total() == _approx(want.energy.total())
-                for f in dataclasses.fields(want.energy):
-                    assert getattr(got.energy, f.name) == _approx(
-                        getattr(want.energy, f.name)
-                    )
-                for f in dataclasses.fields(want.cycles):
-                    assert getattr(got.cycles, f.name) == _approx(
-                        getattr(want.cycles, f.name)
-                    )
-                assert got.wall_seconds == _approx(want.wall_seconds)
-                assert got.n_candidates == want.n_candidates
-                assert got.n_results == want.n_results
-                assert tuple(got.messages) == tuple(want.messages)
-                assert np.array_equal(
-                    np.asarray(got.answer_ids), np.asarray(want.answer_ids)
-                )
+    assert cache_state(env) == scalar_state
+    assert len(batched_plans) == len(configs)
+    for got, want in zip(batched_plans, scalar_plans):
+        assert plans_equal(got, want)
+        assert_grid_matches_cells(
+            price_grid(got, policies, env),
+            [[price_plan(p, env, pol) for pol in policies] for p in want],
+        )
 
 
 def _approx(value: float):
@@ -224,7 +229,7 @@ def assert_shard_differential(
 ) -> dict:
     """Pin sharded planning to the unsharded engines on one workload.
 
-    Builds fresh sharded environments over ``env``'s own dataset and tree
+    Builds a fresh sharded environment over ``env``'s own dataset and tree
     (so the packed entry order is shared) and requires, from cold caches:
 
     1. **Batched twin** — ``plan_workload_batched`` through the shard
@@ -233,10 +238,7 @@ def assert_shard_differential(
        leaves identical simulated cache state.
     2. **Priced grids** — ``price_grid`` over the sharded plans equals the
        unsharded grids bit for bit on every numeric plane.
-    3. **Columnar twin** — ``plan_and_price_columnar`` with the store
-       attached equals the unsharded grids bit for bit, with identical
-       cache state (the sharded columnar path runs serially by design).
-    4. **Scalar energies** — each sharded cell agrees with the scalar
+    3. **Scalar energies** — each sharded cell agrees with the scalar
        per-query pricer within :data:`SCALAR_REL_TOL`.
 
     ``sharding`` is the :class:`~repro.core.shardstore.ShardConfig` to pin
@@ -244,7 +246,6 @@ def assert_shard_differential(
     exercise LRU spills).  Returns the batched store's lifetime stats so
     callers can additionally assert pruning/eviction behavior.
     """
-    from repro.core.batchplan import plans_equal
     from repro.core.shardstore import ShardConfig, ShardStore
 
     queries = list(queries)
@@ -258,12 +259,8 @@ def assert_shard_differential(
     base_state = cache_state(env)
     base_grids = [price_grid(plans, policies, env) for plans in base_plans]
 
-    def sharded_env() -> Environment:
-        e = Environment.create(env.dataset, tree=env.tree)
-        e.shard_store = ShardStore.from_tree(env.tree, sharding)
-        return e
-
-    env_sh = sharded_env()
+    env_sh = Environment.create(env.dataset, tree=env.tree)
+    env_sh.shard_store = ShardStore.from_tree(env.tree, sharding)
     sh_plans = plan_workload_batched(env_sh, queries, configs)
     assert cache_state(env_sh) == base_state
     for got_cfg, want_cfg in zip(sh_plans, base_plans):
@@ -271,12 +268,6 @@ def assert_shard_differential(
     sh_grids = [price_grid(plans, policies, env_sh) for plans in sh_plans]
     for got, want in zip(sh_grids, base_grids):
         assert_grids_identical(got, want)
-
-    env_col = sharded_env()
-    col_grids = plan_and_price_columnar(env_col, queries, configs, policies)
-    assert cache_state(env_col) == base_state
-    for col, want in zip(col_grids, base_grids):
-        assert_grids_identical(col, want)
 
     for cfg_i, cfg in enumerate(configs):
         env.reset_caches()
@@ -327,11 +318,9 @@ def assert_semcache_differential(
     ids; refines do zero node visits and at least ``nc`` MBR tests
     (the tested superset); misses are charged identically to the
     uncached planner.  Candidate and answer id arrays are bit-identical
-    to uncached in every verdict class.  Finally the fused columnar
-    pricer with its own cache clone must equal ``price_grid`` over the
-    batched semantic plans bit for bit, cold and warm.
+    to uncached in every verdict class.
     """
-    from repro.core.batchplan import compute_query_phases, plans_equal
+    from repro.core.batchplan import compute_query_phases
     from repro.core.queries import QueryKind
     from repro.core.semcache import (
         SemanticCache,
@@ -444,21 +433,3 @@ def assert_semcache_differential(
                 assert plans_equal(
                     [cold_plans[cfg_i][idx]], [base_plans[cfg_i][idx]]
                 )
-
-    # Columnar semantic pricing ≡ price_grid over the batched plans.
-    for start, batched_plans in (
-        (SemanticCache(capacity), cold_plans),
-        (cold_cache.clone(), warm_plans),
-    ):
-        col_cache = start.clone()
-        col_grids = plan_and_price_columnar(
-            env, queries, configs, policies, semantic_cache=col_cache
-        )
-        batched_grids = [
-            price_grid(plans, policies, env) for plans in batched_plans
-        ]
-        for col, obj in zip(col_grids, batched_grids):
-            assert_grids_identical(col, obj)
-        for key in ("hits", "refines", "misses", "entries"):
-            want = (cold_cache if start.lookups == 0 else warm_cache)
-            assert col_cache.stats_dict()[key] == want.stats_dict()[key]

@@ -20,9 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.figures import POINT_NN_CONFIGS
 from repro.core.batchplan import plan_workload_batched, plans_equal
-from repro.core.colplan import plan_and_price_columnar
-from repro.core.executor import Environment, Policy, plan_query
-from repro.core.gridrun import price_grid
+from repro.core.executor import Environment, plan_query
 from repro.core.queries import KNNQuery, NNQuery, PointQuery, RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 from repro.data import tiger
@@ -34,7 +32,6 @@ from repro.data.workloads import (
     range_queries,
 )
 from repro.spatial.mbr import MBR
-from tests.integration.oracles import assert_grids_identical
 
 NN_CONFIGS = (
     SchemeConfig(Scheme.FULLY_CLIENT),
@@ -64,13 +61,7 @@ def _cache_state(env: Environment):
 
 
 def _assert_differential(env, queries, configs):
-    """Plan both ways from cold caches; demand full equality.
-
-    Also runs the fused columnar engine over the same workload and pins
-    its grids bit-for-bit to pricing the batched plans — every workload
-    shape this suite covers (mixed kinds, degenerate windows, hypothesis
-    randoms) exercises all three paths.
-    """
+    """Plan both ways from cold caches; demand full equality."""
     scalar_grid = []
     for cfg in configs:
         env.reset_caches()
@@ -84,13 +75,6 @@ def _assert_differential(env, queries, configs):
     for b, s in zip(batched_grid, scalar_grid):
         assert plans_equal(b, s)
     assert batched_state == scalar_state
-
-    policies = [Policy()]
-    object_grids = [price_grid(plans, policies, env) for plans in batched_grid]
-    columnar_grids = plan_and_price_columnar(env, queries, configs, policies)
-    assert _cache_state(env) == scalar_state
-    for col, obj in zip(columnar_grids, object_grids):
-        assert_grids_identical(col, obj)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Differential suite: the fused columnar engine vs its two oracles.
+"""Differential suite: the batched engine vs the scalar oracle, end to end.
 
-:func:`repro.core.colplan.plan_and_price_columnar` promises GridResults
-**bit-identical** to pricing the batched planner's object plans through
-:func:`repro.core.gridrun.price_grid`, and therefore within the engines'
-1e-9 agreement bound of the scalar ``plan_query`` + ``price_plan`` twin.
-Every test here runs all three paths on one workload through the shared
-oracle layer (:mod:`tests.integration.oracles`) and demands exactly that —
-including the simulated cache state all three leave behind.
+The batched engine (:func:`repro.core.batchplan.plan_workload_batched` +
+:func:`repro.core.gridrun.price_grid`) promises plans **bit-identical** to
+the scalar ``plan_query`` walk and priced grids within the engines' 1e-9
+agreement bound of ``price_plan``.  Every test here runs both paths on one
+workload through the shared oracle layer (:mod:`tests.integration.oracles`)
+and demands exactly that — including the simulated cache state both leave
+behind.
 
 Covers the fig4/5/6/7 workload shapes, all four query kinds, lossy-link
 policy grids, warm-seeded caches, degenerate and empty windows, k past the
-dataset size, multiprocessing shards, the Session/ledger surface, and
-hypothesis-random workloads over random datasets.
+dataset size, the Session/ledger surface, and hypothesis-random workloads
+over random datasets.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.batchplan import plan_workload_batched
-from repro.core.colplan import (
-    compute_query_phases_sharded,
-    plan_and_price_columnar,
-)
-from repro.core.executor import Environment, Policy, plan_query
+from repro.core.batchplan import plan_workload_batched, plans_equal
+from repro.core.executor import Environment, Policy, plan_query, price_plan
 from repro.core.gridrun import RunLedger, price_grid
 from repro.core.queries import KNNQuery, PointQuery, RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
@@ -39,8 +35,9 @@ from repro.data.workloads import (
 )
 from repro.spatial.mbr import MBR
 from tests.integration.oracles import (
-    assert_columnar_differential,
-    assert_grids_identical,
+    assert_engine_differential,
+    assert_grid_matches_cells,
+    assert_tables_close,
     assert_tables_identical,
     cache_state,
     run_ledger_shape,
@@ -80,34 +77,34 @@ def nyc_env() -> Environment:
 def test_fig4_point_workload(env):
     from repro.bench.figures import POINT_NN_CONFIGS
 
-    assert_columnar_differential(
+    assert_engine_differential(
         env, point_queries(env.dataset, 12, seed=4), POINT_NN_CONFIGS,
         LOSSY_POLICIES,
     )
 
 
 def test_fig5_range_workload(env):
-    assert_columnar_differential(
+    assert_engine_differential(
         env, range_queries(env.dataset, 12, seed=5), ADEQUATE_MEMORY_CONFIGS,
         LOSSY_POLICIES,
     )
 
 
 def test_fig6_nn_workload(env):
-    assert_columnar_differential(
+    assert_engine_differential(
         env, nn_queries(env.dataset, 12, seed=6), NN_CONFIGS, LOSSY_POLICIES
     )
 
 
 def test_fig7_nyc_range_workload(nyc_env):
-    assert_columnar_differential(
+    assert_engine_differential(
         nyc_env, range_queries(nyc_env.dataset, 12, seed=7),
         ADEQUATE_MEMORY_CONFIGS, LOSSY_POLICIES,
     )
 
 
 def test_knn_workload(env):
-    assert_columnar_differential(
+    assert_engine_differential(
         env, knn_queries(env.dataset, 12, seed=8), NN_CONFIGS, LOSSY_POLICIES
     )
 
@@ -120,7 +117,7 @@ def test_mixed_query_kinds_one_workload(env):
         + nn_queries(ds, 4, seed=23)
         + knn_queries(ds, 4, seed=25)
     )
-    assert_columnar_differential(env, mixed, NN_CONFIGS, LOSSY_POLICIES)
+    assert_engine_differential(env, mixed, NN_CONFIGS, LOSSY_POLICIES)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +137,7 @@ def test_empty_and_degenerate_windows(env):
         RangeQuery(MBR(ext.xmin, cy, ext.xmax, cy)),  # zero-height slab
         RangeQuery(MBR(ext.xmin, ext.ymin, ext.xmax, ext.ymax)),  # everything
     ]
-    assert_columnar_differential(env, queries, ADEQUATE_MEMORY_CONFIGS)
+    assert_engine_differential(env, queries, ADEQUATE_MEMORY_CONFIGS)
 
 
 def test_knn_k_exceeds_dataset():
@@ -154,21 +151,21 @@ def test_knn_k_exceeds_dataset():
         KNNQuery(50.0, 50.0, k=25),
         KNNQuery(90.0, 5.0, k=100),
     ]
-    assert_columnar_differential(small, queries, NN_CONFIGS, LOSSY_POLICIES)
+    assert_engine_differential(small, queries, NN_CONFIGS, LOSSY_POLICIES)
 
 
 def test_single_query_workload(env):
-    assert_columnar_differential(
+    assert_engine_differential(
         env, range_queries(env.dataset, 1, seed=9), ADEQUATE_MEMORY_CONFIGS
     )
 
 
 def test_warm_cache_parity(env):
-    """reset_caches=False continues the live cache state bit-for-bit.
+    """reset_caches=False continues the live cache state like the scalar walk.
 
-    Two identically warmed twin environments: the batched object path runs
-    warm on one, the columnar pass warm on the other; grids and final
-    cache states must coincide exactly.
+    Two identically warmed twin environments: the batched engine runs warm
+    on one, the scalar walk warm on the other; plans must coincide bit for
+    bit, grid cells to the scalar pricer's, and final cache states exactly.
     """
     ds = env.dataset
     warmup = range_queries(ds, 5, seed=31)
@@ -183,66 +180,51 @@ def test_warm_cache_parity(env):
             plan_query(q, cfg, twin)
         return twin
 
-    env_obj, env_col = warmed(), warmed()
-    [plans] = plan_workload_batched(env_obj, work, [cfg], reset_caches=False)
-    grid_obj = price_grid(plans, policies, env_obj)
-    [grid_col] = plan_and_price_columnar(
-        env_col, work, [cfg], policies, reset_caches=False
+    env_batched, env_scalar = warmed(), warmed()
+    [plans] = plan_workload_batched(
+        env_batched, work, [cfg], reset_caches=False
     )
-    assert_grids_identical(grid_col, grid_obj)
-    assert cache_state(env_col) == cache_state(env_obj)
-
-
-# ----------------------------------------------------------------------
-# Multiprocessing shards
-# ----------------------------------------------------------------------
-def test_sharded_phases_equal_serial(env):
-    queries = range_queries(env.dataset, 9, seed=51) + nn_queries(
-        env.dataset, 4, seed=52
+    scalar_plans = [plan_query(q, cfg, env_scalar) for q in work]
+    assert plans_equal(plans, scalar_plans)
+    assert_grid_matches_cells(
+        price_grid(plans, policies, env_batched),
+        [[price_plan(p, env_scalar, pol) for pol in policies]
+         for p in scalar_plans],
     )
-    serial = compute_query_phases_sharded(env, queries, processes=None)
-    sharded = compute_query_phases_sharded(env, queries, processes=3)
-    assert len(serial) == len(sharded)
-    for a, b in zip(serial, sharded):
-        assert np.array_equal(a.answer_ids, b.answer_ids)
-        assert np.array_equal(a.cand_ids, b.cand_ids)
-        assert a.is_nn == b.is_nn
-
-
-def test_sharded_columnar_bit_identical(env):
-    queries = range_queries(env.dataset, 10, seed=53)
-    policies = list(Policy.sweep())
-    serial = plan_and_price_columnar(
-        env, queries, ADEQUATE_MEMORY_CONFIGS, policies
-    )
-    sharded = plan_and_price_columnar(
-        env, queries, ADEQUATE_MEMORY_CONFIGS, policies, processes=2
-    )
-    for a, b in zip(sharded, serial):
-        assert_grids_identical(a, b)
+    assert cache_state(env_batched) == cache_state(env_scalar)
 
 
 # ----------------------------------------------------------------------
 # The Session / ledger surface
 # ----------------------------------------------------------------------
 def test_session_runtable_and_ledger_parity(env):
+    """Session.run agrees across planners, engines and ledger records.
+
+    The scalar planner feeding the batched pricer reproduces the batched
+    planner's RunTable and ledger bit for bit (its plans are identical);
+    the all-scalar reference agrees to the 1e-9 engine bound.
+    """
     queries = range_queries(env.dataset, 10, seed=61)
     policies = list(Policy.sweep())
-    led_b, led_c = RunLedger(), RunLedger()
+    led_b, led_s = RunLedger(), RunLedger()
     table_b, state_b = run_table(
         env, queries, ADEQUATE_MEMORY_CONFIGS, policies, ledger=led_b
     )
-    table_c, state_c = run_table(
+    table_s, state_s = run_table(
         env, queries, ADEQUATE_MEMORY_CONFIGS, policies,
-        planner="columnar", ledger=led_c,
+        planner="scalar", ledger=led_s,
     )
-    assert_tables_identical(table_c, table_b)
-    assert state_c == state_b
-    assert run_ledger_shape(led_c.records) == run_ledger_shape(led_b.records)
-    assert any(
-        r["event"] == "price" and r["engine"] == "columnar"
-        for r in led_c.records
+    table_ref, state_ref = run_table(
+        env, queries, ADEQUATE_MEMORY_CONFIGS, policies,
+        planner="scalar", engine="scalar",
     )
+    assert_tables_identical(table_s, table_b)
+    assert_tables_close(table_ref, table_b)
+    assert state_s == state_b == state_ref
+    assert run_ledger_shape(led_s.records) == run_ledger_shape(led_b.records)
+    assert {
+        r["planner"] for r in led_s.records if r["event"] == "plan"
+    } == {"scalar"}
 
 
 # ----------------------------------------------------------------------
@@ -252,11 +234,11 @@ def test_session_runtable_and_ledger_parity(env):
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hypothesis_random_windows(hyp_env, queries):
-    assert_columnar_differential(hyp_env, queries, ADEQUATE_MEMORY_CONFIGS)
+    assert_engine_differential(hyp_env, queries, ADEQUATE_MEMORY_CONFIGS)
 
 
 @given(small_envs(), nn_workloads())
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hypothesis_random_nn_batches(hyp_env, queries):
-    assert_columnar_differential(hyp_env, queries, NN_CONFIGS)
+    assert_engine_differential(hyp_env, queries, NN_CONFIGS)

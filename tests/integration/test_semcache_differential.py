@@ -2,12 +2,11 @@
 
 :func:`repro.core.semcache.compute_query_phases_semantic` promises answers
 **bit-identical** to uncached planning with op tallies that reflect the
-saved traversal work exactly, and the batched/columnar/scalar semantic
-paths promise to agree with each other bit for bit.  Every test here runs
-one workload through :func:`tests.integration.oracles.
+saved traversal work exactly, and the batched and scalar semantic paths
+promise to agree with each other bit for bit.  Every test here runs one
+workload through :func:`tests.integration.oracles.
 assert_semcache_differential`, which pins all of that — cold cache, warm
-cache, scalar twin, columnar pricer, priced energies to 1e-9 — in one
-call.
+cache, scalar twin, priced energies to 1e-9 — in one call.
 
 Covers the fig4/5/6/7 workload shapes, all four query kinds (NN/k-NN
 route through the ordinary planner and must be untouched by the cache),

@@ -2,7 +2,7 @@
 
 Every test routes one workload through
 :func:`tests.integration.oracles.assert_shard_differential`, which pins
-the shard store's batched and columnar paths to the monolithic planners —
+the shard store's batched path to the monolithic planners —
 plans (steps, tallies, answer ids), priced grids bit for bit, scalar
 energies to 1e-9, and simulator cache state — from cold caches.
 

@@ -4,9 +4,9 @@ The cache's serve-layer claim: because every cache decision is a function
 of window geometry and arrival order only, micro-batch boundaries are
 invisible — serving a stream one query at a time and serving it 64 at a
 time produce the same verdict for every request, the same answers, and
-the same final cache state.  The serial, batched, and columnar service
-planners must agree likewise, and outcomes must surface the semantic
-verdict (``QueryOutcome.semcache``, ``to_record()``).
+the same final cache state.  The serial and batched service planners
+must agree likewise, and outcomes must surface the semantic verdict
+(``QueryOutcome.semcache``, ``to_record()``).
 """
 
 from __future__ import annotations
@@ -102,19 +102,6 @@ class TestPlannerEquivalence:
                 assert b.result.energy.total() == pytest.approx(
                     s.result.energy.total(), rel=REL
                 )
-
-    def test_columnar_equals_batched(self, env_small, pa_small):
-        fleet, reqs = _stream(pa_small, seed=19)
-        batched = QueryService(
-            env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
-        ).serve(reqs, fleet, planner="batched")
-        columnar = QueryService(
-            env_small, batch_window_s=0.5, semantic_cache=SemanticCache(64)
-        ).serve(reqs, fleet, planner="columnar")
-        _compare_semantics(batched, columnar)
-        for b, c in zip(batched.outcomes, columnar.outcomes):
-            if b.served:
-                assert b.energy_j == c.energy_j
 
 
 class TestSurfacing:

@@ -60,7 +60,7 @@ class TestConstruction:
             QueryService(pa_small, **kw)
 
     def test_planner_list(self):
-        assert SERVE_PLANNERS == ("batched", "columnar", "serial")
+        assert SERVE_PLANNERS == ("batched", "serial")
         assert set(VERDICTS) == {
             "served", "rejected-queue", "rejected-battery"
         }
