@@ -56,7 +56,6 @@ from repro.core import (
     SchemeConfig,
     execute,
 )
-from repro.core.shardstore import ShardConfig, ShardResidencyError, ShardStore
 from repro.data import SegmentDataset
 from repro.data.workloads import ClientProfile, QueryRequest, client_fleet, fleet_query_stream
 from repro.serve import QueryOutcome, QueryService, ServiceReport
@@ -94,9 +93,6 @@ __all__ = [
     "RunResult",
     "Scheme",
     "SchemeConfig",
-    "ShardConfig",
-    "ShardResidencyError",
-    "ShardStore",
     "execute",
     "SegmentDataset",
     "MBR",

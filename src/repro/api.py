@@ -253,8 +253,6 @@ class Engine:
         *,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
-        sharding=None,
     ) -> None:
         if isinstance(source, Environment):
             self.env = source
@@ -265,15 +263,6 @@ class Engine:
                 f"{type(self).__name__}() takes a SegmentDataset or an "
                 f"Environment, got {type(source).__name__}"
             )
-        if sharding is not None:
-            from repro.core.shardstore import ShardConfig, ShardStore
-
-            if not isinstance(sharding, ShardConfig):
-                raise TypeError(
-                    "sharding must be a ShardConfig, got "
-                    f"{type(sharding).__name__}"
-                )
-            self.env.shard_store = ShardStore.from_tree(self.env.tree, sharding)
         if plan_cache is not None and not isinstance(plan_cache, PlanCache):
             raise TypeError(
                 f"plan_cache must be a PlanCache, got {type(plan_cache).__name__}"
@@ -282,18 +271,9 @@ class Engine:
             raise TypeError(
                 f"ledger must be a RunLedger, got {type(ledger).__name__}"
             )
-        if semantic_cache is not None:
-            from repro.core.semcache import SemanticCache
-
-            if not isinstance(semantic_cache, SemanticCache):
-                raise TypeError(
-                    "semantic_cache must be a SemanticCache, got "
-                    f"{type(semantic_cache).__name__}"
-                )
         self.dataset = self.env.dataset
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.ledger = ledger
-        self.semantic_cache = semantic_cache
         self._fingerprint: Optional[str] = None
         self.compile_cache: Dict[tuple, object] = {}
         self._phase_cache: Optional[PhaseDataCache] = None
@@ -396,22 +376,13 @@ class Engine:
             raise ValueError(
                 f"unknown planner {planner!r}; choose from {PLANNERS}"
             )
-        if self.semantic_cache is not None and planner != "batched":
-            raise ValueError(
-                "semantic_cache requires planner='batched' (the scalar "
-                "planner has no semantic filter path; use "
-                "repro.core.semcache.plan_query_semantic for the oracle walk)"
-            )
         start = time.perf_counter()
-        # Semantically cached plans depend on the evolving cache state, so
-        # they are never stored in (or served from) the plan cache.
-        use_plan_cache = reset_caches and self.semantic_cache is None
         per_scheme: List[Optional[List[QueryPlan]]] = []
         missing: List[int] = []
         for i, config in enumerate(configs):
             plans = (
                 self.plan_cache.get(self.fingerprint, queries, config)
-                if use_plan_cache
+                if reset_caches
                 else None
             )
             per_scheme.append(plans)
@@ -426,7 +397,6 @@ class Engine:
                     todo,
                     reset_caches=reset_caches,
                     phase_cache=self.phase_cache,
-                    semantic_cache=self.semantic_cache,
                 )
             else:
                 planned = []
@@ -436,21 +406,11 @@ class Engine:
                     planned.append(self._plan_serial(queries, config))
             for i, plans in zip(missing, planned):
                 per_scheme[i] = plans
-                if use_plan_cache:
+                if reset_caches:
                     self.plan_cache.put(
                         self.fingerprint, queries, configs[i], plans
                     )
-        if self.semantic_cache is not None:
-            self.record(
-                "semcache",
-                dataset=self.dataset.name,
-                **self.semantic_cache.stats_dict(),
-            )
         elapsed = time.perf_counter() - start
-        # Shard pruning/residency counters for this planning call (drained
-        # whether or not a ledger records them, so the window stays per-call).
-        store = getattr(self.env, "shard_store", None)
-        shard_fields = store.take_stats() if store is not None else {}
         if self.ledger is not None:
             planned_seconds = elapsed / len(missing) if missing else 0.0
             for i, config in enumerate(configs):
@@ -465,7 +425,6 @@ class Engine:
                     cache_hits=self.plan_cache.hits,
                     cache_misses=self.plan_cache.misses,
                     cache_hit_rate=self.plan_cache.hit_rate,
-                    **shard_fields,
                 )
         return [plans if plans is not None else [] for plans in per_scheme]
 
@@ -542,29 +501,16 @@ class Session:
         *,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
-        sharding=None,
     ) -> None:
         if isinstance(source, Engine):
-            if (
-                plan_cache is not None
-                or ledger is not None
-                or semantic_cache is not None
-                or sharding is not None
-            ):
+            if plan_cache is not None or ledger is not None:
                 raise TypeError(
-                    "plan_cache, ledger, semantic_cache and sharding are "
-                    "configured on the shared Engine; do not pass them again"
+                    "plan_cache and ledger are configured on the shared "
+                    "Engine; do not pass them again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(
-                source,
-                plan_cache=plan_cache,
-                ledger=ledger,
-                semantic_cache=semantic_cache,
-                sharding=sharding,
-            )
+            self.engine = Engine(source, plan_cache=plan_cache, ledger=ledger)
         else:
             raise TypeError(
                 "Session() takes a SegmentDataset or an Environment (or a "
@@ -602,11 +548,6 @@ class Session:
     def phase_cache(self) -> PhaseDataCache:
         """The engine's phase-data cache."""
         return self.engine.phase_cache
-
-    @property
-    def semantic_cache(self):
-        """The engine's semantic candidate cache (``None`` when disabled)."""
-        return self.engine.semantic_cache
 
     # ------------------------------------------------------------------
     def plan(

@@ -206,22 +206,6 @@ def summarize_ledger(source: Union[str, List[dict]]) -> str:
             f"({last.get('cache_hits', 0)} hits / "
             f"{last.get('cache_misses', 0)} misses)"
         )
-        sharded = [r for r in plans if r.get("shards_total")]
-        if sharded:
-            # Per-event rate averaged, not summed: one planning call emits
-            # one event per scheme carrying the same counter window.
-            rate = sum(
-                r["shards_pruned"] / r["shards_total"] for r in sharded
-            ) / len(sharded)
-            last = sharded[-1]
-            lines.append(
-                f"shards  : {rate:.0%} pruned at plan time "
-                f"(avg over {len(sharded)} plan events; last: "
-                f"{last['shards_pruned']}/{last['shards_total']} pruned, "
-                f"{last.get('shards_resident', 0)} resident, "
-                f"{last.get('shard_loads', 0)} loads, "
-                f"{last.get('shard_evictions', 0)} evictions)"
-            )
 
     prices = [r for r in records if r.get("event") == "price"]
     for engine in sorted({r.get("engine", "?") for r in prices}):

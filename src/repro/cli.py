@@ -16,11 +16,6 @@ Commands
 ``serve``
     Run the multi-tenant query service over a generated client fleet and
     print throughput, admission, and latency/energy percentiles.
-``semcache``
-    Measure the cross-query semantic candidate cache on the locality-skewed
-    browse workload: verifies answers are bit-identical to uncached
-    planning, reports hit/refine/miss tallies, and gates the node-visit and
-    client-energy reductions (exits 1 on a miss of either).
 ``taxonomy``
     Print the Table 1 work-partitioning taxonomy.
 
@@ -268,18 +263,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     requests = fleet_query_stream(
         env.dataset, fleet, duration_s=args.duration, seed=args.seed + 1
     )
-    sharding = None
-    if args.shards:
-        from repro.core.shardstore import ShardConfig
-
-        sharding = ShardConfig(
-            n_shards=args.shards,
-            budget_bytes=(
-                int(args.shard_budget_mb * (1 << 20))
-                if args.shard_budget_mb is not None
-                else None
-            ),
-        )
     with RunLedger(path=args.ledger) as ledger:
         service = QueryService(
             env,
@@ -287,7 +270,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             batch_window_s=args.window,
             ledger=ledger,
-            sharding=sharding,
         )
         report = service.serve(requests, fleet, planner=args.planner)
     s = report.summary()
@@ -310,14 +292,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"p99 {s['p99_energy_j'] * 1e3:.3f} mJ, "
         f"total {s['total_energy_j']:.3f} J"
     )
-    if report.shard is not None:
-        sh = report.shard
-        print(
-            f"sharding   : {sh['shards_pruned']}/{sh['shards_total']} shards "
-            f"pruned ({report.shard_prune_rate:.0%}), "
-            f"{sh['shards_resident']} resident, {sh['shard_loads']} loads, "
-            f"{sh['shard_evictions']} evictions"
-        )
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(stamp_record(dict(s)), fh, indent=2, sort_keys=True)
@@ -423,233 +397,6 @@ def cmd_planbench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_semcache(args: argparse.Namespace) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.bench.provenance import stamp_record
-    from repro.core.batchplan import compute_query_phases
-    from repro.core.semcache import SemanticCache, compute_query_phases_semantic
-    from repro.data.workloads import locality_workload
-
-    env = _load_env(args.dataset, args.scale)
-    queries = locality_workload(
-        env.dataset, args.groups, args.zoom, seed=args.seed
-    )
-    config = SchemeConfig(Scheme.FULLY_CLIENT)
-    policy = _policy(args)
-
-    # Charged filter-phase node visits per query occurrence, both paths.
-    env.reset_caches()
-    uncached = compute_query_phases(env, queries)
-    nodes_uncached = sum(
-        int(qp.filter_trace.counter.nodes_visited) for qp in uncached
-    )
-    cache = SemanticCache(args.capacity)
-    env.reset_caches()
-    semantic, verdicts = compute_query_phases_semantic(env, queries, cache)
-    nodes_semantic = sum(
-        int(qp.filter_trace.counter.nodes_visited) for qp in semantic
-    )
-    answers_equal = len(uncached) == len(semantic) and all(
-        np.array_equal(a.answer_ids, b.answer_ids)
-        for a, b in zip(semantic, uncached)
-    )
-
-    # Priced client energy through the facade, fresh caches per run.
-    base_row = Session(env).run(
-        queries, schemes=config, policies=policy
-    ).rows[0]
-    sem_row = Session(env, semantic_cache=SemanticCache(args.capacity)).run(
-        queries, schemes=config, policies=policy
-    ).rows[0]
-    node_reduction = (
-        1.0 - nodes_semantic / nodes_uncached if nodes_uncached else 0.0
-    )
-    energy_reduction = (
-        1.0 - sem_row.energy_j / base_row.energy_j if base_row.energy_j else 0.0
-    )
-    stats = cache.stats_dict()
-    record = {
-        "workload": "locality",
-        "dataset": env.dataset.name,
-        "scale": args.scale,
-        "n_queries": len(queries),
-        "groups": args.groups,
-        "zoom_depth": args.zoom,
-        "seed": args.seed,
-        "capacity": args.capacity,
-        "scheme": config.label,
-        "bandwidth_mbps": args.bandwidth,
-        "answers_equal": answers_equal,
-        "nodes_uncached": nodes_uncached,
-        "nodes_semantic": nodes_semantic,
-        "node_reduction": node_reduction,
-        "energy_uncached_j": base_row.energy_j,
-        "energy_semantic_j": sem_row.energy_j,
-        "energy_reduction": energy_reduction,
-        "verdicts": {
-            v: sum(1 for x in verdicts if x == v)
-            for v in ("hit", "refine", "miss")
-        },
-        "cache": stats,
-    }
-    print(f"semantic candidate cache -- {env.dataset.name} locality workload")
-    print(f"queries : {len(queries)}  (groups={args.groups}, zoom={args.zoom})")
-    print(
-        "verdicts: "
-        f"{record['verdicts']['hit']} hit / "
-        f"{record['verdicts']['refine']} refine / "
-        f"{record['verdicts']['miss']} miss  "
-        f"(hit rate {stats['hit_rate']:.1%})"
-    )
-    print(
-        f"nodes   : {nodes_uncached} uncached -> {nodes_semantic} cached  "
-        f"({node_reduction:.1%} fewer R-tree node visits)"
-    )
-    print(
-        f"energy  : {base_row.energy_j:.4f} J -> {sem_row.energy_j:.4f} J  "
-        f"({energy_reduction:.1%} less client energy)"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"json    : {args.json}")
-    if not answers_equal:
-        print(
-            "FAIL: semantic-cached answers differ from uncached planning",
-            file=sys.stderr,
-        )
-        return 1
-    if node_reduction < 0.3:
-        print(
-            f"FAIL: node-visit reduction {node_reduction:.1%} below the "
-            "30% gate",
-            file=sys.stderr,
-        )
-        return 1
-    if sem_row.energy_j >= base_row.energy_j:
-        print(
-            "FAIL: semantic cache did not reduce client energy",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_shard(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    import numpy as np
-
-    from repro.bench.provenance import stamp_record
-    from repro.core.batchplan import compute_query_phases
-    from repro.core.executor import Environment
-    from repro.core.shardstore import ShardConfig, ShardStore
-    from repro.data.workloads import locality_workload
-
-    env = _load_env(args.dataset, args.scale)
-    queries = locality_workload(
-        env.dataset, args.groups, args.zoom, seed=args.seed
-    )
-
-    budget = (
-        int(args.budget_mb * (1 << 20)) if args.budget_mb is not None else None
-    )
-    env_sharded = Environment.create(env.dataset, env.tree)
-    env_sharded.shard_store = ShardStore.from_tree(
-        env.tree, ShardConfig(n_shards=args.shards, budget_bytes=budget)
-    )
-
-    def timed(env_):
-        t0 = time.perf_counter()
-        phases = compute_query_phases(env_, queries)
-        return phases, time.perf_counter() - t0
-
-    # Warm both paths (shard materialization, allocator state), then
-    # interleave the timed rounds so a frequency wobble hits both sides.
-    base_phases, _ = timed(env)
-    shard_phases, _ = timed(env_sharded)
-    base_wall = shard_wall = float("inf")
-    for _ in range(args.repeat):
-        _, w = timed(env)
-        base_wall = min(base_wall, w)
-        _, w = timed(env_sharded)
-        shard_wall = min(shard_wall, w)
-    stats = env_sharded.shard_store.stats_dict()
-    prune_rate = (
-        stats["shards_pruned"] / stats["shards_total"]
-        if stats["shards_total"]
-        else 0.0
-    )
-    slowdown = shard_wall / base_wall if base_wall > 0 else float("inf")
-    answers_equal = len(base_phases) == len(shard_phases) and all(
-        np.array_equal(a.answer_ids, b.answer_ids)
-        for a, b in zip(shard_phases, base_phases)
-    )
-
-    record = {
-        "workload": "locality",
-        "dataset": env.dataset.name,
-        "scale": args.scale,
-        "n_queries": len(queries),
-        "groups": args.groups,
-        "zoom_depth": args.zoom,
-        "seed": args.seed,
-        "n_shards": args.shards,
-        "budget_bytes": budget or 0,
-        "repeat": args.repeat,
-        "answers_equal": answers_equal,
-        "prune_rate": prune_rate,
-        "wall_unsharded_s": base_wall,
-        "wall_sharded_s": shard_wall,
-        "slowdown": slowdown,
-        "min_prune_rate": args.min_prune,
-        "max_slowdown": args.max_slowdown,
-        "shard": stats,
-    }
-    print(f"hilbert shard pruning -- {env.dataset.name} locality workload")
-    print(f"queries : {len(queries)}  (groups={args.groups}, zoom={args.zoom})")
-    print(
-        f"shards  : {stats['shards_pruned']}/{stats['shards_total']} pruned "
-        f"at plan time ({prune_rate:.1%}), {stats['shard_loads']} loads, "
-        f"{stats['shard_evictions']} evictions"
-    )
-    print(
-        f"wall    : {base_wall * 1e3:.1f} ms unsharded -> "
-        f"{shard_wall * 1e3:.1f} ms sharded ({slowdown:.2f}x)"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"json    : {args.json}")
-    if not answers_equal:
-        print(
-            "FAIL: sharded answers differ from unsharded planning",
-            file=sys.stderr,
-        )
-        return 1
-    if prune_rate < args.min_prune:
-        print(
-            f"FAIL: prune rate {prune_rate:.1%} below the "
-            f"{args.min_prune:.0%} gate",
-            file=sys.stderr,
-        )
-        return 1
-    if slowdown > args.max_slowdown:
-        print(
-            f"FAIL: sharded planning {slowdown:.2f}x slower than unsharded "
-            f"(gate {args.max_slowdown:.2f}x)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -726,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--window", type=float, default=0.05,
                     help="batch-formation window (seconds)")
     sv.add_argument("--seed", type=int, default=23, help="fleet/stream seed")
-    sv.add_argument("--shards", type=int, default=0,
-                    help="Hilbert key-range shards (0 = monolithic index)")
-    sv.add_argument("--shard-budget-mb", type=float, default=None,
-                    help="resident-shard memory budget in MiB "
-                         "(default: unbounded)")
     sv.add_argument("--ledger", metavar="PATH", default=None,
                     help="write the JSON-lines run-ledger to PATH")
     sv.add_argument("--json", metavar="PATH", default=None,
@@ -755,46 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="timed rounds per planner (min is reported)")
     pb.add_argument("--json", metavar="PATH", default=None,
                     help="write the machine-readable record to PATH")
-
-    sc = sub.add_parser(
-        "semcache",
-        help="measure the semantic candidate cache on the locality workload; "
-             "--json PATH writes BENCH_semcache.json",
-    )
-    sc.add_argument("--groups", type=int, default=40,
-                    help="hotspot groups in the locality workload")
-    sc.add_argument("--zoom", type=int, default=3,
-                    help="zoom-in queries per group")
-    sc.add_argument("--capacity", type=int, default=4096,
-                    help="semantic-cache capacity in entries")
-    sc.add_argument("--seed", type=int, default=31, help="workload seed")
-    sc.add_argument("--bandwidth", type=float, default=2.0, help="Mbps")
-    sc.add_argument("--distance", type=float, default=1000.0, help="meters")
-    sc.add_argument("--json", metavar="PATH", default=None,
-                    help="write the machine-readable record to PATH")
-
-    sh = sub.add_parser(
-        "shard",
-        help="measure Hilbert key-range shard pruning on the locality "
-             "workload; --json PATH writes BENCH_shard.json",
-    )
-    sh.add_argument("--groups", type=int, default=40,
-                    help="hotspot groups in the locality workload")
-    sh.add_argument("--zoom", type=int, default=3,
-                    help="zoom-in queries per group")
-    sh.add_argument("--shards", type=int, default=16,
-                    help="Hilbert key-range shard count")
-    sh.add_argument("--budget-mb", type=float, default=None,
-                    help="resident-shard budget in MiB (default: unbounded)")
-    sh.add_argument("--seed", type=int, default=31, help="workload seed")
-    sh.add_argument("--repeat", type=int, default=5,
-                    help="timed rounds per engine (min is reported)")
-    sh.add_argument("--min-prune", type=float, default=0.5,
-                    help="gate: minimum plan-time shard prune rate")
-    sh.add_argument("--max-slowdown", type=float, default=1.1,
-                    help="gate: maximum sharded/unsharded wall ratio")
-    sh.add_argument("--json", metavar="PATH", default=None,
-                    help="write the machine-readable record to PATH")
     return parser
 
 
@@ -806,8 +508,6 @@ _COMMANDS = {
     "bench": cmd_bench,
     "serve": cmd_serve,
     "planbench": cmd_planbench,
-    "semcache": cmd_semcache,
-    "shard": cmd_shard,
 }
 
 

@@ -17,6 +17,8 @@ transmission distances, cache-buffer sizes) are module-level tuples.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -67,8 +69,8 @@ class NICPowerTable:
     (and extrapolates around) these anchors with a path-loss model.
 
     Construction is keyword-only and validated: powers and latencies must be
-    non-negative (a negative power would silently corrupt every energy ledger
-    downstream).
+    finite and non-negative (a negative or NaN power would silently corrupt
+    every energy ledger downstream).
     """
 
     #: Transmit power at the 1 km anchor distance (W).
@@ -97,8 +99,8 @@ class NICPowerTable:
             "idle_exit_latency_s",
         ):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,12 @@ class ServerConfig:
 class NetworkConfig:
     """Wireless link and protocol parameters (paper section 5.2).
 
-    Construction is keyword-only and validated: the bandwidth must be
-    positive and the distance must be positive (the radio model has no
-    physical reading for a non-positive distance), so malformed sweeps fail
-    at construction rather than deep inside a pricing walk.
+    Construction is keyword-only and validated: the bandwidth and the
+    distance must be positive (the radio model has no physical reading for
+    a non-positive distance), every numeric field must be finite, and the
+    byte/instruction counts must be ints (not bools), so malformed sweeps
+    fail at construction rather than as NaN joules deep inside a pricing
+    walk.
 
     The paper's channel is ideal — errors are folded into the effective
     bandwidth.  The ``loss_*`` / ``retx_*`` fields relax that: a stationary
@@ -225,46 +229,52 @@ class NetworkConfig:
     retx_timeout_cap_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError(
-                f"bandwidth_bps must be positive, got {self.bandwidth_bps!r}"
-            )
+        # Every check is written so that NaN fails it.
+        for name in ("bandwidth_bps", "distance_m"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate!r}"
             )
         if self.loss_burst_frames is not None and not (
-            1.0 <= self.loss_burst_frames < float("inf")
+            1.0 <= self.loss_burst_frames < math.inf
         ):
             raise ValueError(
                 "loss_burst_frames must be a finite value >= 1 (or None for "
                 f"Bernoulli losses), got {self.loss_burst_frames!r}"
             )
-        if self.retx_backoff < 1.0:
+        if not 1.0 <= self.retx_backoff < math.inf:
             raise ValueError(
-                f"retx_backoff must be >= 1, got {self.retx_backoff!r}"
+                "retx_backoff must be finite and >= 1, got "
+                f"{self.retx_backoff!r}"
             )
-        for name in ("retx_timeout_s", "retx_timeout_cap_s"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if self.distance_m <= 0:
-            raise ValueError(
-                f"distance_m must be positive, got {self.distance_m!r}"
-            )
-        if self.mtu_bytes <= 0:
-            raise ValueError(f"mtu_bytes must be positive, got {self.mtu_bytes!r}")
         for name in (
-            "tcp_header_bytes",
-            "ip_header_bytes",
-            "link_header_bytes",
-            "per_message_instructions",
-            "per_frame_instructions",
+            "retx_timeout_s",
+            "retx_timeout_cap_s",
             "per_byte_instructions",
         ):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name, low in (
+            ("mtu_bytes", 1),
+            ("tcp_header_bytes", 0),
+            ("ip_header_bytes", 0),
+            ("link_header_bytes", 0),
+            ("per_message_instructions", 0),
+            ("per_frame_instructions", 0),
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < low
+            ):
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -326,20 +326,12 @@ def _nn_phases_batch(
     """
     tree = env.tree
     costs = env.dataset.costs
-    # A shard store, when attached, is the traversal source: same search,
-    # same tallies, but leaf-level reads go through residency-bounded
-    # shards instead of the monolithic tree (see repro.core.shardstore).
-    store = getattr(env, "shard_store", None)
-    node_bytes = (tree if store is None else store).node_bytes_array()
+    node_bytes = tree.node_bytes_array()
     seg_bytes = costs.segment_record_bytes
     px = np.array([q.x for q in queries], dtype=np.float64)
     py = np.array([q.y for q in queries], dtype=np.float64)
     ks = np.array([getattr(q, "k", 1) for q in queries], dtype=np.int64)
-    nn = (
-        batch_nearest(tree, px, py, ks)
-        if store is None
-        else store.batch_nearest(px, py, ks)
-    )
+    nn = batch_nearest(tree, px, py, ks)
     # One vectorized pass over the engine's flat visit/refine log; the
     # per-query trace arrays below are views into these.
     ends = nn.log_ends
@@ -387,35 +379,18 @@ def _pr_phases(
     mbr_tests: int,
     costs,
 ) -> QueryPhases:
+    nc = int(cand_ids.size)
+    na = int(answer_ids.size)
     filter_trace = PhaseTrace(
         _counts(
             nodes_visited=int(visited.size),
             mbr_tests=mbr_tests,
-            entries_scanned=int(cand_ids.size),
+            entries_scanned=nc,
         ),
         np.full(visited.size, REGION_INDEX, dtype=np.int8),
         visited.astype(np.int64),
         node_bytes[visited],
     )
-    return _phases_with_filter(key, q, filter_trace, cand_ids, answer_ids, costs)
-
-
-def _phases_with_filter(
-    key: tuple,
-    q: Query,
-    filter_trace: PhaseTrace,
-    cand_ids: np.ndarray,
-    answer_ids: np.ndarray,
-    costs,
-) -> QueryPhases:
-    """Phase data from an already-built filter trace (traversal or cache).
-
-    The refine/answer construction shared by the traversal path above and
-    the semantic cache (:mod:`repro.core.semcache`), whose served filter
-    phases carry different counts/touches but identical downstream phases.
-    """
-    nc = int(cand_ids.size)
-    na = int(answer_ids.size)
     refine_fields = dict(candidates_refined=nc)
     if nc > 0:
         # engine.refine returns before the geometry tests when the
@@ -500,12 +475,7 @@ def _compute_phases(env: Environment, todo: Dict[tuple, Query]) -> Dict[tuple, Q
             qx0[i] = qx1[i] = px[i] = q.x
             qy0[i] = qy1[i] = py[i] = q.y
             eps[i] = q.eps
-    store = getattr(env, "shard_store", None)
-    res = (
-        batch_filter(tree, qx0, qy0, qx1, qy1)
-        if store is None
-        else store.batch_filter(qx0, qy0, qx1, qy1)
-    )
+    res = batch_filter(tree, qx0, qy0, qx1, qy1)
 
     # Bulk refinement: every query's candidates in one call per predicate.
     cand = res.cand_ids
@@ -531,7 +501,7 @@ def _compute_phases(env: Environment, todo: Dict[tuple, Query]) -> Dict[tuple, Q
             px[qq], py[qq], x1[sel], y1[sel], x2[sel], y2[sel], eps[qq],
         )
 
-    node_bytes = (tree if store is None else store).node_bytes_array()
+    node_bytes = tree.node_bytes_array()
     for i, (k, q) in enumerate(zip(pr_keys, pr_queries)):
         o0, o1 = int(res.cand_offsets[i]), int(res.cand_offsets[i + 1])
         c_ids = cand[o0:o1]
@@ -855,7 +825,6 @@ def plan_workload_batched(
     *,
     reset_caches: bool = True,
     phase_cache: Optional[PhaseDataCache] = None,
-    semantic_cache=None,
 ) -> List[List[QueryPlan]]:
     """Plan every query under every scheme configuration at once.
 
@@ -870,11 +839,6 @@ def plan_workload_batched(
     all configurations on one warm timeline (no cross-config stream
     sharing is possible then).  Returns one plan list per configuration,
     aligned with ``configs``.
-
-    With a :class:`~repro.core.semcache.SemanticCache`, point/range filter
-    phases are served from cross-query containment algebra when possible
-    (answers stay bit-identical; op tallies reflect the saved traversal
-    work) and the cache is updated in query order.
     """
     queries = list(queries)
     configs = list(configs)
@@ -886,14 +850,7 @@ def plan_workload_batched(
     if not configs:
         return []
     costs = env.dataset.costs
-    if semantic_cache is not None:
-        from repro.core.semcache import compute_query_phases_semantic
-
-        phases, _ = compute_query_phases_semantic(
-            env, queries, semantic_cache, phase_cache
-        )
-    else:
-        phases = compute_query_phases(env, queries, phase_cache)
+    phases = compute_query_phases(env, queries, phase_cache)
 
     client = env.client_cpu
     server = env.server_cpu

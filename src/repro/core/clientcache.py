@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.core.messages import (
 )
 from repro.core.queries import PointQuery, Query, QueryKind, RangeQuery
 from repro.core.schemes import Scheme, SchemeConfig
-from repro.core.shardstore import materialize_entry_range
 from repro.data.model import SegmentDataset
 from repro.sim.trace import OpCounter
 from repro.spatial.extract import coverage_rect, extract_range
@@ -60,6 +59,26 @@ __all__ = ["CachedRegion", "ClientCacheSession", "INSUFFICIENT_CLIENT_CONFIG"]
 INSUFFICIENT_CLIENT_CONFIG = SchemeConfig(Scheme.FULLY_CLIENT, data_at_client=True)
 #: Instructions charged to the server per coverage-search probe.
 _COVERAGE_PROBE_NODES = 64
+
+
+def materialize_entry_range(
+    tree: PackedRTree, entry_lo: int, entry_hi: int, name: Optional[str] = None
+) -> Tuple[np.ndarray, SegmentDataset, PackedRTree]:
+    """Materialize packed positions ``[entry_lo, entry_hi)`` as a shipment.
+
+    Subsets the dataset by the range's (Hilbert-ordered) master ids and
+    bulk-loads a packed tree over it.  Returns ``(global_ids, dataset,
+    tree)``: the master ids in packed order, the subset dataset (extent
+    re-derived), and its index.
+    """
+    if not (0 <= entry_lo < entry_hi <= tree.entry_ids.size):
+        raise ValueError(
+            f"entry range [{entry_lo}, {entry_hi}) outside "
+            f"[0, {tree.entry_ids.size})"
+        )
+    ids = tree.entry_ids[entry_lo:entry_hi].copy()
+    sub = tree.dataset.subset(ids, name=name)
+    return ids, sub, PackedRTree.build(sub, node_capacity=tree.node_capacity)
 
 
 @dataclass
@@ -240,21 +259,19 @@ class ClientCacheSession:
         )
         server_cost = env.server_cpu.compute(server_counter)
 
-        # Install the shipment as the client's new (only) cached region —
-        # one dynamically-bounded Hilbert shard, materialized by the same
-        # routine the shard store uses (the client's memory budget *is*
-        # a one-shard residency budget).
-        shard = materialize_entry_range(
+        # Install the shipment as the client's new (only) cached region:
+        # one contiguous packed-entry range of the master tree.
+        global_ids, sub_dataset, sub_tree = materialize_entry_range(
             env.tree,
             extraction.entry_lo,
             extraction.entry_hi,
             name=f"{env.dataset.name}-cache",
         )
         self.region = CachedRegion(
-            sub_dataset=shard.dataset,
-            sub_tree=shard.tree,
-            sub_engine=QueryEngine(shard.dataset, shard.tree),
-            global_ids=shard.global_ids,
+            sub_dataset=sub_dataset,
+            sub_tree=sub_tree,
+            sub_engine=QueryEngine(sub_dataset, sub_tree),
+            global_ids=global_ids,
             coverage=coverage,
             total_bytes=extraction.total_bytes,
             entry_lo=extraction.entry_lo,

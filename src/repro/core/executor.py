@@ -160,10 +160,6 @@ class Environment:
     engine: QueryEngine
     client_cpu: ClientCPU
     server_cpu: ServerCPU
-    #: Optional residency-bounded traversal source (repro.core.shardstore).
-    #: When set, the batched planner routes index reads through it
-    #: instead of the monolithic tree; plans stay bit-identical.
-    shard_store: Optional[object] = None
 
     @classmethod
     def create(

@@ -18,9 +18,7 @@ whole grid at once:
    :func:`price_workload_grid` sums the aggregates over the workload first
    and prices M policies in O(N + M) instead of O(N * M).
 3. :class:`PlanCache` memoizes planning per (dataset fingerprint, workload,
-   scheme) so sweeps and repeated benches never re-plan, and
-   :func:`plan_requests` fans plan construction out across datasets with
-   ``multiprocessing``.
+   scheme) so sweeps and repeated benches never re-plan.
 4. :class:`RunLedger` records what happened — per-phase op counts, per-NIC-
    state joules/seconds (:class:`repro.sim.metrics.NICDwell`), plan-cache
    hit rates, wall-clock timings — as JSON-lines for
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,7 +56,6 @@ from repro.core.executor import (
     ServerComputeStep,
     WaitStep,
 )
-from repro.core.batchplan import plan_workload_batched
 from repro.core.queries import Query, query_key
 from repro.core.schemes import SchemeConfig
 from repro.data.model import SegmentDataset
@@ -80,8 +76,6 @@ __all__ = [
     "workload_key",
     "scheme_key",
     "PlanCache",
-    "PlanRequest",
-    "plan_requests",
     "RunLedger",
     "read_ledger",
 ]
@@ -797,53 +791,6 @@ class PlanCache:
 
 
 # ----------------------------------------------------------------------
-# Multiprocessing plan fan-out
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlanRequest:
-    """One dataset's planning job: every (query, scheme) of its workload."""
-
-    dataset: SegmentDataset
-    queries: Tuple[Query, ...]
-    configs: Tuple[SchemeConfig, ...]
-
-
-def _plan_one_request(req: PlanRequest) -> Dict[str, List[QueryPlan]]:
-    """Build an environment and plan every scheme of one request.
-
-    Runs in a worker process under :func:`plan_requests`; the expensive
-    parts (R-tree build, engine runs, D-cache replay) all happen here, and
-    only the (picklable) plans travel back.
-    """
-    env = Environment.create(req.dataset)
-    queries = list(req.queries)
-    configs = list(req.configs)
-    planned = plan_workload_batched(env, queries, configs)
-    return {
-        config.label: plans for config, plans in zip(configs, planned)
-    }
-
-
-def plan_requests(
-    requests: Sequence[PlanRequest], processes: Optional[int] = None
-) -> List[Dict[str, List[QueryPlan]]]:
-    """Plan several datasets' workloads, fanning out across processes.
-
-    ``processes=None`` or ``<= 1`` plans serially in-process (bit-identical
-    to the fan-out — workers run the same code on the same inputs).  With
-    more, a ``fork`` pool (falling back to the platform default start
-    method) maps one worker per request.
-    """
-    reqs = list(requests)
-    if processes is None or processes <= 1 or len(reqs) <= 1:
-        return [_plan_one_request(r) for r in reqs]
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(processes=min(processes, len(reqs))) as pool:
-        return pool.map(_plan_one_request, reqs)
-
-
-# ----------------------------------------------------------------------
 # Run ledger
 # ----------------------------------------------------------------------
 class RunLedger:
@@ -856,11 +803,7 @@ class RunLedger:
     ``plan``
         One workload planned: ``dataset``, ``scheme``, ``n_queries``,
         ``seconds``, ``cache_hit``, ``cache_hits``, ``cache_misses``,
-        ``cache_hit_rate``.  When the environment carries a shard store
-        (:class:`repro.core.shardstore.ShardStore`) additionally the
-        per-call residency window: ``shards_total``, ``shards_touched``,
-        ``shards_pruned``, ``shards_resident``, ``shard_loads``,
-        ``shard_evictions``, ``shard_spills``.
+        ``cache_hit_rate``.
     ``price``
         One grid priced: ``engine`` (batched/scalar), ``n_plans``,
         ``n_policies``, ``seconds``.
@@ -873,14 +816,6 @@ class RunLedger:
         ``loss`` (retransmitted frames per direction + backoff dwell from
         :class:`repro.sim.metrics.LossStats`); ideal-channel records keep
         their pre-loss shape exactly.
-    ``semcache``
-        Semantic candidate-cache state after a planning pass (written when
-        an :class:`~repro.api.Engine` has a ``semantic_cache``):
-        ``dataset`` plus the cache's ``stats_dict()`` — ``entries``,
-        ``capacity``, ``payload_bytes``, ``hits``, ``refines``,
-        ``misses``, ``hit_rate``, ``insertions``, ``evictions``,
-        ``pinned_buckets``, ``nodes_visited``, ``refine_tests``,
-        ``served_candidates``.
     ``bench`` / ``speedup`` / ``note``
         Free-form timings written by the CLI and the benches.
 

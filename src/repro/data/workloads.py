@@ -49,12 +49,10 @@ __all__ = [
     "nn_queries",
     "knn_queries",
     "proximity_sequence",
-    "locality_workload",
     "ClientProfile",
     "QueryRequest",
     "client_fleet",
     "fleet_query_stream",
-    "oversized_dataset",
     "QUERY_KINDS",
     "DEFAULT_RUNS",
 ]
@@ -208,135 +206,6 @@ def proximity_sequence(
                 )
             )
     return out
-
-
-def locality_workload(
-    ds: SegmentDataset,
-    n_groups: int = 40,
-    zoom_depth: int = 3,
-    *,
-    seed: int = 31,
-    repeat_fraction: float = 0.25,
-    point_fraction: float = 0.2,
-    drift_frac: float = 0.04,
-    min_area_frac: float = 0.004,
-    max_area_frac: float = 0.02,
-) -> List[Query]:
-    """A locality-skewed browse workload: hot-region drift + window zooms.
-
-    The semantic cache's target pattern.  A hot center random-walks across
-    the extent (``drift_frac`` of the extent per group — a user panning a
-    road atlas); each group opens a base window there and zooms in
-    ``zoom_depth`` times, every zoom window *strictly contained* in its
-    parent (the semantic cache answers it by refining the parent's
-    candidates).  ``repeat_fraction`` of groups re-issue an earlier group's
-    base window verbatim (back navigation — exact hits);
-    ``point_fraction`` of zoom steps instead drop a point query inside the
-    current window (points are degenerate windows, so containment algebra
-    covers them too).  Seed-deterministic: the same arguments always
-    produce the same query list.
-    """
-    if n_groups <= 0:
-        raise ValueError(f"n_groups must be positive, got {n_groups}")
-    if zoom_depth < 0:
-        raise ValueError(f"zoom_depth must be >= 0, got {zoom_depth}")
-    if not (0.0 <= repeat_fraction <= 1.0):
-        raise ValueError(
-            f"repeat_fraction must be in [0, 1], got {repeat_fraction}"
-        )
-    if not (0.0 <= point_fraction <= 1.0):
-        raise ValueError(
-            f"point_fraction must be in [0, 1], got {point_fraction}"
-        )
-    if not (0 < min_area_frac <= max_area_frac <= 1.0):
-        raise ValueError("area fractions must satisfy 0 < min <= max <= 1")
-    rng = np.random.default_rng(seed)
-    ext = ds.extent
-    cx = rng.uniform(ext.xmin, ext.xmax)
-    cy = rng.uniform(ext.ymin, ext.ymax)
-    out: List[Query] = []
-    history: List[RangeQuery] = []
-    for _ in range(n_groups):
-        cx = min(max(cx + rng.normal(0.0, drift_frac * ext.width), ext.xmin), ext.xmax)
-        cy = min(max(cy + rng.normal(0.0, drift_frac * ext.height), ext.ymin), ext.ymax)
-        if history and rng.uniform() < repeat_fraction:
-            # Back navigation: revisit an earlier viewport verbatim.
-            out.append(history[int(rng.integers(0, len(history)))])
-            continue
-        base = _window_at(ds, rng, cx, cy, min_area_frac, max_area_frac)
-        history.append(base)
-        out.append(base)
-        win = base.rect
-        for _ in range(zoom_depth):
-            if rng.uniform() < point_fraction:
-                # Inspect a feature inside the current viewport.
-                out.append(
-                    PointQuery(
-                        float(rng.uniform(win.xmin, win.xmax)),
-                        float(rng.uniform(win.ymin, win.ymax)),
-                    )
-                )
-                continue
-            # Zoom: a sub-window strictly inside the current one.
-            shrink = rng.uniform(0.4, 0.75)
-            w = (win.xmax - win.xmin) * shrink
-            h = (win.ymax - win.ymin) * shrink
-            x0 = rng.uniform(win.xmin, win.xmax - w)
-            y0 = rng.uniform(win.ymin, win.ymax - h)
-            win = MBR(x0, y0, x0 + w, y0 + h)
-            out.append(RangeQuery(win))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Out-of-core datasets (the shard store's target scale)
-# ----------------------------------------------------------------------
-def oversized_dataset(
-    n_segments: int = 20_000, *, seed: int = 7, name: Optional[str] = None
-) -> SegmentDataset:
-    """A synthetic dataset sized to overflow a shard residency budget.
-
-    Scatters jittered street-grid towns across a wide extent and threads
-    wiggly roads between them (the TIGER generator's idiom, at arbitrary
-    cardinality), so the segment distribution is clustered the way the
-    shard store's equi-count Hilbert cuts expect.  Built for the
-    out-of-core differential tests: pick a
-    :class:`~repro.core.shardstore.ShardConfig` budget below the dataset's
-    total shard bytes and the residency LRU must evict mid-workload while
-    answers stay bit-identical.  Seed-deterministic.
-    """
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
-    from repro.data.tiger import _assemble, _polyline, grid_town
-
-    rng = np.random.default_rng(seed)
-    span = 40_000.0  # meters; ~county-sized extent
-    n_towns = max(4, n_segments // 2_000)
-    centers = rng.uniform(-span / 2.0, span / 2.0, size=(n_towns, 2))
-    # One town's grid yields ~2*rows*cols segments; overshoot ~15% so the
-    # uniform trim in _assemble has slack.
-    per_town = max(1, math.ceil(n_segments * 1.15 / n_towns))
-    side = max(2, math.ceil(math.sqrt(per_town / 2.0)))
-    parts = []
-    for i in range(n_towns):
-        cx, cy = float(centers[i, 0]), float(centers[i, 1])
-        parts.append(
-            grid_town(
-                rng, cx, cy, side, side, cell=120.0,
-                angle=float(rng.uniform(0.0, math.pi / 2.0)),
-            )
-        )
-        nxt = centers[(i + 1) % n_towns]
-        parts.append(
-            _polyline(
-                rng, cx, cy, float(nxt[0]), float(nxt[1]),
-                n_pieces=24, wiggle=0.03,
-            )
-        )
-    return _assemble(
-        name if name is not None else f"oversized-{n_segments}",
-        parts, n_segments, rng,
-    )
 
 
 # ----------------------------------------------------------------------

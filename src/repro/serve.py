@@ -41,6 +41,7 @@ degenerates to today's ``Session`` results bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -110,9 +111,6 @@ class QueryOutcome:
     contention_j: float = 0.0
     answer_ids: Tuple[int, ...] = ()
     n_results: int = 0
-    #: Semantic-cache verdict ("hit" / "refine" / "miss") when the service
-    #: runs with a shared semantic cache; "" otherwise (and for NN queries).
-    semcache: str = ""
     result: Optional[RunResult] = field(default=None, compare=False)
 
     @property
@@ -138,8 +136,6 @@ class QueryOutcome:
                 contention_j=self.contention_j,
                 n_results=self.n_results,
             )
-            if self.semcache:
-                rec["semcache"] = self.semcache
         return rec
 
 
@@ -161,10 +157,6 @@ class ServiceReport:
     wall_seconds: float
     #: Simulated seconds from t=0 to the last served query's completion.
     makespan_s: float
-    #: Lifetime shard pruning/residency counters
-    #: (:meth:`repro.core.shardstore.ShardStore.stats_dict`) when the
-    #: engine shards; ``None`` otherwise.
-    shard: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -209,20 +201,8 @@ class ServiceReport:
         """Total client energy spent across the fleet (served queries)."""
         return sum(o.energy_j for o in self.served)
 
-    @property
-    def shard_prune_rate(self) -> float:
-        """Lifetime fraction of shards never touched (0.0 when unsharded)."""
-        if not self.shard or not self.shard.get("shards_total"):
-            return 0.0
-        return self.shard["shards_pruned"] / self.shard["shards_total"]
-
     def summary(self) -> dict:
         """The report's aggregates as a flat dict (ledger / BENCH JSON)."""
-        if self.shard is not None:
-            return {**self._base_summary(), "shard": dict(self.shard)}
-        return self._base_summary()
-
-    def _base_summary(self) -> dict:
         return {
             "planner": self.planner,
             "n_requests": len(self.outcomes),
@@ -307,41 +287,27 @@ class QueryService:
         batch_window_s: float = 0.05,
         plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
-        semantic_cache=None,
-        sharding=None,
     ) -> None:
         if isinstance(source, Engine):
-            if (
-                plan_cache is not None
-                or ledger is not None
-                or semantic_cache is not None
-                or sharding is not None
-            ):
+            if plan_cache is not None or ledger is not None:
                 raise TypeError(
-                    "plan_cache, ledger, semantic_cache and sharding are "
-                    "configured on the shared Engine; do not pass them again"
+                    "plan_cache and ledger are configured on the shared "
+                    "Engine; do not pass them again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(
-                source,
-                plan_cache=plan_cache,
-                ledger=ledger,
-                semantic_cache=semantic_cache,
-                sharding=sharding,
-            )
+            self.engine = Engine(source, plan_cache=plan_cache, ledger=ledger)
         else:
             raise TypeError(
                 "QueryService() takes a SegmentDataset or an Environment "
                 f"(or a shared Engine), got {type(source).__name__}"
             )
-        if not isinstance(max_queue, int) or max_queue < 1:
-            raise ValueError(f"max_queue must be an int >= 1, got {max_queue!r}")
-        if not isinstance(max_batch, int) or max_batch < 1:
-            raise ValueError(f"max_batch must be an int >= 1, got {max_batch!r}")
-        if not batch_window_s >= 0.0:
+        for name, value in (("max_queue", max_queue), ("max_batch", max_batch)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not (batch_window_s >= 0.0 and math.isfinite(batch_window_s)):
             raise ValueError(
-                f"batch_window_s must be >= 0, got {batch_window_s!r}"
+                f"batch_window_s must be finite and >= 0, got {batch_window_s!r}"
             )
         self.max_queue = max_queue
         self.max_batch = max_batch
@@ -428,12 +394,10 @@ class QueryService:
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
             if planner == "batched":
-                plans, verdicts = self._plan_batch(
-                    batch_reqs, states, server_ways
-                )
+                plans = self._plan_batch(batch_reqs, states, server_ways)
                 results = self._price_batch(batch_reqs, plans, states)
             else:
-                plans, results, verdicts = self._serve_serial(
+                plans, results = self._serve_serial(
                     batch_reqs, states, server_ways
                 )
             # Contention: server-side compute serializes within the batch.
@@ -471,7 +435,6 @@ class QueryService:
                     contention_j=contention_j,
                     answer_ids=tuple(plan.answer_ids.tolist()),
                     n_results=plan.n_results,
-                    semcache=verdicts[k],
                     result=result,
                 )
             t_free = t_start + cursor
@@ -489,24 +452,16 @@ class QueryService:
         makespan = max(
             (o.arrival_s + o.latency_s for o in done if o.served), default=0.0
         )
-        store = getattr(self.engine.env, "shard_store", None)
         report = ServiceReport(
             outcomes=tuple(done),
             planner=planner,
             n_batches=n_batches,
             wall_seconds=wall,
             makespan_s=makespan,
-            shard=store.stats_dict() if store is not None else None,
         )
         if self.engine.ledger is not None:
             for o in report.outcomes:
                 self.engine.record("outcome", **o.to_record())
-            if self.engine.semantic_cache is not None:
-                self.engine.record(
-                    "semcache",
-                    dataset=self.engine.dataset.name,
-                    **self.engine.semantic_cache.stats_dict(),
-                )
             self.engine.record("serve", **report.summary())
         return report
 
@@ -527,14 +482,8 @@ class QueryService:
         continues exactly where the last batch left it.  The environment's
         own caches are never touched; the per-client way matrices and
         ``server_ways`` are advanced in place.  Returns ``(phases,
-        slot_costs, verdicts)`` with one entry per request, which
-        :meth:`_plan_batch` assembles into plans.
-
-        With a shared semantic cache on the engine, phase data comes from
-        :func:`~repro.core.semcache.compute_query_phases_semantic` — the
-        cache advances sequentially in dispatch order, so outcomes are
-        independent of where micro-batch boundaries fall — and ``verdicts``
-        carries each request's hit/refine/miss (else all ``""``).
+        slot_costs)`` with one entry per request, which :meth:`_plan_batch`
+        assembles into plans.
         """
         engine = self.engine
         env = engine.env
@@ -544,20 +493,9 @@ class QueryService:
             "client": CacheGeometry.of(client_cpu.dcache, client_cpu.costs),
             "server": CacheGeometry.of(server_cpu.l1, server_cpu.costs),
         }
-        if engine.semantic_cache is not None:
-            from repro.core.semcache import compute_query_phases_semantic
-
-            phases, verdicts = compute_query_phases_semantic(
-                env,
-                [r.query for r in batch_reqs],
-                engine.semantic_cache,
-                engine.phase_cache,
-            )
-        else:
-            phases = compute_query_phases(
-                env, [r.query for r in batch_reqs], engine.phase_cache
-            )
-            verdicts = [""] * len(batch_reqs)
+        phases = compute_query_phases(
+            env, [r.query for r in batch_reqs], engine.phase_cache
+        )
         slots = [
             _query_phase_slots(qp, states[r.client_id].profile.scheme, costs)
             for qp, r in zip(phases, batch_reqs)
@@ -631,20 +569,18 @@ class QueryService:
             states[cid].ways[...] = lru.final_ways(stream.handle)
         if server_stream is not None:
             server_ways[...] = lru.final_ways(server_stream.handle)
-        return phases, slot_costs, verdicts
+        return phases, slot_costs
 
     def _plan_batch(
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
-    ) -> Tuple[List[QueryPlan], List[str]]:
+    ) -> List[QueryPlan]:
         """Plan one micro-batch through the batched machinery."""
-        phases, slot_costs, verdicts = self._replay_batch(
-            batch_reqs, states, server_ways
-        )
+        phases, slot_costs = self._replay_batch(batch_reqs, states, server_ways)
         costs = self.engine.env.dataset.costs
-        plans = [
+        return [
             _assemble_plan(
                 r.query,
                 states[r.client_id].profile.scheme,
@@ -654,7 +590,6 @@ class QueryService:
             )
             for k, r in enumerate(batch_reqs)
         ]
-        return plans, verdicts
 
     def _price_batch(
         self,
@@ -684,20 +619,14 @@ class QueryService:
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
-    ) -> Tuple[List[QueryPlan], List[RunResult], List[str]]:
+    ) -> Tuple[List[QueryPlan], List[RunResult]]:
         """The per-query scalar reference: swap in each query's caches.
 
         Each query loads its client's way matrix into a scalar
         :class:`~repro.sim.cache.CacheSim` and stores it back after
         planning; the shared server L1 converts once per batch.
-
-        With a shared semantic cache the scalar walk goes through
-        :func:`~repro.core.semcache.plan_one_semantic` — the same cache
-        instance, advanced one query at a time, which is exactly the
-        sequential semantics the batched path reproduces.
         """
-        engine = self.engine
-        env = engine.env
+        env = self.engine.env
         client, server = env.client_cpu, env.server_cpu
         saved = (client.dcache, server.l1)
         client_sim = _cold_clone(client.dcache)
@@ -705,26 +634,16 @@ class QueryService:
         server_sim.load_ways(server_ways)
         plans: List[QueryPlan] = []
         results: List[RunResult] = []
-        verdicts: List[str] = []
         try:
             client.dcache, server.l1 = client_sim, server_sim
             for r in batch_reqs:
                 st = states[r.client_id]
                 client_sim.load_ways(st.ways)
-                if engine.semantic_cache is not None:
-                    from repro.core.semcache import plan_one_semantic
-
-                    plan, verdict = plan_one_semantic(
-                        r.query, st.profile.scheme, env, engine.semantic_cache
-                    )
-                else:
-                    plan = plan_query(r.query, st.profile.scheme, env)
-                    verdict = ""
+                plan = plan_query(r.query, st.profile.scheme, env)
                 st.ways[...] = client_sim.ways()
                 plans.append(plan)
-                verdicts.append(verdict)
                 results.append(price_plan(plan, env, st.profile.policy))
         finally:
             client.dcache, server.l1 = saved
         server_ways[...] = server_sim.ways()
-        return plans, results, verdicts
+        return plans, results

@@ -49,6 +49,7 @@ expected-cost path to the sampler's mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ import numpy as np
 from repro.constants import NetworkConfig
 
 __all__ = ["RetxExpectation", "expected_retx", "LossyChannel"]
+
+#: Growing backoff terms summed one by one before the rest of the pre-cap
+#: phase is summed in closed form (the default config has 6 such terms).
+_TERMWISE_LIMIT = 64
 
 
 def _loss_probs(net: NetworkConfig) -> tuple:
@@ -93,9 +98,11 @@ def expected_retx(net: NetworkConfig) -> RetxExpectation:
     """Closed-form per-frame retransmission expectations for ``net``.
 
     The backoff series is summed term by term while the timeout still
-    grows (at most ``log_g(cap/t0)`` terms) and analytically once it hits
-    the cap (a plain geometric tail), so the result is exact — no
-    truncation tolerance to tune.
+    grows and analytically once it hits the cap (a plain geometric tail),
+    so the result is exact — no truncation tolerance to tune.  A slowly
+    growing timeout (``g`` near 1) needs ``log_g(cap/t0)`` growing terms;
+    past :data:`_TERMWISE_LIMIT` of them the rest of that phase is summed
+    as one geometric series in ``q*g`` (:func:`_growing_sum`).
     """
     p, q = _loss_probs(net)
     if p <= 0.0:
@@ -112,12 +119,37 @@ def expected_retx(net: NetworkConfig) -> RetxExpectation:
     dwell = 0.0
     weight = p  # P(frame needs an i-th backoff) = p * q**i
     b = t0
-    while b < cap and weight > 0.0:
+    n = 0
+    while b < cap and weight > 0.0 and n < _TERMWISE_LIMIT:
         dwell += weight * b
         weight *= q
         b *= g
+        n += 1
+    if b < cap and weight > 0.0:
+        # Term-by-term summation would not end in time (with q > 0.5 the
+        # weight never underflows to 0: 5e-324 * q rounds back up).
+        k = math.ceil((math.log(cap) - math.log(b)) / math.log(g))
+        dwell += _growing_sum(weight, b, q, g, k)
+        weight *= q**k
     dwell += weight * cap / (1.0 - q)  # capped tail, summed analytically
     return RetxExpectation(retx, dwell)
+
+
+def _growing_sum(w: float, b: float, q: float, g: float, k: int) -> float:
+    """``sum_{j<k} w*q**j * b*g**j`` without overflow or cancellation.
+
+    A geometric series in ``r = q*g``.  ``log r`` is formed from ``log1p``
+    of ``q - 1`` and ``g - 1`` so that ``r`` near 1 keeps full precision.
+    With ``r > 1`` the series is summed from its largest (last) term, which
+    is at most ``w * q**k * cap``, so no intermediate overflows.
+    """
+    log_r = math.log1p(q - 1.0) + math.log1p(g - 1.0)
+    if log_r == 0.0:
+        return w * b * k
+    if log_r < 0.0:
+        return w * b * math.expm1(k * log_r) / math.expm1(log_r)
+    log_last = math.log(w) + math.log(b) + (k - 1) * log_r
+    return math.exp(log_last) * math.expm1(-k * log_r) / math.expm1(-log_r)
 
 
 class LossyChannel:

@@ -469,19 +469,9 @@ def batch_nearest(tree, px, py, ks) -> BatchNNResult:
                 nxt_nodes.append(node)
         pend, nodes = nxt, nxt_nodes
 
-    return _finalize(states)
-
-
-def _finalize(states: List[_SearchState]) -> BatchNNResult:
-    """Completed per-query states folded into one :class:`BatchNNResult`.
-
-    Shared by the round-synchronized search above and the shard store's
-    residency-bounded search (:mod:`repro.core.shardstore`), which runs
-    the same ``_drain``/expand loop against lazily-loaded shards.
-    Finalizes into flat arrays once, handing out per-query views: the
-    per-query lists are tiny, so hundreds of small array constructions
-    would cost more than the searches themselves.
-    """
+    # Finalize into flat arrays once, handing out per-query views: the
+    # per-query lists are tiny, so hundreds of small array constructions
+    # would cost more than the searches themselves.
     n = len(states)
     ans_flat: List[int] = []
     log_entry_flat: List[bool] = []

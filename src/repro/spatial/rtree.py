@@ -280,20 +280,6 @@ class PackedRTree:
             + int(self.node_child_count.sum()) * self.costs.index_entry_bytes
         )
 
-    def entry_mbrs(self, positions: np.ndarray):
-        """Entry MBR columns gathered for packed ``positions``.
-
-        The monolithic half of the traversal-source protocol shared with
-        :class:`repro.core.shardstore.ShardStore.entry_mbrs` — callers that
-        accept either source read entry boxes through this one gather.
-        """
-        return (
-            self.entry_xmin[positions],
-            self.entry_ymin[positions],
-            self.entry_xmax[positions],
-            self.entry_ymax[positions],
-        )
-
     def node_bytes_array(self) -> np.ndarray:
         """Per-node stored sizes, :meth:`node_bytes` vectorized (cached)."""
         sizes = getattr(self, "_node_bytes_array", None)

@@ -27,10 +27,9 @@ pure geometry of that map:
   prefetch ordering of best-first searches whose reach is not known a
   priori.
 
-Everything here is exact integer geometry over the curve; which shards a
-query *actually* loads is decided by the MBR-driven traversal in
-:mod:`repro.core.shardstore` (a node's MBR can overhang its key range, so
-key overlap alone is not an exact visit predicate — see MODEL.md §9.11).
+Everything here is exact integer geometry over the curve.  A node's MBR
+can overhang its key range, so key overlap alone is not an exact visit
+predicate for a tree traversal.
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ from repro.data.workloads import (
 
 FS = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)
 FC = SchemeConfig(Scheme.FULLY_CLIENT)
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestEngineEquivalence:
@@ -114,18 +116,54 @@ class TestPolicyConstruction:
             NetworkConfig(bandwidth_bps=-2.0 * MBPS)
         with pytest.raises(ValueError, match="bandwidth_bps"):
             Policy().with_bandwidth(0.0)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match="bandwidth_bps"):
+                NetworkConfig(bandwidth_bps=bad)
+            with pytest.raises(ValueError, match="bandwidth_bps"):
+                Policy().with_bandwidth(bad)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError, match="distance_m"):
             NetworkConfig(distance_m=-1.0)
         with pytest.raises(ValueError, match="distance_m"):
             Policy().with_distance(-5.0)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match="distance_m"):
+                NetworkConfig(distance_m=bad)
+            with pytest.raises(ValueError, match="distance_m"):
+                Policy().with_distance(bad)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="transmit_1km_w"):
             NICPowerTable(transmit_1km_w=-1.5)
         with pytest.raises(ValueError, match="receive_w"):
             NICPowerTable(receive_w=-0.1)
+        for name in ("transmit_1km_w", "transmit_100m_w", "receive_w",
+                     "idle_w", "sleep_w", "sleep_exit_latency_s"):
+            for bad in (NAN, INF):
+                with pytest.raises(ValueError, match=name):
+                    NICPowerTable(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("retx_backoff", NAN),
+            ("retx_backoff", INF),
+            ("retx_timeout_s", NAN),
+            ("retx_timeout_s", INF),
+            ("retx_timeout_cap_s", NAN),
+            ("retx_timeout_cap_s", INF),
+            ("per_byte_instructions", NAN),
+            ("per_byte_instructions", INF),
+            ("mtu_bytes", True),
+            ("mtu_bytes", 1500.0),
+            ("tcp_header_bytes", True),
+            ("per_frame_instructions", False),
+        ],
+    )
+    def test_non_finite_and_bool_network_fields_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: bad})
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
@@ -263,66 +301,3 @@ class TestPlanMaterialization:
             Session(env_small).plan_grid(qs, [FS], planner="fused")
         assert PLANNERS == ("batched", "scalar")
         assert "'batched'" in str(exc.value) and "'scalar'" in str(exc.value)
-
-
-class TestSemanticCacheWiring:
-    """Session/Engine semantic_cache configuration and ledger surface."""
-
-    def test_semantic_cache_requires_type(self, env_small):
-        with pytest.raises(TypeError, match="SemanticCache"):
-            Session(env_small, semantic_cache=42)
-
-    def test_engine_source_rejects_semantic_cache(self, env_small):
-        from repro.api import Engine
-        from repro.core.semcache import SemanticCache
-
-        core = Engine(env_small)
-        with pytest.raises(TypeError, match="shared Engine"):
-            Session(core, semantic_cache=SemanticCache(8))
-
-    def test_semantic_cache_requires_batched_planner(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 1, seed=64)
-        session = Session(env_small, semantic_cache=SemanticCache(8))
-        with pytest.raises(ValueError, match="semantic_cache"):
-            session.plan_grid(qs, [FS], planner="scalar")
-
-    def test_semantic_cache_property_delegates(self, env_small):
-        from repro.core.semcache import SemanticCache
-
-        cache = SemanticCache(8)
-        session = Session(env_small, semantic_cache=cache)
-        assert session.semantic_cache is cache
-        assert Session(env_small).semantic_cache is None
-
-    def test_plan_cache_bypassed_with_semantic_cache(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 2, seed=65)
-        session = Session(env_small, semantic_cache=SemanticCache(8))
-        session.run(qs, schemes=FS, policies=Policy())
-        session.run(qs, schemes=FS, policies=Policy())
-        # Plans depend on evolving cache state, so the plan cache must
-        # never be consulted or populated.
-        assert session.plan_cache.hits == 0
-        assert session.plan_cache.misses == 0
-
-    def test_semcache_ledger_event_and_answers(self, env_small, pa_small):
-        from repro.core.semcache import SemanticCache
-
-        qs = range_queries(pa_small, 3, seed=66)
-        ledger = RunLedger()
-        cached = Session(
-            env_small, ledger=ledger, semantic_cache=SemanticCache(8)
-        )
-        plain = Session(env_small)
-        t_cached = cached.run(qs, schemes=FS, policies=Policy())
-        t_plain = plain.run(qs, schemes=FS, policies=Policy())
-        assert [r.result.n_results for r in t_cached] == [
-            r.result.n_results for r in t_plain
-        ]
-        events = [r for r in ledger.records if r["event"] == "semcache"]
-        assert events
-        assert events[-1]["misses"] >= 1
-        assert events[-1]["entries"] >= 1

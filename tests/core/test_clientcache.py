@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.clientcache import ClientCacheSession
+from repro.core.clientcache import ClientCacheSession, materialize_entry_range
 from repro.core.executor import (
     ClientComputeStep,
     Policy,
@@ -19,6 +19,7 @@ from repro.data.workloads import proximity_sequence, range_queries
 from repro.spatial import bruteforce as bf
 from repro.spatial.geometry import point_segment_distance_sq
 from repro.spatial.mbr import MBR
+from repro.spatial.rtree import PackedRTree
 
 
 BUDGET = 256 * 1024
@@ -148,3 +149,27 @@ class TestPricing:
         assert miss.energy.total() > 5 * hit.energy.total()
         assert miss.cycles.total() > hit.cycles.total()
         assert hit.energy.nic_tx == 0.0  # hits never touch the radio
+
+
+class TestMaterializeEntryRange:
+    def test_matches_subset_build(self, pa_small_tree):
+        tree = pa_small_tree
+        lo, hi = 25, 650
+        global_ids, dataset, sub_tree = materialize_entry_range(
+            tree, lo, hi, name="probe"
+        )
+        assert np.array_equal(global_ids, tree.entry_ids[lo:hi])
+        assert dataset.size == hi - lo
+        assert dataset.name == "probe"
+        rebuilt = PackedRTree.build(
+            tree.dataset.subset(tree.entry_ids[lo:hi], name="probe"),
+            node_capacity=tree.node_capacity,
+        )
+        assert np.array_equal(sub_tree.node_xmin, rebuilt.node_xmin)
+        assert np.array_equal(sub_tree.entry_ids, rebuilt.entry_ids)
+
+    def test_bounds_validation(self, pa_small_tree):
+        n = pa_small_tree.entry_ids.size
+        for lo, hi in [(-1, 5), (5, 5), (8, 2), (0, n + 1)]:
+            with pytest.raises(ValueError):
+                materialize_entry_range(pa_small_tree, lo, hi)

@@ -1,4 +1,4 @@
-"""Batched grid pricer vs the scalar oracle, plan cache, fan-out, ledger."""
+"""Batched grid pricer vs the scalar oracle, plan cache, ledger."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from repro.constants import MBPS, NetworkConfig
 from repro.core.executor import Environment, Policy, plan_query, price_plan
 from repro.core.gridrun import (
     PlanCache,
-    PlanRequest,
     RunLedger,
     compile_plan,
     dataset_fingerprint,
     framing_key,
-    plan_requests,
     price_grid,
     price_workload_grid,
     read_ledger,
@@ -240,37 +238,6 @@ class TestPlanCache:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
-
-
-class TestPlanRequests:
-    def test_parallel_matches_serial(self):
-        ds_pa = tiger.pa_dataset(scale=0.01, seed=5)
-        ds_nyc = tiger.nyc_dataset(scale=0.01, seed=6)
-        configs = (FS, SchemeConfig(Scheme.FULLY_CLIENT))
-        reqs = [
-            PlanRequest(
-                dataset=ds,
-                queries=tuple(range_queries(ds, 2, seed=25)),
-                configs=configs,
-            )
-            for ds in (ds_pa, ds_nyc)
-        ]
-        serial = plan_requests(reqs, processes=1)
-        fanned = plan_requests(reqs, processes=2)
-        policy = Policy()
-        for s_out, f_out, ds in zip(serial, fanned, (ds_pa, ds_nyc)):
-            env = Environment.create(ds)
-            assert set(s_out) == set(f_out)
-            for label in s_out:
-                e_s = sum(
-                    price_plan(p, env, policy).energy.total()
-                    for p in s_out[label]
-                )
-                e_f = sum(
-                    price_plan(p, env, policy).energy.total()
-                    for p in f_out[label]
-                )
-                assert e_f == pytest.approx(e_s, rel=1e-12)
 
 
 class TestRunLedger:

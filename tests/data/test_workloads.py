@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.queries import NNQuery, PointQuery, RangeQuery
 from repro.data.workloads import (
-    locality_workload,
     nn_queries,
     point_queries,
     proximity_sequence,
@@ -112,101 +111,3 @@ class TestProximitySequence:
             proximity_sequence(pa_small, y=-1)
         with pytest.raises(ValueError):
             proximity_sequence(pa_small, y=1, n_groups=0)
-
-
-class TestLocalityWorkload:
-    def test_seed_deterministic(self, pa_small):
-        a = locality_workload(pa_small, 10, 3, seed=5)
-        b = locality_workload(pa_small, 10, 3, seed=5)
-        assert len(a) == len(b)
-        for qa, qb in zip(a, b):
-            assert type(qa) is type(qb)
-            assert qa == qb
-
-    def test_different_seeds_differ(self, pa_small):
-        a = locality_workload(pa_small, 10, 3, seed=5)
-        b = locality_workload(pa_small, 10, 3, seed=6)
-        assert a != b
-
-    def test_query_types_and_counts(self, pa_small):
-        qs = locality_workload(pa_small, 12, 2, seed=9)
-        assert all(isinstance(q, (RangeQuery, PointQuery)) for q in qs)
-        # At most (1 + zoom_depth) queries per group.
-        assert len(qs) <= 12 * 3
-        assert len(qs) >= 12
-
-    def test_zooms_strictly_contained_and_points_inside(self, pa_small):
-        qs = locality_workload(
-            pa_small, 12, 3, seed=11, repeat_fraction=0.0
-        )
-        win = None
-        for q in qs:
-            if isinstance(q, RangeQuery):
-                r = q.rect
-                if win is not None and (
-                    r.xmin >= win.xmin and r.ymin >= win.ymin
-                    and r.xmax <= win.xmax and r.ymax <= win.ymax
-                    and (r.xmax - r.xmin) < (win.xmax - win.xmin)
-                ):
-                    win = r  # a zoom: strictly smaller, inside parent
-                else:
-                    win = r  # a new base window opens a group
-            else:
-                assert win is not None
-                assert win.xmin <= q.x <= win.xmax
-                assert win.ymin <= q.y <= win.ymax
-
-    def test_zoom_windows_shrink(self, pa_small):
-        # With no repeats and no points every non-base window is strictly
-        # inside its predecessor.
-        qs = locality_workload(
-            pa_small, 8, 3, seed=13, repeat_fraction=0.0, point_fraction=0.0
-        )
-        groups = 0
-        prev = None
-        for q in qs:
-            r = q.rect
-            if prev is not None and (
-                r.xmin >= prev.xmin and r.ymin >= prev.ymin
-                and r.xmax <= prev.xmax and r.ymax <= prev.ymax
-            ):
-                assert (r.xmax - r.xmin) < (prev.xmax - prev.xmin)
-                assert (r.ymax - r.ymin) < (prev.ymax - prev.ymin)
-            else:
-                groups += 1
-            prev = r
-        assert groups == 8
-
-    def test_repeats_come_from_history(self, pa_small):
-        qs = locality_workload(
-            pa_small, 30, 0, seed=17, repeat_fraction=0.9
-        )
-        seen = set()
-        repeats = 0
-        for q in qs:
-            key = (q.rect.xmin, q.rect.ymin, q.rect.xmax, q.rect.ymax)
-            if key in seen:
-                repeats += 1
-            seen.add(key)
-        assert repeats > 0
-
-    def test_windows_inside_extent(self, pa_small):
-        ext = pa_small.extent
-        for q in locality_workload(pa_small, 10, 2, seed=19):
-            if isinstance(q, RangeQuery):
-                r = q.rect
-                assert r.xmin >= ext.xmin and r.xmax <= ext.xmax
-                assert r.ymin >= ext.ymin and r.ymax <= ext.ymax
-
-    def test_invalid_params(self, pa_small):
-        with pytest.raises(ValueError):
-            locality_workload(pa_small, 0, 3)
-        with pytest.raises(ValueError):
-            locality_workload(pa_small, 4, -1)
-        with pytest.raises(ValueError):
-            locality_workload(pa_small, 4, 1, repeat_fraction=1.5)
-        with pytest.raises(ValueError):
-            locality_workload(pa_small, 4, 1, point_fraction=-0.1)
-        with pytest.raises(ValueError):
-            locality_workload(pa_small, 4, 1, min_area_frac=0.5,
-                              max_area_frac=0.1)

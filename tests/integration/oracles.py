@@ -3,9 +3,8 @@
 The repo's correctness story is *differential*: the batched engine is
 pinned to the scalar per-query twin (``plan_query`` + ``price_plan``).
 This module packages those comparisons so every suite — the engine
-differential suite, the batchplan differential suite, the shard and
-semantic-cache suites, hypothesis property tests — asserts the same
-contract through the same helpers:
+differential suite, the batchplan differential suite, hypothesis property
+tests — asserts the same contract through the same helpers:
 
 ``assert_grids_identical``
     Every array of two :class:`~repro.core.gridrun.GridResult`\\ s equal
@@ -46,8 +45,6 @@ __all__ = [
     "assert_engine_differential",
     "assert_grid_matches_cells",
     "assert_grids_identical",
-    "assert_semcache_differential",
-    "assert_shard_differential",
     "assert_tables_close",
     "assert_tables_identical",
     "cache_state",
@@ -217,219 +214,3 @@ def _approx(value: float):
     import pytest
 
     return pytest.approx(value, rel=SCALAR_REL_TOL, abs=0.0)
-
-
-def assert_shard_differential(
-    env: Environment,
-    queries: Sequence[Query],
-    configs: Sequence[SchemeConfig],
-    policies: Optional[Sequence[Policy]] = None,
-    *,
-    sharding=None,
-) -> dict:
-    """Pin sharded planning to the unsharded engines on one workload.
-
-    Builds a fresh sharded environment over ``env``'s own dataset and tree
-    (so the packed entry order is shared) and requires, from cold caches:
-
-    1. **Batched twin** — ``plan_workload_batched`` through the shard
-       store produces plans bit-identical to the unsharded batched planner
-       (``plans_equal``: steps, op tallies, answer ids, messages) and
-       leaves identical simulated cache state.
-    2. **Priced grids** — ``price_grid`` over the sharded plans equals the
-       unsharded grids bit for bit on every numeric plane.
-    3. **Scalar energies** — each sharded cell agrees with the scalar
-       per-query pricer within :data:`SCALAR_REL_TOL`.
-
-    ``sharding`` is the :class:`~repro.core.shardstore.ShardConfig` to pin
-    (default 8 shards, unbounded residency — pass a budgeted config to
-    exercise LRU spills).  Returns the batched store's lifetime stats so
-    callers can additionally assert pruning/eviction behavior.
-    """
-    from repro.core.shardstore import ShardConfig, ShardStore
-
-    queries = list(queries)
-    configs = list(configs)
-    policies = list(policies) if policies is not None else [Policy()]
-    if sharding is None:
-        sharding = ShardConfig(n_shards=8)
-
-    env.reset_caches()
-    base_plans = plan_workload_batched(env, queries, configs)
-    base_state = cache_state(env)
-    base_grids = [price_grid(plans, policies, env) for plans in base_plans]
-
-    env_sh = Environment.create(env.dataset, tree=env.tree)
-    env_sh.shard_store = ShardStore.from_tree(env.tree, sharding)
-    sh_plans = plan_workload_batched(env_sh, queries, configs)
-    assert cache_state(env_sh) == base_state
-    for got_cfg, want_cfg in zip(sh_plans, base_plans):
-        assert plans_equal(got_cfg, want_cfg)
-    sh_grids = [price_grid(plans, policies, env_sh) for plans in sh_plans]
-    for got, want in zip(sh_grids, base_grids):
-        assert_grids_identical(got, want)
-
-    for cfg_i, cfg in enumerate(configs):
-        env.reset_caches()
-        for i, q in enumerate(queries):
-            want = price_plan(plan_query(q, cfg, env), env, policies[0])
-            got = sh_grids[cfg_i].result(i, 0)
-            assert got.energy.total() == _approx(want.energy.total())
-            assert got.cycles.total() == _approx(want.cycles.total())
-
-    stats = env_sh.shard_store.stats_dict()
-    assert stats["shards_touched"] >= 1
-    return stats
-
-
-def assert_semcache_differential(
-    env: Environment,
-    queries: Sequence[Query],
-    configs: Sequence[SchemeConfig],
-    policies: Optional[Sequence[Policy]] = None,
-    *,
-    capacity: int = 4096,
-) -> None:
-    """Pin semantic-cached planning to uncached planning on one workload.
-
-    Runs the workload four ways and cross-checks them:
-
-    1. **Uncached baseline** — ``plan_workload_batched`` with no cache,
-       plans and final simulator state captured.
-    2. **Cold semantic pass** — a fresh :class:`SemanticCache`.  Answers
-       must be bit-identical to the baseline for every plan.  If the cold
-       pass served nothing (``hits + refines == 0``, possible only when
-       no within-batch containment fires), the plans and simulator state
-       must equal the baseline bit for bit.
-    3. **Warm semantic pass** — re-running the workload on the cold
-       pass's final cache.  Answers again bit-identical; every cached
-       (plan, policy) cell priced by the grid pricer and the scalar
-       pricer agrees within :data:`SCALAR_REL_TOL`; miss-verdict and
-       NN/k-NN plans are bit-identical to the uncached baseline (served
-       plans legitimately carry smaller op tallies — the saved work).
-    4. **Scalar semantic twin** — :func:`plan_one_semantic` per query on
-       a clone of each pass's starting cache must reproduce that pass's
-       plans bit for bit (``plans_equal``) and leave identical simulator
-       state; the twin cache's verdict tallies must match the batched
-       pass's.
-
-    Op tallies are checked per occurrence against the uncached phase
-    data: hits do zero traversal work and scan exactly ``nc`` cached
-    ids; refines do zero node visits and at least ``nc`` MBR tests
-    (the tested superset); misses are charged identically to the
-    uncached planner.  Candidate and answer id arrays are bit-identical
-    to uncached in every verdict class.
-    """
-    from repro.core.batchplan import compute_query_phases
-    from repro.core.queries import QueryKind
-    from repro.core.semcache import (
-        SemanticCache,
-        compute_query_phases_semantic,
-        plan_one_semantic,
-    )
-
-    queries = list(queries)
-    configs = list(configs)
-    policies = list(policies) if policies is not None else [Policy()]
-
-    # 1. Uncached baseline.
-    base_plans = plan_workload_batched(env, queries, configs)
-    base_state = cache_state(env)
-    env.reset_caches()
-    base_phases = compute_query_phases(env, queries)
-
-    # 2/3. Cold then warm batched semantic passes.
-    cold_cache = SemanticCache(capacity)
-    cold_plans = plan_workload_batched(
-        env, queries, configs, semantic_cache=cold_cache
-    )
-    cold_state = cache_state(env)
-    cold_stats = cold_cache.stats_dict()
-    warm_cache = cold_cache.clone()
-    warm_plans = plan_workload_batched(
-        env, queries, configs, semantic_cache=warm_cache
-    )
-    warm_state = cache_state(env)
-
-    for plans in (cold_plans, warm_plans):
-        assert len(plans) == len(configs)
-        for got_cfg, want_cfg in zip(plans, base_plans):
-            for got, want in zip(got_cfg, want_cfg):
-                assert np.array_equal(got.answer_ids, want.answer_ids)
-                assert got.n_results == want.n_results
-    if cold_stats["hits"] + cold_stats["refines"] == 0:
-        for got_cfg, want_cfg in zip(cold_plans, base_plans):
-            assert plans_equal(got_cfg, want_cfg)
-        assert cold_state == base_state
-
-    # Priced energies: grid pricer vs scalar pricer on every cached
-    # (plan, policy) cell, within SCALAR_REL_TOL.
-    for sem_cfg in warm_plans:
-        grid = price_grid(sem_cfg, policies, env)
-        for i, plan in enumerate(sem_cfg):
-            for j, pol in enumerate(policies):
-                got = grid.result(i, j)
-                want = price_plan(plan, env, pol)
-                assert got.energy.total() == _approx(want.energy.total())
-                assert got.n_results == want.n_results
-
-    # 4. Scalar semantic twin, per pass.
-    for start, batched_plans, want_state, batched_stats in (
-        (SemanticCache(capacity), cold_plans, cold_state, cold_cache),
-        (cold_cache.clone(), warm_plans, warm_state, warm_cache),
-    ):
-        twin = None
-        for cfg_i, cfg in enumerate(configs):
-            twin = start.clone()
-            env.reset_caches()
-            twin_plans = [
-                plan_one_semantic(q, cfg, env, twin)[0] for q in queries
-            ]
-            assert plans_equal(twin_plans, batched_plans[cfg_i])
-        if twin is not None:
-            assert cache_state(env) == want_state
-            for key in ("hits", "refines", "misses", "entries",
-                        "insertions", "evictions"):
-                assert twin.stats_dict()[key] == batched_stats.stats_dict()[key]
-
-    # Per-occurrence verdict/tally pin against the uncached phase data.
-    cold_verdicts: List[str] = []
-    for start in (SemanticCache(capacity), cold_cache.clone()):
-        env.reset_caches()
-        phases, verdicts = compute_query_phases_semantic(
-            env, queries, start
-        )
-        if not cold_verdicts:
-            cold_verdicts = list(verdicts)
-        for q, qp, base_qp, verdict in zip(
-            queries, phases, base_phases, verdicts
-        ):
-            assert np.array_equal(qp.cand_ids, base_qp.cand_ids)
-            assert np.array_equal(qp.answer_ids, base_qp.answer_ids)
-            if q.kind is QueryKind.NEAREST_NEIGHBOR:
-                assert verdict == ""
-                continue
-            c = qp.filter_trace.counter
-            nc = int(qp.cand_ids.size)
-            if verdict == "hit":
-                assert c.nodes_visited == 0
-                assert c.mbr_tests == 0
-                assert c.entries_scanned == nc
-            elif verdict == "refine":
-                assert c.nodes_visited == 0
-                assert c.mbr_tests >= nc
-                assert c.entries_scanned == nc
-            else:
-                assert verdict == "miss"
-                assert (
-                    c.counts_dict()
-                    == base_qp.filter_trace.counter.counts_dict()
-                )
-
-    # Misses and NN/k-NN queries plan bit-identically to uncached.
-    for idx, v in enumerate(cold_verdicts):
-        if v in ("miss", ""):
-            for cfg_i in range(len(configs)):
-                assert plans_equal(
-                    [cold_plans[cfg_i][idx]], [base_plans[cfg_i][idx]]
-                )

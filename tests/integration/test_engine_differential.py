@@ -8,10 +8,11 @@ workload through the shared oracle layer (:mod:`tests.integration.oracles`)
 and demands exactly that — including the simulated cache state both leave
 behind.
 
-Covers the fig4/5/6/7 workload shapes, all four query kinds, lossy-link
-policy grids, warm-seeded caches, degenerate and empty windows, k past the
-dataset size, the Session/ledger surface, and hypothesis-random workloads
-over random datasets.
+Covers the fig4/5/6/7 workload shapes, all four query kinds, repeated and
+nested windows within one workload, lossy-link policy grids, warm-seeded
+caches, degenerate and empty windows, k past the dataset size, the
+Session/ledger surface, and hypothesis-random workloads over random
+datasets.
 """
 
 from __future__ import annotations
@@ -118,6 +119,38 @@ def test_mixed_query_kinds_one_workload(env):
         + knn_queries(ds, 4, seed=25)
     )
     assert_engine_differential(env, mixed, NN_CONFIGS, LOSSY_POLICIES)
+
+
+def test_repeated_nested_and_overlapping_windows(env):
+    """Exact repeats, nested zooms, a point inside a window, overlapping slabs.
+
+    Repeats within one workload share one phase-data entry, so their
+    replayed cache slices (warm on the second occurrence) must still line
+    up with the scalar walk step for step.
+    """
+    ext = env.dataset.extent
+    w = ext.width / 8
+    h = ext.height / 8
+    x0 = ext.xmin + 2 * w
+    y0 = ext.ymin + 2 * h
+    outer = MBR(x0, y0, x0 + 2 * w, y0 + 2 * h)
+    inner = MBR(x0 + w / 2, y0 + h / 2, x0 + w, y0 + h)
+    left = MBR(x0, y0, x0 + w, y0 + 2 * h)
+    right = MBR(x0 + w * 0.8, y0, x0 + 2 * w, y0 + 2 * h)
+    spanning = MBR(x0 + w / 4, y0 + h / 4, x0 + 1.5 * w, y0 + 1.5 * h)
+    queries = [
+        RangeQuery(outer),
+        RangeQuery(outer),  # exact repeat
+        RangeQuery(inner),  # nested zoom
+        PointQuery(inner.xmin, inner.ymin),  # point inside both windows
+        RangeQuery(left),
+        RangeQuery(right),  # overlaps left
+        RangeQuery(spanning),  # straddles left and right
+        RangeQuery(inner),  # repeat of the zoom
+    ]
+    assert_engine_differential(
+        env, queries, ADEQUATE_MEMORY_CONFIGS, LOSSY_POLICIES
+    )
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,11 @@ class TestConstruction:
             QueryService(42)
 
     @pytest.mark.parametrize("kw", [{"max_queue": 0}, {"max_batch": 0},
-                                    {"batch_window_s": -0.1}])
+                                    {"batch_window_s": -0.1},
+                                    {"batch_window_s": float("inf")},
+                                    {"batch_window_s": float("nan")},
+                                    {"max_batch": True}, {"max_queue": True},
+                                    {"max_batch": 2.0}])
     def test_bad_knobs(self, pa_small, kw):
         with pytest.raises(ValueError):
             QueryService(pa_small, **kw)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import NetworkConfig
 from repro.sim.lossy import LossyChannel, RetxExpectation, expected_retx
@@ -107,7 +107,15 @@ class TestClosedForms:
         g=st.floats(1.0, 4.0),
         cap=st.floats(0.0, 2.0),
     )
-    @settings(max_examples=200, deadline=None)
+    # A timeout growing by one ulp per loss needs ~1e16 growing terms, and
+    # with q > 0.5 the term weight never underflows to zero.
+    @example(p=0.6, burst=None, t0=0.02, g=math.nextafter(1.0, 2.0), cap=1.0)
+    @example(p=0.05, burst=3.0, t0=0.02, g=math.nextafter(1.0, 2.0), cap=1.0)
+    @example(p=0.6, burst=None, t0=0.02, g=1.000001, cap=1.0)
+    # Over 64 growing terms with q*g above 1, and with q*g exactly 1.
+    @example(p=0.5, burst=20.0, t0=0.001, g=1.06, cap=2.0)
+    @example(p=0.5, burst=None, t0=1e-20, g=2.0, cap=1.0)
+    @settings(max_examples=200, deadline=1000)
     def test_dwell_always_matches_series(self, p, burst, t0, g, cap):
         cfg = net(
             loss_rate=p,

@@ -196,7 +196,7 @@ class TestRangesOverlapShards:
     @settings(max_examples=150, deadline=None)
     def test_matches_bruteforce(self, m, raw_ranges, data):
         # Shard spans: contiguous slices of an ascending (with duplicates)
-        # key array, exactly how ShardStore derives them.
+        # key array, as equi-count cuts over sorted keys produce them.
         keys = np.sort(
             np.asarray(
                 data.draw(
