@@ -178,20 +178,8 @@ class CacheGeometry:
         counts = np.where(nbytes > 0, last - first + 1, 0)
         total = int(counts.sum())
         run_starts = np.cumsum(counts) - counts
-        i32 = np.iinfo(np.int32)
-        if total <= i32.max and (
-            first.size == 0
-            or (int(first.min()) >= 0 and int(last.max()) <= i32.max)
-        ):
-            # The synthetic address map fits 32 bits, so the (much longer)
-            # expanded line sequence can be built at half the bandwidth.
-            lines = np.repeat(
-                (first - run_starts).astype(np.int32), counts
-            ) + np.arange(total, dtype=np.int32)
-        else:
-            lines = np.repeat(first - run_starts, counts) + np.arange(
-                total, dtype=np.int64
-            )
+        lines = np.repeat(first - run_starts, counts)
+        lines += np.arange(total, dtype=np.int64)
         return lines, counts
 
 
@@ -590,27 +578,30 @@ def _query_phase_slots(
 class _Stream:
     """One side's concatenated replay stream with per-phase boundaries."""
 
-    __slots__ = ("handle", "starts", "ends", "cum", "hits_total", "misses_total")
+    __slots__ = ("handle", "starts", "ends", "hm", "hits_total", "misses_total")
 
     def __init__(self, handle: int, starts: np.ndarray, ends: np.ndarray) -> None:
         self.handle = handle
         self.starts = starts
         self.ends = ends
-        self.cum: Optional[np.ndarray] = None
+        self.hm: List[Tuple[int, int]] = []
         self.hits_total = 0
         self.misses_total = 0
 
     def finish(self, batch: BatchedLRU) -> None:
         hits = batch.hits_of(self.handle)
-        self.cum = np.zeros(hits.size + 1, dtype=np.int64)
-        np.cumsum(hits, dtype=np.int64, out=self.cum[1:])
-        self.hits_total = int(self.cum[-1])
+        h = np.zeros(self.starts.size, dtype=np.int64)
+        full = self.ends > self.starts
+        if full.any():
+            # The non-empty phases tile the stream, so each reduceat
+            # segment runs exactly to the next non-empty phase's start.
+            h[full] = np.add.reduceat(hits, self.starts[full], dtype=np.int64)
+        self.hm = list(zip(h.tolist(), (self.ends - self.starts - h).tolist()))
+        self.hits_total = int(h.sum())
         self.misses_total = int(hits.size) - self.hits_total
 
     def phase_hm(self, j: int) -> Tuple[int, int]:
-        s, e = int(self.starts[j]), int(self.ends[j])
-        h = int(self.cum[e] - self.cum[s])
-        return h, (e - s) - h
+        return self.hm[j]
 
 
 def _prime_lines(traces: Sequence[PhaseTrace], geom: CacheGeometry) -> None:

@@ -1,9 +1,9 @@
 """BatchedLRU vs the scalar CacheSim — bit-for-bit differential tests.
 
 The batched planner's cache verdicts come from
-:class:`repro.sim.cache.BatchedLRU`, which replaces the per-access Python
-loop with a closed-form LRU stack-distance computation (associativities up
-to 4) or a generational state-matrix replay (above 4).  Both paths must
+:class:`repro.sim.cache.BatchedLRU`, which runs :meth:`CacheSim.access_line`'s
+own algorithm as a compiled loop (``repro/sim/lru.c``) over each stream, or
+CacheSim itself when no C compiler is available.  Either way it must
 reproduce the scalar simulator's hit/miss verdicts AND final cache state
 exactly, including under warm-start seeding.  Warm state crosses the
 replay boundary as an MRU-first ``(n_sets, assoc)`` tag matrix (``-1`` =
@@ -12,11 +12,15 @@ empty way), the format of :meth:`CacheSim.ways`.
 
 from __future__ import annotations
 
+import shutil
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import cache
 from repro.sim.cache import BatchedLRU, CacheSim
 
 
@@ -61,12 +65,12 @@ def _random_trace(rng, n, hot_lines):
 
 GEOMETRIES = [
     (16, 1),  # direct-mapped
-    (64, 2),  # the client dcache shape (8KB/4way/32B -> 64 sets, but 2-way here)
-    (64, 4),  # the client dcache associativity
+    (64, 2),  # the client dcache's 64 sets, at 2 ways
+    (64, 4),  # the client dcache (8KB/4way/32B lines)
     (256, 2),  # the server L1 shape
-    (8, 3),  # odd associativity (closed-form second case)
-    (8, 5),  # generational fallback
-    (4, 8),  # generational fallback, deep sets
+    (8, 3),  # odd associativity
+    (8, 5),  # wider than either modeled cache
+    (4, 8),  # deep sets
 ]
 
 
@@ -114,7 +118,7 @@ def test_matches_cachesim_class(n_sets=64, assoc=4, line_bytes=32):
 
 
 def test_mixed_geometries_one_batch():
-    """Streams with different geometries (closed-form + fallback triggers)."""
+    """Streams with different geometries share one batch."""
     rng = np.random.default_rng(9)
     specs = [(16, 1), (64, 4), (256, 2), (8, 3)]
     batch = BatchedLRU()
@@ -130,7 +134,7 @@ def test_mixed_geometries_one_batch():
 
 
 def test_repeat_heavy_trace_dup_collapse():
-    """Immediate same-line repeats (the collapse fast path) stay exact."""
+    """Immediate same-line repeats (hits that leave the set as it is)."""
     rng = np.random.default_rng(5)
     base = _random_trace(rng, 200, 64)
     lines = np.repeat(base, rng.integers(1, 6, size=len(base)))
@@ -181,10 +185,29 @@ def test_api_misuse_raises():
         BatchedLRU().add_stream(np.array([1]), 0, 2)
     with pytest.raises(RuntimeError):
         BatchedLRU().final_ways(0)
-    # Negative lines would wrap the unsigned sort keys and alias tag -1.
-    for lines in (np.array([3, -1, 5]), np.array([-7], dtype=np.int32)):
+    with pytest.raises(ValueError):
+        BatchedLRU().add_stream(np.array([1]), True, 2)  # bool is an int
+    with pytest.raises(ValueError):
+        BatchedLRU().add_stream(np.array([1]), 16, True)
+    # Negative lines would alias tag -1; past 2**63 they wrap in int64.
+    for lines in (
+        np.array([3, -1, 5]),
+        np.array([-7], dtype=np.int32),
+        np.array([2**63], dtype=np.uint64),
+        np.array([1, 2**64 - 1], dtype=np.uint64),
+    ):
         with pytest.raises(ValueError, match="non-negative"):
             BatchedLRU().add_stream(lines, 16, 2)
+    # Floats would be truncated to lines and bools read as lines 0/1.
+    for lines in (
+        np.array([0.5, 1.7, 0.2]),
+        np.array([True, False]),
+        np.array([[1, 2], [3, 4]]),
+    ):
+        with pytest.raises(ValueError, match="1-D integer"):
+            BatchedLRU().add_stream(lines, 16, 2)
+    top = np.array([2**63 - 1], dtype=np.uint64)  # the largest valid line
+    BatchedLRU().add_stream(top, 16, 2)
     lines = np.array([1, 2, 3])
     BatchedLRU().add_stream(lines, 4, 2, seed_ways=_ok_seed())  # well-formed
     for seed in _MALFORMED_SEEDS:
@@ -208,8 +231,8 @@ def test_seed_ways_not_mutated():
 def test_window_widening_final_state():
     """Assoc 4, one set: A B C D then (E F)x20 ends as [F, E, D, C].
 
-    The last 16 kept accesses hold only E and F, so the final-state window
-    must widen to find D and C behind the ping-pong run.
+    The last 40 accesses touch only E and F, so D and C, the set's older
+    distinct tags, must survive behind the ping-pong run.
     """
     A, B, C, D, E, F = range(10, 16)
     lines = np.array([A, B, C, D] + [E, F] * 20)
@@ -249,6 +272,68 @@ def test_ways_load_ways_round_trip():
 
 
 # ----------------------------------------------------------------------
+# Which replay runs: the compiled kernel, or CacheSim without a compiler.
+
+
+def _warm_batch(rng):
+    """A cold and a warm-seeded stream, with CacheSim's expected results."""
+    specs = []
+    for n_sets, assoc, warm in ((16, 4, False), (8, 3, True)):
+        sim = CacheSim(n_sets * assoc * 8, assoc, 8)
+        if warm:
+            for line in _random_trace(rng, 300, n_sets * assoc * 2).tolist():
+                sim.access_line(line)
+        seed = sim.ways() if warm else None
+        lines = _random_trace(rng, 700, n_sets * assoc * 2)
+        verdicts = np.array([sim.access_line(x) for x in lines.tolist()])
+        specs.append((lines, n_sets, assoc, seed, verdicts, sim.ways()))
+    return specs
+
+
+def _replay(specs):
+    batch = BatchedLRU()
+    handles = [
+        batch.add_stream(lines, n_sets, assoc, seed_ways=seed)
+        for lines, n_sets, assoc, seed, _, _ in specs
+    ]
+    batch.run()
+    for h, (*_, verdicts, ways) in zip(handles, specs):
+        assert np.array_equal(batch.hits_of(h), verdicts)
+        assert np.array_equal(batch.final_ways(h), ways)
+
+
+@pytest.mark.skipif(
+    not any(map(shutil.which, cache._COMPILERS)),
+    reason="no C compiler on PATH",
+)
+def test_compiled_kernel_runs_when_a_compiler_is_on_path(monkeypatch, tmp_path):
+    specs = _warm_batch(np.random.default_rng(21))
+    # Build afresh into an empty cache, and make any CacheSim replay fail.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(cache, "_kernel_fn", None)
+    monkeypatch.setattr(CacheSim, "access_line", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _replay(specs)
+    assert cache._kernel_fn
+    # Published under its final name only: no temporary file left behind.
+    assert [f.suffix for f in (tmp_path / ".cache/repro").iterdir()] == [".so"]
+
+
+def test_without_a_compiler_run_warns_once_and_replays_through_cachesim(
+    monkeypatch, tmp_path
+):
+    specs = _warm_batch(np.random.default_rng(22))
+    monkeypatch.setenv("HOME", str(tmp_path))  # no cached library
+    monkeypatch.setattr(cache, "_kernel_fn", None)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    with pytest.warns(RuntimeWarning, match="CacheSim") as record:
+        _replay(specs)
+        _replay(specs)
+    assert len(record) == 1
+
+
+# ----------------------------------------------------------------------
 # Property test: the way-matrix boundary against CacheSim, mixed batches.
 
 #: Set counts for the property batches, non-powers of two included.
@@ -277,11 +362,9 @@ def _line_lists(draw, n_sets, universe, max_size):
 def _mixed_batches(draw):
     """Stream specs ``(n_sets, assoc, prefix or None, lines)`` for one batch.
 
-    The batch's top associativity picks the regime: 2 keeps every stream
-    in the closed-form assoc 1/2 class, 4 mixes that class with the 3/4
-    class, 8 sends the batch down the generational path.  ``prefix`` warms
-    a CacheSim whose ways seed the stream (None = a cold, unseeded stream);
-    ``lines`` may be empty, seeded or not.
+    The batch's top associativity (2, 4 or 8) bounds every stream's.
+    ``prefix`` warms a CacheSim whose ways seed the stream (None = a cold,
+    unseeded stream); ``lines`` may be empty, seeded or not.
     """
     top = draw(st.sampled_from([2, 4, 8]))
     specs = []

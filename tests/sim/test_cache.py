@@ -18,6 +18,10 @@ class TestGeometry:
             CacheSim(0, 4, 32)
         with pytest.raises(ValueError):
             CacheSim(1000, 3, 32)  # not divisible
+        # bool is an int subclass, and floats would index sets by float.
+        for geometry in [(64, True, 32), (True, 1, 1), (64.0, 2, 32), (64, 2, 32.0)]:
+            with pytest.raises(ValueError):
+                CacheSim(*geometry)
 
 
 class TestBehaviour:
