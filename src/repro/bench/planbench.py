@@ -8,7 +8,9 @@ three report the same methodology:
   page-fault warm-up that is not planner work);
 * then ``repeats`` timed rounds, scalar and batched interleaved in the same
   process, taking the **minimum** per planner (the standard noise-robust
-  statistic for a deterministic workload);
+  statistic for a deterministic workload).  A round times as many
+  back-to-back passes as fill :data:`MIN_REGION_S`, so that a fast planner
+  is not timed over too short a region;
 * the batched plans are checked bit-for-bit against the scalar plans with
   :func:`repro.core.batchplan.plans_equal` before any timing is reported.
 """
@@ -16,7 +18,7 @@ three report the same methodology:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.batchplan import plan_workload_batched, plans_equal
 from repro.core.executor import Environment, QueryPlan, plan_query
@@ -24,6 +26,7 @@ from repro.core.queries import Query
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 
 __all__ = [
+    "MIN_REGION_S",
     "NN_CONFIGS",
     "PLAN_KINDS",
     "measure_plan_speedup",
@@ -42,6 +45,10 @@ NN_CONFIGS: tuple = (
 #: Query kinds the per-kind planbench can time (the ``--kinds`` selector).
 PLAN_KINDS: tuple = ("point", "range", "nn", "knn")
 
+#: Shortest timed region, in seconds: a round repeats a planner's pass
+#: until this much wall has passed (a batched NN pass takes milliseconds).
+MIN_REGION_S = 0.5
+
 
 def measure_plan_speedup(
     env: Environment,
@@ -56,7 +63,13 @@ def measure_plan_speedup(
 
         {"benchmark": "plan_speedup", "dataset": ..., "n_queries": ...,
          "n_configs": ..., "repeats": ..., "scalar_seconds": ...,
-         "batched_seconds": ..., "speedup": ..., "plans_equal": ...}
+         "batched_seconds": ..., "speedup": ..., "plans_equal": ...,
+         "min_region_s": ..., "scalar_region_seconds": ...,
+         "scalar_passes": ..., "batched_region_seconds": ...,
+         "batched_passes": ...}
+
+    ``*_seconds`` are per pass, in each planner's fastest round, whose wall
+    and passes are ``*_region_seconds`` and ``*_passes``.
 
     ``plans_equal`` is verified on the warm-up pass; the timed rounds replan
     from scratch each time (``reset_caches=True`` semantics on both sides).
@@ -83,17 +96,27 @@ def measure_plan_speedup(
         plans_equal(b, s) for b, s in zip(batched_grid, scalar_grid)
     )
 
-    scalar_s = float("inf")
-    batched_s = float("inf")
-    for _ in range(repeats):
+    def region(plan_once) -> Tuple[float, int]:
+        """One timed region: its wall seconds and its passes."""
+        passes = 0
         t0 = time.perf_counter()
-        scalar_once()
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        batched_once()
-        batched_s = min(batched_s, time.perf_counter() - t0)
+        while True:
+            plan_once()
+            passes += 1
+            wall = time.perf_counter() - t0
+            if wall >= MIN_REGION_S:
+                return wall, passes
 
-    return {
+    best = {"scalar": (float("inf"), 1), "batched": (float("inf"), 1)}
+    for _ in range(repeats):
+        for side, plan_once in (("scalar", scalar_once), ("batched", batched_once)):
+            wall, passes = region(plan_once)
+            if wall / passes < best[side][0] / best[side][1]:
+                best[side] = (wall, passes)
+    scalar_s = best["scalar"][0] / best["scalar"][1]
+    batched_s = best["batched"][0] / best["batched"][1]
+
+    record = {
         "benchmark": "plan_speedup",
         "dataset": env.dataset.name,
         "n_queries": len(queries),
@@ -103,7 +126,12 @@ def measure_plan_speedup(
         "batched_seconds": batched_s,
         "speedup": scalar_s / batched_s if batched_s > 0 else float("inf"),
         "plans_equal": equal,
+        "min_region_s": MIN_REGION_S,
     }
+    for side, (wall, passes) in best.items():
+        record[f"{side}_region_seconds"] = wall
+        record[f"{side}_passes"] = passes
+    return record
 
 
 def _kind_workload(env: Environment, kind: str, runs: int):
@@ -148,9 +176,7 @@ def measure_plan_speedup_kinds(
     rows: Dict[str, Dict[str, object]] = {}
     for kind in kinds:
         queries, configs = _kind_workload(env, kind, runs)
-        rows[kind] = measure_plan_speedup(
-            env, queries, configs, repeats=repeats
-        )
+        rows[kind] = measure_plan_speedup(env, queries, configs, repeats=repeats)
     return {
         "benchmark": "plan_speedup_kinds",
         "dataset": env.dataset.name,

@@ -8,18 +8,16 @@ the *identical* :class:`~repro.core.executor.QueryPlan` objects in three
 vectorized stages:
 
 1. **Phase data** (:func:`compute_query_phases`): every point/range query in
-   the workload is filtered in one level-synchronous sweep of the packed
-   R-tree (:func:`repro.spatial.batchtraverse.batch_filter`) and refined in
-   one bulk :mod:`~repro.spatial.vecgeom` call over the concatenated
-   candidate sets.  The result per query — candidate ids, answer ids, and
-   per-phase :class:`PhaseTrace` records (operation counts + the ordered
-   memory-touch arrays) — is *placement-free*: schemes differ in where
-   phases run, never in what they compute.  NN/k-NN queries run through the
-   batched best-first engine (:func:`repro.spatial.batchnn.batch_nearest`),
+   the workload is filtered in one call of the compiled depth-first filter
+   (:func:`repro.spatial.batchtraverse.batch_filter`) and refined in one
+   bulk :mod:`~repro.spatial.vecgeom` call over the concatenated candidate
+   sets.  The result per query — candidate ids, answer ids, and per-phase
+   :class:`PhaseTrace` records (operation counts + the ordered memory-touch
+   arrays) — is *placement-free*: schemes differ in where phases run, never
+   in what they compute.  NN/k-NN queries run through the compiled
+   best-first search (:func:`repro.spatial.batchtraverse.batch_nearest`),
    which reproduces each query's scalar heap-pop order, tie-breaks and op
-   tallies exactly while doing the MINDIST and exact-distance arithmetic
-   vectorized across the whole batch; its visit/refine logs land in the
-   same trace form.
+   tallies exactly; its visit/refine logs land in the same trace form.
 2. **Cache replay**: for each scheme configuration the client/server phase
    traces are concatenated into per-side access streams (exactly the line
    sequence the scalar path would feed ``CacheSim``) and simulated together
@@ -73,8 +71,7 @@ from repro.sim.cache import BatchedLRU
 from repro.sim.cpu import _INDEX_STRIDE, _REGION_BASE
 from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
 from repro.spatial import vecgeom
-from repro.spatial.batchnn import batch_nearest
-from repro.spatial.batchtraverse import batch_filter
+from repro.spatial.batchtraverse import batch_filter, batch_nearest
 
 __all__ = [
     "PhaseTrace",
@@ -305,8 +302,8 @@ def _nn_phases_batch(
 ) -> Dict[tuple, QueryPhases]:
     """Phase data for every distinct NN/k-NN query in one batched search.
 
-    :func:`repro.spatial.batchnn.batch_nearest` hands back, per query, the
-    scalar tallies plus the visit/refine log in exact pop order; the log
+    :func:`repro.spatial.batchtraverse.batch_nearest` hands back, per query,
+    the scalar tallies plus the visit/refine log in exact pop order; the log
     maps directly onto trace arrays — index-region node touches sized by
     the node-bytes table, data-region segment fetches sized by the record
     stride — which is precisely the access sequence the scalar search

@@ -13,6 +13,7 @@ segment (four float32 coordinates plus an id and a fixed-width name payload).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,7 +34,7 @@ class SegmentDataset:
     name:
         Human-readable dataset label (``"PA"``, ``"NYC"``, …).
     x1, y1, x2, y2:
-        Endpoint coordinate columns, each shape ``(n,)`` float64.
+        Endpoint coordinate columns, each shape ``(n,)`` float64, all finite.
     extent:
         The MBR of the whole dataset (precomputed at construction).
     costs:
@@ -55,13 +56,19 @@ class SegmentDataset:
             raise ValueError("coordinate columns must have equal length")
         if n == 0:
             raise ValueError("a dataset must contain at least one segment")
+        lo, hi = {}, {}
         for attr in ("x1", "y1", "x2", "y2"):
-            setattr(self, attr, np.ascontiguousarray(getattr(self, attr), dtype=np.float64))
+            col = np.ascontiguousarray(getattr(self, attr), dtype=np.float64)
+            setattr(self, attr, col)
+            # min and max propagate NaN, so finite bounds mean a finite column.
+            lo[attr], hi[attr] = float(col.min()), float(col.max())
+            if not (math.isfinite(lo[attr]) and math.isfinite(hi[attr])):
+                raise ValueError(f"coordinate column {attr} must be finite")
         self.extent = MBR(
-            float(min(self.x1.min(), self.x2.min())),
-            float(min(self.y1.min(), self.y2.min())),
-            float(max(self.x1.max(), self.x2.max())),
-            float(max(self.y1.max(), self.y2.max())),
+            min(lo["x1"], lo["x2"]),
+            min(lo["y1"], lo["y2"]),
+            max(hi["x1"], hi["x2"]),
+            max(hi["y1"], hi["y2"]),
         )
 
     # ------------------------------------------------------------------

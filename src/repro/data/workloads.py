@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,12 +62,25 @@ __all__ = [
 DEFAULT_RUNS = 100
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise unless ``value`` is a non-bool integer ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_area_fracs(min_area_frac: float, max_area_frac: float) -> None:
+    """Raise unless ``0 < min <= max <= 1`` (which rules out NaN too)."""
+    if not (0 < min_area_frac <= max_area_frac <= 1.0):
+        raise ValueError("area fractions must satisfy 0 < min <= max <= 1")
+
+
 def point_queries(
     ds: SegmentDataset, n: int = DEFAULT_RUNS, seed: int = 11
 ) -> List[PointQuery]:
     """``n`` point queries anchored on random segment endpoints."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, ds.size, size=n)
     which_end = rng.integers(0, 2, size=n)
@@ -121,10 +135,8 @@ def range_queries(
     Figure 5 bars imply: ~400-500 candidates per range query on the PA
     dataset.  Pass the paper's literal fractions to override.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if not (0 < min_area_frac <= max_area_frac <= 1.0):
-        raise ValueError("area fractions must satisfy 0 < min <= max <= 1")
+    _check_count("n", n, 1)
+    _check_area_fracs(min_area_frac, max_area_frac)
     rng = np.random.default_rng(seed)
     anchors = rng.integers(0, ds.size, size=n)
     out: List[RangeQuery] = []
@@ -139,8 +151,7 @@ def nn_queries(
     ds: SegmentDataset, n: int = DEFAULT_RUNS, seed: int = 17
 ) -> List[NNQuery]:
     """``n`` NN queries at uniformly random points in the extent."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(ds.extent.xmin, ds.extent.xmax, size=n)
     ys = rng.uniform(ds.extent.ymin, ds.extent.ymax, size=n)
@@ -152,10 +163,8 @@ def knn_queries(
 ) -> List[KNNQuery]:
     """``n`` k-NN queries at uniformly random points, ``k`` uniform in
     ``[1, max_k]`` so the workload mixes single-NN with deeper searches."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    _check_count("n", n, 1)
+    _check_count("max_k", max_k, 1)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(ds.extent.xmin, ds.extent.xmax, size=n)
     ys = rng.uniform(ds.extent.ymin, ds.extent.ymax, size=n)
@@ -182,10 +191,13 @@ def proximity_sequence(
     neighbourhood, they can be answered from client memory.  ``y = 0``
     degenerates to independent anchor queries.
     """
-    if y < 0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if n_groups <= 0:
-        raise ValueError(f"n_groups must be positive, got {n_groups}")
+    _check_count("y", y, 0)
+    _check_count("n_groups", n_groups, 1)
+    if not 0.0 <= local_radius_frac <= 1.0:
+        raise ValueError(
+            f"local_radius_frac must be in [0, 1], got {local_radius_frac}"
+        )
+    _check_area_fracs(min_area_frac, max_area_frac)
     rng = np.random.default_rng(seed)
     ext = ds.extent
     radius = local_radius_frac * min(ext.width, ext.height)
@@ -320,11 +332,10 @@ def client_fleet(
     fleet gets a finite energy budget near that value; everyone else is
     mains-powered.
     """
-    if n_clients <= 0:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    if not (0 < rate_qps[0] <= rate_qps[1]):
+    _check_count("n_clients", n_clients, 1)
+    if not (0 < rate_qps[0] <= rate_qps[1] < math.inf):
         raise ValueError(
-            f"rate_qps must satisfy 0 < lo <= hi, got {rate_qps}"
+            f"rate_qps must satisfy 0 < lo <= hi < inf, got {rate_qps}"
         )
     if not (0.0 <= low_battery_fraction <= 1.0):
         raise ValueError(
@@ -435,12 +446,11 @@ def fleet_query_stream(
     """
     if not fleet:
         raise ValueError("fleet must contain at least one ClientProfile")
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     if not (0.0 <= hot_fraction <= 1.0):
         raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
-    if hot_pool < 0:
-        raise ValueError(f"hot_pool must be >= 0, got {hot_pool}")
+    _check_count("hot_pool", hot_pool, 0)
     pool_rng = np.random.default_rng(seed)
     pools = {
         "point": [_one_query(ds, pool_rng, "point") for _ in range(hot_pool)],

@@ -19,17 +19,12 @@ by :mod:`repro.sim.cpu`.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import sysconfig
-import tempfile
-import warnings
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
+
+from repro import native
 
 __all__ = ["CacheSim", "BatchedLRU"]
 
@@ -172,62 +167,26 @@ def _check_ways(ways, n_sets: int, assoc: int) -> np.ndarray:
 
 
 _SOURCE = Path(__file__).with_name("lru.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
-_COMPILERS = ("cc", "gcc", "clang")
 #: The loaded ``lru_run`` kernel; False once the CacheSim fallback has warned.
 _kernel_fn = None
 
 
-def _build_kernel():
-    """``lru.c``'s ``lru_run``, compiled on first use into a per-user cache.
-
-    The library's name carries a hash of the source, the flags and the
-    platform, so an edit rebuilds it; it is compiled to a temporary name and
-    published with ``os.replace``, so no process loads a half-written file.
-    """
-    plat = sysconfig.get_platform()
-    key = hashlib.sha256(
-        _SOURCE.read_bytes() + " ".join(_CFLAGS + (plat,)).encode()
-    ).hexdigest()[:16]
-    lib = Path.home() / ".cache" / "repro" / f"lru-{plat}-{key}.so"
-    if not lib.exists():
-        cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
-        if cc is None:
-            raise OSError(f"no C compiler ({', '.join(_COMPILERS)}) on PATH")
-        lib.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-        os.close(fd)
-        try:
-            subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
-                check=True,
-                capture_output=True,
-            )
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib)).lru_run
-    i64 = ctypes.c_int64
-    fn.argtypes = (ctypes.c_void_p, i64, i64, i64, ctypes.c_void_p, ctypes.c_void_p)
-    fn.restype = None
-    return fn
-
-
 def _kernel():
-    """The compiled kernel, or None (after one RuntimeWarning) without it."""
+    """``lru.c``'s ``lru_run``, or None (after one RuntimeWarning) without a
+    C compiler."""
     global _kernel_fn
     if _kernel_fn is None:
-        try:
-            _kernel_fn = _build_kernel()
-        except (OSError, subprocess.CalledProcessError) as exc:
-            warnings.warn(
-                f"cannot build the LRU kernel ({exc}); BatchedLRU replays "
-                "through CacheSim instead, exactly but slower",
-                RuntimeWarning,
-                stacklevel=3,
+        lib = native.load(
+            _SOURCE, "BatchedLRU replays through CacheSim instead, exactly but slower"
+        )
+        _kernel_fn = False
+        if lib is not None:
+            _kernel_fn = lib.lru_run
+            i64 = ctypes.c_int64
+            _kernel_fn.argtypes = (
+                ctypes.c_void_p, i64, i64, i64, ctypes.c_void_p, ctypes.c_void_p
             )
-            _kernel_fn = False
+            _kernel_fn.restype = None
     return _kernel_fn or None
 
 

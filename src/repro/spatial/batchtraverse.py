@@ -1,45 +1,128 @@
-"""Level-synchronous batched filtering over the packed R-tree.
+"""Batched R-tree searches: the scalar loops of :mod:`repro.spatial.rtree`
+compiled (``traverse.c``), a whole query batch per call.
 
-The scalar filters in :mod:`repro.spatial.rtree` walk one query at a time
-down the tree with a Python stack.  This module traverses a whole workload
-of window/point queries at once, exploiting the structure-of-arrays layout
-the tree was designed for: the live frontier is a flat array of
-``(query, node)`` pairs, and each tree level is expanded with one NumPy
-broadcast of every frontier node's children against its query's window.
-Point queries ride the same code path as degenerate windows
-``(px, py, px, py)`` — the comparisons are term-for-term the scalar
-``point_filter`` test, so the matched sets are identical.
+The batched planner replays each query's index-node visits and refinements
+through the cache models, so each kernel is a line-for-line port of its
+scalar search and gives, per query, bit-for-bit what the scalar search
+gives:
 
-Exactness contract (the batched planner depends on it):
+* :func:`batch_filter` runs ``filter_run``, the port of
+  :meth:`~repro.spatial.rtree.PackedRTree.range_filter`: the same
+  candidates, depth-first preorder of visited nodes and MBR-test tallies.
+  A point query is the window ``(px, py, px, py)``, whose four comparisons
+  are then term-for-term ``point_filter``'s.
+* :func:`batch_nearest` runs ``nn_run``, the port of
+  :meth:`~repro.spatial.rtree.PackedRTree.nearest_neighbors`: the answer
+  ids in ``(distance, id)`` order, the op tallies, and the ordered
+  visit/refine log, distance ties included.
 
-* the *set* of visited nodes and matched entries per query equals the
-  scalar traversal's, because each (node, window) test is the same four
-  float comparisons;
-* the *order* of visited nodes per query equals the scalar DFS preorder.
-  Level-synchronous expansion produces BFS order, so visited nodes are
-  re-sorted by ``(entry-span start, -level)`` — span starts nest (an
-  ancestor shares its first child's span start and has strictly higher
-  level; disjoint subtrees have disjoint spans in traversal order), which
-  makes that sort key exactly preorder;
-* candidates per query are ordered by packed entry position, which is the
-  scalar DFS leaf-scan order (leaves are visited left to right).
-
-Everything returned is CSR-shaped: concatenated arrays plus per-query
-offsets, ready for bulk refinement and trace assembly without per-query
-Python loops.
+The library is built on first use (:func:`repro.native.load`); without a C
+compiler each query runs through the scalar search itself.  A tree's
+columns are handed to C once, as a struct of pointers kept on the tree
+(packed trees are immutable).  The kernels trust their inputs, so both
+entry points check them first.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
+from typing import List
 
 import numpy as np
 
+from repro import native
+from repro.sim.trace import REGION_DATA, OpCounter
+from repro.spatial.mbr import MBR
 from repro.spatial.rtree import PackedRTree
 
-__all__ = ["BatchFilterResult", "batch_filter"]
+__all__ = ["BatchFilterResult", "BatchNNResult", "batch_filter", "batch_nearest"]
+
+_SOURCE = Path(__file__).with_name("traverse.c")
+#: The loaded ``traverse.c``; False once the scalar fallback has warned.
+_lib = None
+
+_P = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+#: ``traverse.c``'s ``Tree``: these tree columns, read with these dtypes,
+#: then the dataset's endpoint columns and the root.
+_TREE_COLUMNS = (
+    ("node_xmin", np.float64), ("node_ymin", np.float64),
+    ("node_xmax", np.float64), ("node_ymax", np.float64),
+    ("node_level", np.int32), ("node_child_start", np.int64),
+    ("node_child_count", np.int64),
+    ("entry_xmin", np.float64), ("entry_ymin", np.float64),
+    ("entry_xmax", np.float64), ("entry_ymax", np.float64),
+    ("entry_ids", np.int64),
+)
+_SEGMENT_COLUMNS = ("x1", "y1", "x2", "y2")
 
 
+class _Tree(ctypes.Structure):
+    _fields_ = [(name, _P) for name, _ in _TREE_COLUMNS] + [
+        (name, _P) for name in _SEGMENT_COLUMNS
+    ] + [("root", _I64)]
+
+
+def _kernel():
+    """The ``traverse.c`` library, or None (after one RuntimeWarning) without
+    a C compiler."""
+    global _lib
+    if _lib is None:
+        lib = native.load(
+            _SOURCE,
+            "batch_filter and batch_nearest run the scalar PackedRTree "
+            "searches instead, exactly but slower",
+        )
+        _lib = False
+        if lib is not None:
+            lib.filter_run.argtypes = (
+                _P, _I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _P, _I64, _P, _P, _P,
+            )
+            lib.nn_run.argtypes = (
+                _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64, _P, _P, _P, _P,
+                _I64, _P, _P, _P,
+            )
+            lib.filter_run.restype = lib.nn_run.restype = _I64
+            _lib = lib
+    return _lib or None
+
+
+def _bind(tree: PackedRTree):
+    """``(address of tree's Tree struct, most children of any node)``."""
+    bound = getattr(tree, "_traverse_binding", None)
+    if bound is None:
+        cols = [
+            np.ascontiguousarray(getattr(tree, name), dtype=dtype)
+            for name, dtype in _TREE_COLUMNS
+        ] + [
+            np.ascontiguousarray(getattr(tree.dataset, name), dtype=np.float64)
+            for name in _SEGMENT_COLUMNS
+        ]
+        struct = _Tree(*(c.ctypes.data for c in cols), tree.root)
+        # The struct and the arrays it points into live as long as the tree.
+        bound = (ctypes.addressof(struct), int(tree.node_child_count.max()), struct, cols)
+        tree._traverse_binding = bound
+    return bound[:2]
+
+
+def _grow(buf: np.ndarray, used: int) -> np.ndarray:
+    """``buf`` at twice its size, its first ``used`` items copied."""
+    out = np.empty(max(2 * buf.size, 16), dtype=buf.dtype)
+    out[:used] = buf[:used]
+    return out
+
+
+def _offsets(sizes) -> np.ndarray:
+    """CSR offsets ``[0, s0, s0 + s1, ...]`` of the given sizes."""
+    return np.concatenate(([0], np.cumsum(np.fromiter(sizes, dtype=np.int64))))
+
+
+# ----------------------------------------------------------------------
+# Window filter
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BatchFilterResult:
     """Per-query traversal output in CSR form (query-major, offsets aligned)."""
@@ -71,16 +154,6 @@ class BatchFilterResult:
         return self.cand_ids[self.cand_offsets[i] : self.cand_offsets[i + 1]]
 
 
-def _csr_offsets(group: np.ndarray, n_groups: int) -> np.ndarray:
-    """``(n_groups + 1,)`` offsets of sorted group labels."""
-    counts = np.bincount(group, minlength=n_groups) if group.size else np.zeros(
-        n_groups, dtype=np.int64
-    )
-    offsets = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
 def batch_filter(
     tree: PackedRTree,
     qxmin: np.ndarray,
@@ -88,82 +161,214 @@ def batch_filter(
     qxmax: np.ndarray,
     qymax: np.ndarray,
 ) -> BatchFilterResult:
-    """Filter ``n`` windows against the tree in one level-synchronous sweep.
+    """Filter ``n`` windows against the tree, each exactly as ``range_filter``.
 
-    A point query is passed as the degenerate window ``(px, py, px, py)``:
-    ``node_xmin <= qxmax`` then reads ``node_xmin <= px`` and so on — the
-    exact comparisons of ``point_filter``.
+    The four bounds are aligned 1-d arrays, with ``qxmin <= qxmax`` and
+    ``qymin <= qymax`` in every row (the :class:`~repro.spatial.mbr.MBR`
+    rule, which no NaN bound meets).
     """
-    qxmin = np.asarray(qxmin, dtype=np.float64)
-    qymin = np.asarray(qymin, dtype=np.float64)
-    qxmax = np.asarray(qxmax, dtype=np.float64)
-    qymax = np.asarray(qymax, dtype=np.float64)
-    nq = len(qxmin)
-    empty_i64 = np.empty(0, dtype=np.int64)
-    if nq == 0:
-        z = np.zeros(1, dtype=np.int64)
-        return BatchFilterResult(
-            visited=empty_i64, visited_offsets=z,
-            cand_positions=empty_i64, cand_ids=empty_i64, cand_offsets=z,
-            mbr_tests=empty_i64,
+    qxmin, qymin, qxmax, qymax = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (qxmin, qymin, qxmax, qymax)
+    )
+    if not (qxmin.ndim == 1 and qxmin.shape == qymin.shape == qxmax.shape == qymax.shape):
+        raise ValueError("qxmin, qymin, qxmax and qymax must be aligned 1-d arrays")
+    if not np.all((qxmin <= qxmax) & (qymin <= qymax)):
+        raise ValueError("every window needs xmin <= xmax and ymin <= ymax, no NaN")
+    n = qxmin.size
+    lib = _kernel()
+    if lib is None:
+        return _scalar_filter(tree, qxmin, qymin, qxmax, qymax)
+    ptr, max_children = _bind(tree)
+    visited_offsets = np.zeros(n + 1, dtype=np.int64)
+    cand_offsets = np.zeros(n + 1, dtype=np.int64)
+    mbr_tests = np.empty(n, dtype=np.int64)
+    # A pending-sibling run per internal level, plus the root.
+    stack = np.empty(tree.height * max_children + 1, dtype=np.int64)
+    # Room for a typical window; a batch that needs more grows and resumes.
+    visited = np.empty(16 * n + 256, dtype=np.int64)
+    cand = np.empty(32 * n + 1024, dtype=np.int64)
+    done = 0
+    while done < n:
+        done = lib.filter_run(
+            ptr, done, n,
+            qxmin.ctypes.data, qymin.ctypes.data,
+            qxmax.ctypes.data, qymax.ctypes.data,
+            visited.ctypes.data, visited.size, visited_offsets.ctypes.data,
+            cand.ctypes.data, cand.size, cand_offsets.ctypes.data,
+            mbr_tests.ctypes.data, stack.ctypes.data,
         )
-
-    # Frontier: (query, node) pairs, one uniform tree level at a time.
-    fq = np.arange(nq, dtype=np.int64)
-    fn = np.full(nq, tree.root, dtype=np.int64)
-    vq_parts = [fq]
-    vn_parts = [fn]
-    cand_q = empty_i64
-    cand_pos = empty_i64
-    while fn.size:
-        counts = tree.node_child_count[fn].astype(np.int64)
-        starts = tree.node_child_start[fn].astype(np.int64)
-        total = int(counts.sum())
-        run_starts = np.cumsum(counts) - counts
-        child = np.repeat(starts - run_starts, counts) + np.arange(total, dtype=np.int64)
-        cq = np.repeat(fq, counts)
-        if tree.node_level[fn[0]] == 0:
-            # Leaf frontier: children are packed entry positions.
-            hit = (
-                (tree.entry_xmin[child] <= qxmax[cq])
-                & (tree.entry_xmax[child] >= qxmin[cq])
-                & (tree.entry_ymin[child] <= qymax[cq])
-                & (tree.entry_ymax[child] >= qymin[cq])
-            )
-            cand_q = cq[hit]
-            cand_pos = child[hit]
-            break
-        hit = (
-            (tree.node_xmin[child] <= qxmax[cq])
-            & (tree.node_xmax[child] >= qxmin[cq])
-            & (tree.node_ymin[child] <= qymax[cq])
-            & (tree.node_ymax[child] >= qymin[cq])
-        )
-        fq = cq[hit]
-        fn = child[hit]
-        vq_parts.append(fq)
-        vn_parts.append(fn)
-
-    vq = np.concatenate(vq_parts)
-    vn = np.concatenate(vn_parts)
-    mbr_tests = np.bincount(
-        vq, weights=tree.node_child_count[vn], minlength=nq
-    ).astype(np.int64)
-
-    # BFS -> DFS preorder: (query, span start, -level).
-    spans = tree.entry_span_start()
-    order = np.lexsort((-tree.node_level[vn].astype(np.int64), spans[vn], vq))
-    visited = vn[order]
-    visited_offsets = _csr_offsets(vq, nq)
-
-    order = np.lexsort((cand_pos, cand_q))
-    cand_q = cand_q[order]
-    cand_pos = cand_pos[order]
+        if done < n:
+            if visited_offsets[done + 1] == visited.size:
+                visited = _grow(visited, visited_offsets[done])
+            else:
+                cand = _grow(cand, cand_offsets[done])
+    cand = cand[: cand_offsets[n]]
     return BatchFilterResult(
-        visited=visited,
+        visited=visited[: visited_offsets[n]],
         visited_offsets=visited_offsets,
-        cand_positions=cand_pos,
-        cand_ids=tree.entry_ids[cand_pos],
-        cand_offsets=_csr_offsets(cand_q, nq),
+        cand_positions=cand,
+        cand_ids=tree.entry_ids[cand],
+        cand_offsets=cand_offsets,
         mbr_tests=mbr_tests,
+    )
+
+
+def _scalar_filter(tree, qxmin, qymin, qxmax, qymax) -> BatchFilterResult:
+    """:func:`batch_filter` through ``range_filter``, one window at a time."""
+    visited, cands, mbr_tests = [], [], []
+    for window in zip(qxmin.tolist(), qymin.tolist(), qxmax.tolist(), qymax.tolist()):
+        counter = OpCounter(record_trace=True)
+        ids = tree.range_filter(MBR(*window), counter)
+        visited.append([a.object_id for a in counter.trace])
+        cands.append(tree.entry_positions_for_ids(ids))
+        mbr_tests.append(counter.mbr_tests)
+    cand = np.concatenate(cands) if cands else np.empty(0, dtype=np.int64)
+    return BatchFilterResult(
+        visited=np.fromiter((v for vs in visited for v in vs), dtype=np.int64),
+        visited_offsets=_offsets(len(v) for v in visited),
+        cand_positions=cand,
+        cand_ids=tree.entry_ids[cand],
+        cand_offsets=_offsets(c.size for c in cands),
+        mbr_tests=np.asarray(mbr_tests, dtype=np.int64),
+    )
+
+
+# ----------------------------------------------------------------------
+# Best-first (k-)NN
+# ----------------------------------------------------------------------
+@dataclass
+class BatchNNResult:
+    """Per-query outputs of one batched NN/k-NN search.
+
+    ``answer_ids[i]`` are query ``i``'s result ids, nearest first (scalar
+    order, including the ``(distance, id)`` final sort).  The visit/refine
+    log is ``(trace_is_entry[i], trace_ids[i])``: in pop order, ``True``
+    rows are candidate-segment refinements (data-region touches), ``False``
+    rows are index-node visits.  Count arrays are the scalar OpCounter
+    tallies; ``distance_evals`` always equals ``candidates_refined`` for
+    this query kind.
+    """
+
+    answer_ids: List[np.ndarray]
+    trace_is_entry: List[np.ndarray]
+    trace_ids: List[np.ndarray]
+    nodes_visited: np.ndarray
+    mbr_tests: np.ndarray
+    candidates_refined: np.ndarray
+    heap_ops: np.ndarray
+    results_produced: np.ndarray
+    # The per-query trace arrays above are views into these flat logs;
+    # query ``i`` owns rows ``[log_ends[i-1], log_ends[i])``.  Consumers
+    # that post-process the whole batch (the planner's phase builder) work
+    # on the flat arrays directly instead of re-concatenating the views.
+    flat_is_entry: np.ndarray = None  # type: ignore[assignment]
+    flat_ids: np.ndarray = None  # type: ignore[assignment]
+    log_ends: np.ndarray = None  # type: ignore[assignment]
+
+
+def batch_nearest(tree: PackedRTree, px, py, ks) -> BatchNNResult:
+    """Best-first (k-)NN for every query at once, bit-identical per query.
+
+    ``px``/``py``/``ks`` are aligned 1-d arrays: query ``i`` asks for the
+    ``ks[i]`` segments nearest to the finite point ``(px[i], py[i])``, with
+    ``ks[i]`` a (non-bool) integer ``>= 1``.  Equivalent, query by query, to
+    ``tree.nearest_neighbors(px[i], py[i], ks[i], counter)`` — same answer
+    ids, tallies, and visit/refine order.
+    """
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    py = np.ascontiguousarray(py, dtype=np.float64)
+    ks = np.asarray(ks)
+    if not (px.ndim == 1 and px.shape == py.shape == ks.shape):
+        raise ValueError("px, py and ks must be aligned 1-d arrays")
+    if ks.size and ks.dtype.kind not in "iu":
+        raise ValueError(f"ks must be integers, got {ks.dtype}")
+    ks = np.ascontiguousarray(ks, dtype=np.int64)
+    if ks.size and int(ks.min()) < 1:
+        bad = int(ks[ks < 1][0])
+        raise ValueError(f"k must be >= 1, got {bad}")
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ValueError("query points must be finite")
+    n = px.size
+    lib = _kernel()
+    if lib is None:
+        return _scalar_nearest(tree, px, py, ks)
+    ptr, max_children = _bind(tree)
+    # Every query keeps min(k, entries) answers at most; the best-k set
+    # holds one more between a push and its eviction.  A heap or best-k
+    # item is four words.
+    kept = np.minimum(ks, tree.entry_ids.size)
+    tallies = np.empty((5, n), dtype=np.int64)
+    log_offsets = np.zeros(n + 1, dtype=np.int64)
+    ans_offsets = np.zeros(n + 1, dtype=np.int64)
+    ans = np.empty(int(kept.sum()), dtype=np.int64)
+    best = np.empty(4 * (int(kept.max(initial=0)) + 1), dtype=np.int64)
+    mind = np.empty(max_children, dtype=np.float64)
+    order = np.empty(max_children, dtype=np.int64)
+    # Room for a typical search; a batch that needs more grows and resumes.
+    log_entry = np.empty(16 * n + 256, dtype=bool)
+    log_id = np.empty(log_entry.size, dtype=np.int64)
+    heap = np.empty(4 * 1024, dtype=np.int64)
+    done = 0
+    while done < n:
+        done = lib.nn_run(
+            ptr, done, n,
+            px.ctypes.data, py.ctypes.data, ks.ctypes.data, tallies.ctypes.data,
+            log_entry.ctypes.data, log_id.ctypes.data, log_id.size,
+            log_offsets.ctypes.data, ans.ctypes.data, ans_offsets.ctypes.data,
+            heap.ctypes.data, heap.size // 4, best.ctypes.data,
+            mind.ctypes.data, order.ctypes.data,
+        )
+        if done < n:
+            if log_offsets[done + 1] == log_id.size:
+                used = log_offsets[done]
+                log_entry = _grow(log_entry, used)
+                log_id = _grow(log_id, used)
+            else:
+                heap = _grow(heap, 0)
+    end = log_offsets[n]
+    return _nn_result(
+        ans[: ans_offsets[n]], ans_offsets, log_entry[:end], log_id[:end],
+        log_offsets, tallies,
+    )
+
+
+def _scalar_nearest(tree, px, py, ks) -> BatchNNResult:
+    """:func:`batch_nearest` through ``nearest_neighbors``, one query at a
+    time."""
+    answers, counters = [], []
+    for x, y, k in zip(px.tolist(), py.tolist(), ks.tolist()):
+        counters.append(OpCounter(record_trace=True))
+        answers.append(tree.nearest_neighbors(x, y, k, counters[-1]))
+    trace = [a for c in counters for a in c.trace]
+    tallies = [
+        (c.nodes_visited, c.mbr_tests, c.candidates_refined, c.heap_ops,
+         c.results_produced)
+        for c in counters
+    ]
+    return _nn_result(
+        np.concatenate(answers) if answers else np.empty(0, dtype=np.int64),
+        _offsets(a.size for a in answers),
+        np.array([a.region == REGION_DATA for a in trace], dtype=bool),
+        np.array([a.object_id for a in trace], dtype=np.int64),
+        _offsets(len(c.trace) for c in counters),
+        np.array(tallies, dtype=np.int64).reshape(-1, 5).T,
+    )
+
+
+def _nn_result(ans, ans_offsets, log_entry, log_id, log_offsets, tallies) -> BatchNNResult:
+    """The :class:`BatchNNResult` over flat CSR arrays, per-query views cut."""
+    a = ans_offsets.tolist()
+    o = log_offsets.tolist()
+    return BatchNNResult(
+        answer_ids=[ans[lo:hi] for lo, hi in zip(a, a[1:])],
+        trace_is_entry=[log_entry[lo:hi] for lo, hi in zip(o, o[1:])],
+        trace_ids=[log_id[lo:hi] for lo, hi in zip(o, o[1:])],
+        nodes_visited=tallies[0],
+        mbr_tests=tallies[1],
+        candidates_refined=tallies[2],
+        heap_ops=tallies[3],
+        results_produced=tallies[4],
+        flat_is_entry=log_entry,
+        flat_ids=log_id,
+        log_ends=log_offsets[1:],
     )

@@ -291,28 +291,6 @@ class PackedRTree:
             self._node_bytes_array = sizes
         return sizes
 
-    def entry_span_start(self) -> np.ndarray:
-        """Per-node position of its subtree's first packed entry (cached).
-
-        A leaf's span starts at its ``node_child_start``; an internal node
-        inherits its first child's span start (children are contiguous and
-        ordered).  Sorting visited nodes of one query by ``(span start,
-        -level)`` reproduces the scalar depth-first preorder, which is how
-        the batched traversal recovers the exact scalar trace order.
-        """
-        spans = getattr(self, "_entry_span_start", None)
-        if spans is None:
-            spans = np.empty(self.node_count, dtype=np.int64)
-            leaf = self.node_level == 0
-            spans[leaf] = self.node_child_start[leaf]
-            # Children precede parents level by level, so one pass per level
-            # upward resolves every internal node vectorized.
-            for lvl in range(1, self.height):
-                sel = self.node_level == lvl
-                spans[sel] = spans[self.node_child_start[sel]]
-            self._entry_span_start = spans
-        return spans
-
     # ------------------------------------------------------------------
     # Filtering queries
     # ------------------------------------------------------------------

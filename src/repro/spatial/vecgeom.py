@@ -71,10 +71,10 @@ def mbr_mindist_sq(
     Row ``i`` is the squared distance from ``(px[i], py[i])`` to the nearest
     point of box ``i`` (zero when the point lies inside).  The expression —
     ``max(max(lo - p, p - hi), 0)`` per axis, then the sum of squares — is
-    the exact arithmetic of the best-first NN loop in
-    :meth:`repro.spatial.rtree.PackedRTree.nearest_neighbors`, evaluated in
-    the same operation order so the batched search reproduces its bounds bit
-    for bit.
+    the bound of the best-first NN loop in
+    :meth:`repro.spatial.rtree.PackedRTree.nearest_neighbors`; ``traverse.c``
+    evaluates it in the same operation order, so the compiled search
+    reproduces its bounds bit for bit.
     """
     dx = np.maximum(np.maximum(xmin - px, px - xmax), 0.0)
     dy = np.maximum(np.maximum(ymin - py, py - ymax), 0.0)

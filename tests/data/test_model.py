@@ -35,6 +35,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SegmentDataset("bad", np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
 
+    @pytest.mark.parametrize(
+        "col, value", [("x1", np.nan), ("y1", np.inf), ("x2", -np.inf), ("y2", np.nan)]
+    )
+    def test_non_finite_coordinates_raise(self, col, value):
+        cols = {c: np.zeros(3) for c in ("x1", "y1", "x2", "y2")}
+        cols[col][1] = value
+        with pytest.raises(ValueError, match=f"{col} must be finite"):
+            SegmentDataset("bad", **cols)
+
     def test_columns_contiguous_float64(self):
         ds = SegmentDataset(
             "t",

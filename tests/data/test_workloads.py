@@ -7,6 +7,9 @@ import pytest
 
 from repro.core.queries import NNQuery, PointQuery, RangeQuery
 from repro.data.workloads import (
+    client_fleet,
+    fleet_query_stream,
+    knn_queries,
     nn_queries,
     point_queries,
     proximity_sequence,
@@ -111,3 +114,45 @@ class TestProximitySequence:
             proximity_sequence(pa_small, y=-1)
         with pytest.raises(ValueError):
             proximity_sequence(pa_small, y=1, n_groups=0)
+
+
+_GENERATORS = {
+    "point": point_queries,
+    "range": range_queries,
+    "nn": nn_queries,
+    "knn": knn_queries,
+    "proximity": lambda ds, n, y=2, **kw: proximity_sequence(ds, y, n_groups=n, **kw),
+    "fleet": lambda ds, n, **kw: client_fleet(n, **kw),
+    "stream": lambda ds, n, duration_s=1.0: fleet_query_stream(
+        ds, client_fleet(3), duration_s=duration_s, hot_pool=n
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, error",
+    [(kind, {"n": bad}, TypeError) for kind in _GENERATORS
+     for bad in (True, 2.5, float("nan"))]
+    + [
+        ("knn", {"max_k": True}, TypeError),
+        ("knn", {"max_k": 2.5}, TypeError),
+        ("knn", {"max_k": 0}, ValueError),
+        ("range", {"min_area_frac": float("nan")}, ValueError),
+        ("range", {"max_area_frac": float("inf")}, ValueError),
+        ("proximity", {"y": True}, TypeError),
+        ("proximity", {"y": float("nan")}, TypeError),
+        ("proximity", {"y": -1}, ValueError),
+        ("proximity", {"local_radius_frac": -1}, ValueError),
+        ("proximity", {"local_radius_frac": float("nan")}, ValueError),
+        ("proximity", {"min_area_frac": 0}, ValueError),
+        ("proximity", {"min_area_frac": 0.001, "max_area_frac": 0.0001}, ValueError),
+        ("fleet", {"rate_qps": (1.0, float("inf"))}, ValueError),
+        ("stream", {"duration_s": float("inf")}, ValueError),
+        ("stream", {"duration_s": float("nan")}, ValueError),
+    ],
+)
+def test_generator_entry_checks(pa_small, make, kwargs, error):
+    """Bad counts and fractions fail at the generator's entry, typed."""
+    args = {"n": 3, **kwargs}
+    with pytest.raises(error):
+        _GENERATORS[make](pa_small, **args)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.sim import cache
 from repro.sim.cache import BatchedLRU, CacheSim
 
@@ -303,7 +304,7 @@ def _replay(specs):
 
 
 @pytest.mark.skipif(
-    not any(map(shutil.which, cache._COMPILERS)),
+    not any(map(shutil.which, native.COMPILERS)),
     reason="no C compiler on PATH",
 )
 def test_compiled_kernel_runs_when_a_compiler_is_on_path(monkeypatch, tmp_path):

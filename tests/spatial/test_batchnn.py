@@ -1,15 +1,17 @@
 """Differential suite: the batched best-first engine vs the scalar search.
 
-:func:`repro.spatial.batchnn.batch_nearest`'s contract is bit-for-bit
+:func:`repro.spatial.batchtraverse.batch_nearest`'s contract is bit-for-bit
 equality with :meth:`repro.spatial.rtree.PackedRTree.nearest_neighbors`
 per query: same answer ids in the same order, same OpCounter tallies, and
 the same ordered visit/refine log (every index-node touch and candidate
 fetch in exact scalar pop order).  Every test here runs both and compares
-everything, across the engine's two execution regimes — synchronized
-rounds for wide batches and the per-query scalar tail for narrow ones.
+everything: wide and narrow batches, ties, buffers that fill and resume,
+and the scalar fallback without a C compiler.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.data.model import SegmentDataset
 from repro.sim.trace import OpCounter, REGION_DATA
-from repro.spatial.batchnn import _SCALAR_TAIL, batch_nearest
+from repro.spatial import batchtraverse
+from repro.spatial.batchtraverse import batch_nearest
 from repro.spatial.rtree import PackedRTree
 
 
@@ -63,9 +66,9 @@ def tree() -> PackedRTree:
 
 
 def test_wide_batch_varied_k(tree):
-    """A batch wide enough to exercise the synchronized-round path."""
+    """A wide batch with mixed depths."""
     rng = np.random.default_rng(11)
-    n = 6 * _SCALAR_TAIL
+    n = 48
     px = rng.uniform(-50, 1050, n)
     py = rng.uniform(-50, 1050, n)
     ks = rng.integers(1, 10, n)
@@ -73,9 +76,9 @@ def test_wide_batch_varied_k(tree):
 
 
 def test_narrow_batch_scalar_tail(tree):
-    """Batches at or below the tail threshold finish per query."""
+    """Batches of one, two and a few queries."""
     rng = np.random.default_rng(12)
-    for n in (1, 2, _SCALAR_TAIL):
+    for n in (1, 2, 8):
         px = rng.uniform(0, 1000, n)
         py = rng.uniform(0, 1000, n)
         _assert_matches(tree, px, py, np.full(n, 3))
@@ -151,6 +154,14 @@ def test_validation_errors(tree):
         batch_nearest(tree, [0.0], [0.0], [0])
     with pytest.raises(ValueError, match="aligned"):
         batch_nearest(tree, [0.0, 1.0], [0.0], [1])
+    with pytest.raises(ValueError, match="aligned"):
+        batch_nearest(tree, [[0.0]], [[0.0]], [[1]])
+    for ks in ([2.5], [True]):
+        with pytest.raises(ValueError, match="ks must be integers"):
+            batch_nearest(tree, [0.0], [0.0], ks)
+    for x, y in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            batch_nearest(tree, [x], [y], [1])
 
 
 @given(
@@ -161,7 +172,7 @@ def test_validation_errors(tree):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hypothesis_random_batches(seed, n_seg, n_q):
-    """Random datasets, query points and depths, both execution regimes."""
+    """Random datasets, query points and depths."""
     ds = _random_dataset(seed, n_seg)
     tree = PackedRTree.build(ds)
     rng = np.random.default_rng(seed + 1)
@@ -169,3 +180,38 @@ def test_hypothesis_random_batches(seed, n_seg, n_q):
     py = rng.uniform(-100, 1100, n_q)
     ks = rng.integers(1, n_seg + 3, n_q)
     _assert_matches(tree, px, py, ks)
+
+
+def test_full_buffers_grow_and_resume(monkeypatch):
+    """A search longer than the initial log and heap: the batch stops at the
+    unfinished query, the full buffer grows, and the batch resumes there."""
+    # 1,500-entry leaves: expanding one pushes more items than the heap holds.
+    tree = PackedRTree.build(_random_dataset(16, 2000), node_capacity=1500)
+    grow = batchtraverse._grow
+    grown = []
+
+    def spy(buf, used):
+        grown.append(buf.dtype)
+        return grow(buf, used)
+
+    monkeypatch.setattr(batchtraverse, "_grow", spy)
+    _assert_matches(tree, [500.0, 20.0, 980.0], [500.0, 20.0, 5.0], [3, 2000, 5])
+    # The log grows its flags and ids together; the heap is int64 too.
+    n_log = grown.count(np.dtype(bool))
+    assert n_log >= 1 and grown.count(np.dtype(np.int64)) > n_log
+
+
+def test_without_a_compiler_runs_the_scalar_search_after_one_warning(
+    monkeypatch, tmp_path, tree
+):
+    monkeypatch.setenv("HOME", str(tmp_path))  # no cached library
+    monkeypatch.setattr(batchtraverse, "_lib", None)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    rng = np.random.default_rng(17)
+    px = rng.uniform(0, 1000, 12)
+    py = rng.uniform(0, 1000, 12)
+    ks = rng.integers(1, 6, 12)
+    with pytest.warns(RuntimeWarning, match="scalar PackedRTree") as record:
+        _assert_matches(tree, px, py, ks)
+        _assert_matches(tree, px, py, ks)
+    assert len(record) == 1

@@ -9,11 +9,16 @@ scalar filters (which record their own order via ``OpCounter``).
 
 from __future__ import annotations
 
+import shutil
+import warnings
+
 import numpy as np
 import pytest
 
+from repro import native
 from repro.sim.trace import REGION_INDEX, OpCounter
-from repro.spatial.batchtraverse import batch_filter
+from repro.spatial import batchtraverse
+from repro.spatial.batchtraverse import batch_filter, batch_nearest
 from repro.spatial.mbr import MBR
 from repro.spatial.rtree import PackedRTree
 
@@ -123,6 +128,23 @@ def test_empty_workload(tree):
     assert res.cand_ids.size == 0
 
 
+@pytest.mark.parametrize(
+    "bounds, match",
+    [
+        (([0.0, 1.0], [0.0], [2.0], [2.0]), "aligned"),
+        (([[0.0]], [[0.0]], [[2.0]], [[2.0]]), "aligned"),
+        (([3.0], [0.0], [2.0], [2.0]), "xmin <= xmax"),
+        (([0.0], [3.0], [2.0], [2.0]), "ymin <= ymax"),
+        (([np.nan], [0.0], [2.0], [2.0]), "no NaN"),
+        (([0.0], [0.0], [2.0], [np.nan]), "no NaN"),
+    ],
+    ids=["misaligned", "2-d", "xmin>xmax", "ymin>ymax", "nan-xmin", "nan-ymax"],
+)
+def test_malformed_windows_raise(tree, bounds, match):
+    with pytest.raises(ValueError, match=match):
+        batch_filter(tree, *bounds)
+
+
 @pytest.mark.parametrize("capacity", [2, 4, 25])
 def test_capacity_sweep(capacity):
     ds = _random_dataset(11, 150)
@@ -134,3 +156,66 @@ def test_capacity_sweep(capacity):
         assert np.array_equal(res.candidates_of(i), cands)
         assert np.array_equal(res.nodes_of(i), visited)
         assert res.mbr_tests[i] == tests
+
+
+def test_full_buffers_grow_and_resume(monkeypatch):
+    """A whole-extent window needs more visited and candidate slots than a
+    batch starts with: the batch stops at it, grows, and resumes there."""
+    t = PackedRTree.build(_random_dataset(13, 3000), node_capacity=4)
+    grow = batchtraverse._grow
+    grown = []
+
+    def spy(buf, used):
+        grown.append(buf.size)
+        return grow(buf, used)
+
+    monkeypatch.setattr(batchtraverse, "_grow", spy)
+    rects = [MBR(100.0, 100.0, 200.0, 150.0), MBR(-100.0, -100.0, 1100.0, 1100.0)]
+    res = _run_batch(t, rects)
+    assert len(grown) >= 2  # the visited log and the candidates
+    for i, rect in enumerate(rects):
+        cands, visited, tests = _scalar_visits(t, rect)
+        assert np.array_equal(res.candidates_of(i), cands)
+        assert np.array_equal(res.nodes_of(i), visited)
+        assert res.mbr_tests[i] == tests
+    assert res.candidates_of(1).size == 3000
+
+
+def test_without_a_compiler_runs_the_scalar_filter_after_one_warning(
+    monkeypatch, tmp_path, tree
+):
+    monkeypatch.setenv("HOME", str(tmp_path))  # no cached library
+    monkeypatch.setattr(batchtraverse, "_lib", None)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    rects = _windows(tree, 14, 10)
+    with pytest.warns(RuntimeWarning, match="scalar PackedRTree") as record:
+        _run_batch(tree, rects)
+        res = _run_batch(tree, rects)
+    assert len(record) == 1
+    for i, rect in enumerate(rects):
+        cands, visited, tests = _scalar_visits(tree, rect)
+        assert np.array_equal(res.candidates_of(i), cands)
+        assert np.array_equal(res.nodes_of(i), visited)
+        assert res.mbr_tests[i] == tests
+
+
+@pytest.mark.skipif(
+    not any(map(shutil.which, native.COMPILERS)), reason="no C compiler on PATH"
+)
+def test_compiled_kernels_run_when_a_compiler_is_on_path(monkeypatch, tmp_path, tree):
+    """Built afresh, the kernels answer with the scalar searches disabled."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(batchtraverse, "_lib", None)
+    rect = MBR(200.0, 200.0, 400.0, 300.0)
+    cands, visited, _ = _scalar_visits(tree, rect)
+    nearest = tree.nearest_neighbors(500.0, 500.0, 3)
+    monkeypatch.setattr(PackedRTree, "range_filter", None)
+    monkeypatch.setattr(PackedRTree, "nearest_neighbors", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _run_batch(tree, [rect])
+        nn = batch_nearest(tree, [500.0], [500.0], [3])
+    assert np.array_equal(res.candidates_of(0), cands)
+    assert np.array_equal(res.nodes_of(0), visited)
+    assert np.array_equal(nn.answer_ids[0], nearest)
+    assert [f.suffix for f in (tmp_path / ".cache/repro").iterdir()] == [".so"]
