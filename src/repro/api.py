@@ -20,9 +20,9 @@ deprecation cycle; this module is the one facade::
 Since the service arc, the machinery behind the facade lives in
 :class:`Engine`: one environment plus everything the batched runtime needs
 between calls — the plan cache (keyed on dataset fingerprint x workload x
-scheme, so repeated sweeps never re-plan), the phase-data cache, the compile
-cache for :mod:`repro.core.gridrun`, and an optional
-:class:`~repro.core.gridrun.RunLedger` that every phase reports into.
+scheme, so repeated sweeps never re-plan), the phase-data cache, and an
+optional :class:`~repro.core.gridrun.RunLedger` that every phase reports
+into.
 :class:`Session` is a thin single-user wrapper over an :class:`Engine`;
 :class:`repro.serve.QueryService` shares the same core for multi-tenant
 serving.  Construct an :class:`Engine` once and hand it to both when a
@@ -239,8 +239,7 @@ class Engine:
     The engine carries a :class:`~repro.core.gridrun.PlanCache` so identical
     (workload, scheme) requests are planned once, a
     :class:`~repro.core.batchplan.PhaseDataCache` so identical queries share
-    one traversal, a compile cache so plans are symbolically compiled once
-    per wire framing, and optionally a
+    one traversal, and optionally a
     :class:`~repro.core.gridrun.RunLedger` every phase reports into.  Both
     :class:`Session` (single user) and :class:`repro.serve.QueryService`
     (multi-tenant) are thin wrappers over an engine; sharing one engine
@@ -274,17 +273,17 @@ class Engine:
         self.dataset = self.env.dataset
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.ledger = ledger
-        self._fingerprint: Optional[str] = None
-        self.compile_cache: Dict[tuple, object] = {}
         self._phase_cache: Optional[PhaseDataCache] = None
 
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> str:
-        """The dataset's content hash (computed once, keys the plan cache)."""
-        if self._fingerprint is None:
-            self._fingerprint = dataset_fingerprint(self.dataset)
-        return self._fingerprint
+        """The dataset's content hash (keys the plan cache), computed once
+        per environment and kept on it."""
+        env = self.env
+        if env.fingerprint is None:
+            env.fingerprint = dataset_fingerprint(env.dataset)
+        return env.fingerprint
 
     @property
     def phase_cache(self) -> PhaseDataCache:
@@ -439,12 +438,7 @@ class Engine:
         :class:`~repro.core.gridrun.GridResult`, whose per-cell
         ``result(i, j)`` the service's per-query outcomes are built from.
         """
-        return price_grid(
-            list(plans),
-            self._as_policies(policies),
-            self.env,
-            compile_cache=self.compile_cache,
-        )
+        return price_grid(list(plans), self._as_policies(policies), self.env)
 
     def price(
         self,
@@ -489,10 +483,10 @@ class Session:
 
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
     :class:`~repro.core.executor.Environment`, or an :class:`Engine` to
-    share (its plan/phase/compile caches and ledger are adopted; the
+    share (its plan/phase caches and ledger are adopted; the
     ``plan_cache``/``ledger`` keywords then must stay unset).  The session
-    itself is a thin single-user wrapper: all caching, compilation and
-    ledger machinery lives on :attr:`engine`.
+    itself is a thin single-user wrapper: all caching and ledger machinery
+    lives on :attr:`engine`.
     """
 
     def __init__(

@@ -6,12 +6,16 @@ wait policies — but :func:`repro.core.executor.price_plan` walks one
 bench re-walks thousands of tiny plans serially.  This module prices the
 whole grid at once:
 
-1. :func:`compile_plan` walks a plan **symbolically, once**, reducing it to
-   a handful of policy-independent aggregates (compute cycles/joules, wire
-   bits per direction, NIC-quiet and wait dwell seconds, sleep-exit counts
-   under both NIC disciplines).  The walk mirrors ``price_plan`` statement
-   for statement; a property test asserts the two agree to float tolerance
-   on randomized grids.
+1. :func:`_compile_for` reduces plans to policy-independent aggregate
+   columns (:class:`PlanAggregates`: compute cycles/joules, wire bits and
+   frames per direction, NIC-quiet and wait dwell seconds, sleep-exit
+   counts under both NIC disciplines).  Plans are grouped by step template
+   — the Table 1 schemes produce a handful of fixed step sequences — and
+   each template is walked symbolically once; the numbers at each step
+   position are priced as arrays through the scalar walk's own formulas
+   (``packetize``, ``ClientCPU.protocol``/``seconds``,
+   ``ServerCPU.seconds``), in its step order, so the aggregates are
+   bit-identical to what a per-plan walk would sum.
 2. :func:`price_grid` broadcasts those aggregates against per-policy
    scalars (bandwidth, transmit power, blocked-CPU power, NIC state powers)
    as NumPy arrays, producing every (plan, policy) cell in one shot;
@@ -29,8 +33,8 @@ algebraic regrouping of its arithmetic.  The aggregates work because the
 step walk's policy dependence is affine: transfer time is ``wire_bits / B``,
 NIC energy is ``power x dwell``, blocked-CPU energy is ``power x blocked
 seconds``, and the only nonlinearity — the NIC sleep/idle state machine —
-depends on a single boolean (``Policy.nic_sleep``), so both variants are
-compiled up front.
+depends on the step template and a single boolean (``Policy.nic_sleep``),
+so both variants are counted up front.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,9 +71,7 @@ from repro.sim.protocol import packetize
 from repro.sim.radio import RadioModel
 
 __all__ = [
-    "CompiledPlan",
     "PlanAggregates",
-    "compile_plan",
     "framing_key",
     "GridResult",
     "price_grid",
@@ -88,8 +92,9 @@ def framing_key(net: NetworkConfig) -> Tuple[int, int, int, int]:
     """The part of a network config that changes a plan's wire footprint.
 
     :func:`repro.sim.protocol.packetize` only reads the MTU and the three
-    header sizes; policies sharing these four values share compiled plans
-    even when they differ in bandwidth, distance or discipline flags.
+    header sizes; policies sharing these four values share compiled
+    aggregates even when they differ in bandwidth, distance or discipline
+    flags.
     """
     return (
         net.mtu_bytes,
@@ -100,54 +105,48 @@ def framing_key(net: NetworkConfig) -> Tuple[int, int, int, int]:
 
 
 @dataclass(frozen=True)
-class CompiledPlan:
-    """One plan's policy-independent aggregates (for one wire framing).
+class PlanAggregates:
+    """N plans' policy-independent aggregates as (N,) columns, one framing.
 
-    The two ``*_sleep`` / ``*_nosleep`` counter pairs capture the only
-    policy nonlinearity: how often the NIC crosses out of SLEEP (each
-    crossing costs the exit latency at idle power) under the two
-    ``Policy.nic_sleep`` disciplines.
+    :func:`_compile_for` builds them; :func:`_price_framing_into` prices
+    them.  The two ``(N, 2)`` SLEEP-exit columns capture the only policy
+    nonlinearity: how often the NIC crosses out of SLEEP (each crossing
+    costs the exit latency at idle power) under the two ``Policy.nic_sleep``
+    disciplines.
     """
 
     #: Client compute + protocol cycles (the figures' Processor cycles).
-    proc_cycles: float
+    proc_cycles: np.ndarray
     #: Client compute + protocol energy, excluding blocked-CPU energy.
-    proc_energy_j: float
+    proc_energy_j: np.ndarray
     #: Seconds the NIC is quiet (client computing / protocol processing);
     #: spent in SLEEP or IDLE depending on ``Policy.nic_sleep``.
-    quiet_s: float
+    quiet_s: np.ndarray
     #: Seconds waiting with the radio listening (server compute, indexed
     #: broadcast waits with no timing knowledge).
-    idle_wait_s: float
+    idle_wait_s: np.ndarray
     #: Seconds waiting with the radio off (index-directed broadcast waits).
-    sleep_wait_s: float
+    sleep_wait_s: np.ndarray
     #: Total bits on the wire, client -> server.
-    tx_bits: float
+    tx_bits: np.ndarray
     #: Total bits on the wire, server -> client.
-    rx_bits: float
+    rx_bits: np.ndarray
     #: Total MTU frames on the wire, client -> server (lossy-link pricing
     #: scales retransmissions and backoff by frame counts).
-    tx_frames: float
+    tx_frames: np.ndarray
     #: Total MTU frames on the wire, server -> client.
-    rx_frames: float
-    #: SLEEP exits when the policy sleeps the NIC between activities.
-    n_exits_sleep: int
-    #: ...of which happen inside ``transmit()`` (charged to NIC-Tx time).
-    n_tx_wake_sleep: int
-    #: SLEEP exits when the policy keeps the NIC idling instead.
-    n_exits_nosleep: int
-    n_tx_wake_nosleep: int
-    #: ``(direction, payload_bytes)`` application-message log, in step order.
-    messages: Tuple[tuple, ...]
-    answer_ids: np.ndarray
-    n_candidates: int
-    n_results: int
+    rx_frames: np.ndarray
+    #: (N, 2) SLEEP-exit counts, column 0 = nic_sleep, column 1 = no-sleep.
+    exits2: np.ndarray
+    #: (N, 2) exits charged inside ``transmit()``, same column layout.
+    txwake2: np.ndarray
 
-    @property
-    def wait_s(self) -> float:
-        """Blocked-on-the-world seconds (the cycle bars' ``wait`` bucket)."""
-        return self.idle_wait_s + self.sleep_wait_s
 
+#: Rows of a compiled block: the nine summed (N,) columns of
+#: :class:`PlanAggregates` in field order, then the SLEEP exits and the
+#: in-transmit wakes, each under (nic_sleep, no-sleep).
+_SUMS = 9
+_ROWS = _SUMS + 4
 
 # NIC states for the symbolic walk (private mirror of sim.nic.NICState —
 # only SLEEP matters for exit counting, but keeping all four makes the walk
@@ -155,36 +154,41 @@ class CompiledPlan:
 _SLEEP, _IDLE, _TRANSMIT, _RECEIVE = range(4)
 
 
-def compile_plan(
-    plan: QueryPlan, env: Environment, network: NetworkConfig
-) -> CompiledPlan:
-    """Reduce one plan to its batched-pricing aggregates.
+def _template(steps: Sequence[object]) -> tuple:
+    """A plan's step template: its step types in order, plus the
+    ``radio_listening`` flag of each :class:`WaitStep` (the only step field
+    that changes the NIC state sequence)."""
+    kinds = tuple(map(type, steps))
+    if WaitStep in kinds:
+        kinds += tuple(s.radio_listening for s in steps if type(s) is WaitStep)
+    return kinds
 
-    ``network`` supplies the wire framing (MTU + headers) — normally the
-    policy's network; protocol *instruction* rates come from the client CPU
-    model's own network config, exactly as in the scalar walk.
+
+def _compile_template(
+    plans: Sequence[QueryPlan], env: Environment, network: NetworkConfig
+) -> np.ndarray:
+    """Aggregate plans that share one step template.
+
+    The NIC state machine depends only on the template, so one symbolic
+    walk counts its SLEEP exits under both disciplines.  The numbers each
+    step position carries are gathered into arrays and priced through the
+    formulas ``price_plan`` calls (``packetize``, ``ClientCPU.protocol`` /
+    ``seconds``, ``ServerCPU.seconds``), accumulating in its step order, so
+    every aggregate is bit-identical to the scalar walk's.  Returns the
+    ``(_ROWS, k)`` block.
     """
     client = env.client_cpu
-    proc_cycles = 0.0
-    proc_energy = 0.0
-    quiet_s = 0.0
-    idle_wait_s = 0.0
-    sleep_wait_s = 0.0
-    tx_bits = 0.0
-    rx_bits = 0.0
-    tx_frames = 0.0
-    rx_frames = 0.0
-    messages: List[tuple] = []
+    block = np.zeros((_ROWS, len(plans)))
+    (proc_cycles, proc_energy, quiet_s, idle_wait_s, sleep_wait_s,
+     tx_bits, rx_bits, tx_frames, rx_frames) = block[:_SUMS]
     # One symbolic NIC state machine per nic_sleep discipline; index 0 is
     # nic_sleep=True, index 1 is nic_sleep=False.
     state = [_SLEEP, _SLEEP]
     exits = [0, 0]
     tx_wakes = [0, 0]
 
-    def quiet(seconds: float) -> None:
+    def nic_quiet() -> None:
         """``nic_quiet``: SLEEP under discipline 0, IDLE under 1."""
-        nonlocal quiet_s
-        quiet_s += seconds
         state[0] = _SLEEP
         if state[1] == _SLEEP:
             exits[1] += 1
@@ -198,34 +202,44 @@ def compile_plan(
                     tx_wakes[v] += 1
             state[v] = new_state
 
-    for step in plan.steps:
-        if isinstance(step, ClientComputeStep):
-            proc_cycles += step.cost.cycles
-            proc_energy += step.cost.energy_j
-            quiet(client.seconds(step.cost.cycles))
-        elif isinstance(step, SendStep):
-            msg = packetize(step.payload.nbytes, network)
-            messages.append(("tx", step.payload.nbytes))
+    def payloads(column: list):
+        return packetize(
+            np.array([s.payload.nbytes for s in column], dtype=np.int64), network
+        )
+
+    for pos in range(len(plans[0].steps)):
+        column = [p.steps[pos] for p in plans]
+        kind = type(column[0])
+        if kind is ClientComputeStep:
+            cycles = np.array([s.cost.cycles for s in column], dtype=np.float64)
+            proc_cycles += cycles
+            proc_energy += np.array([s.cost.energy_j for s in column], dtype=np.float64)
+            quiet_s += client.seconds(cycles)
+            nic_quiet()
+        elif kind is SendStep:
+            msg = payloads(column)
             proto = client.protocol(msg)
             proc_cycles += proto.cycles
             proc_energy += proto.energy_j
-            quiet(client.seconds(proto.cycles))
+            quiet_s += client.seconds(proto.cycles)
+            nic_quiet()
             wake_to(_TRANSMIT, in_transmit=True)
             tx_bits += msg.wire_bits
             tx_frames += msg.n_frames
-        elif isinstance(step, ServerComputeStep):
-            idle_wait_s += env.server_cpu.seconds(step.cycles)
+        elif kind is ServerComputeStep:
+            cycles = np.array([s.cycles for s in column], dtype=np.float64)
+            idle_wait_s += env.server_cpu.seconds(cycles)
             wake_to(_IDLE)
-        elif isinstance(step, WaitStep):
-            if step.radio_listening:
-                idle_wait_s += step.seconds
+        elif kind is WaitStep:
+            seconds = np.array([s.seconds for s in column], dtype=np.float64)
+            if column[0].radio_listening:
+                idle_wait_s += seconds
                 wake_to(_IDLE)
             else:
-                sleep_wait_s += step.seconds
+                sleep_wait_s += seconds
                 state[0] = state[1] = _SLEEP
-        elif isinstance(step, RecvStep):
-            msg = packetize(step.payload.nbytes, network)
-            messages.append(("rx", step.payload.nbytes))
+        elif kind is RecvStep:
+            msg = payloads(column)
             # A receive out of SLEEP wakes via idle(0.0) in the scalar walk.
             wake_to(_RECEIVE)
             rx_bits += msg.wire_bits
@@ -233,28 +247,36 @@ def compile_plan(
             proto = client.protocol(msg)
             proc_cycles += proto.cycles
             proc_energy += proto.energy_j
-            quiet(client.seconds(proto.cycles))
-        else:  # pragma: no cover - defensive, mirrors price_plan
-            raise TypeError(f"unknown plan step {step!r}")
+            quiet_s += client.seconds(proto.cycles)
+            nic_quiet()
+        else:
+            raise TypeError(f"unknown plan step {column[0]!r}")
+    block[_SUMS:] = np.array(exits + tx_wakes)[:, None]
+    return block
 
-    return CompiledPlan(
-        proc_cycles=proc_cycles,
-        proc_energy_j=proc_energy,
-        quiet_s=quiet_s,
-        idle_wait_s=idle_wait_s,
-        sleep_wait_s=sleep_wait_s,
-        tx_bits=tx_bits,
-        rx_bits=rx_bits,
-        tx_frames=tx_frames,
-        rx_frames=rx_frames,
-        n_exits_sleep=exits[0],
-        n_tx_wake_sleep=tx_wakes[0],
-        n_exits_nosleep=exits[1],
-        n_tx_wake_nosleep=tx_wakes[1],
-        messages=tuple(messages),
-        answer_ids=plan.answer_ids,
-        n_candidates=plan.n_candidates,
-        n_results=plan.n_results,
+
+def _compile_for(
+    plans: Sequence[QueryPlan], env: Environment, network: NetworkConfig
+) -> PlanAggregates:
+    """Compile ``plans`` under one wire framing into aggregate columns.
+
+    Plans are grouped by step template (:func:`_template`); each group is
+    compiled once by :func:`_compile_template` and scattered back into
+    plan order.  ``network`` supplies the wire framing (MTU + headers) —
+    normally the policy's network; protocol *instruction* rates come from
+    the client CPU model's own network config, exactly as in the scalar
+    walk.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault(_template(plan.steps), []).append(i)
+    block = np.empty((_ROWS, len(plans)))
+    for rows in groups.values():
+        block[:, rows] = _compile_template([plans[i] for i in rows], env, network)
+    return PlanAggregates(
+        *block[:_SUMS],
+        exits2=block[_SUMS:_SUMS + 2].T,
+        txwake2=block[_SUMS + 2:].T,
     )
 
 
@@ -317,6 +339,10 @@ class _PolicyColumns:
         )
 
 
+#: Message direction of each step type that carries a payload.
+_DIRECTION = {SendStep: "tx", RecvStep: "rx"}
+
+
 @dataclass
 class GridResult:
     """Every bucket of an N-plans x M-policies pricing grid, as arrays.
@@ -325,12 +351,12 @@ class GridResult:
     onto :class:`CycleBreakdown`; ``dwell_*`` are the per-NIC-state seconds
     the ledger reports.  :meth:`result` materializes any single cell as the
     scalar executor's :class:`RunResult`; :meth:`combine_policy` sums a
-    policy's column over the workload.
+    policy's column over the workload.  Answer ids, tallies and message
+    logs come from :attr:`plans`, derived once per grid.
     """
 
     plans: List[QueryPlan]
     policies: List[Policy]
-    compiled: List[CompiledPlan]
     energy_processor: np.ndarray
     energy_tx: np.ndarray
     energy_rx: np.ndarray
@@ -354,6 +380,31 @@ class GridResult:
     def shape(self) -> Tuple[int, int]:
         """(n_plans, n_policies)."""
         return self.energy_processor.shape
+
+    @cached_property
+    def messages(self) -> List[tuple]:
+        """Each plan's ``(direction, payload_bytes)`` message log, in step
+        order (the scalar walk's ``RunResult.messages``)."""
+        return [
+            tuple(
+                (d, s.payload.nbytes)
+                for s in plan.steps
+                if (d := _DIRECTION.get(type(s))) is not None
+            )
+            for plan in self.plans
+        ]
+
+    @cached_property
+    def _workload(self) -> Tuple[np.ndarray, int, int, tuple]:
+        """The workload's answer ids, candidate and result tallies and
+        message log, in plan order — the same for every policy."""
+        plans = self.plans
+        return (
+            np.concatenate([p.answer_ids for p in plans]),
+            sum(p.n_candidates for p in plans),
+            sum(p.n_results for p in plans),
+            tuple(chain.from_iterable(self.messages)),
+        )
 
     # ------------------------------------------------------------------
     def _energy(self, i, j) -> EnergyBreakdown:
@@ -383,24 +434,21 @@ class GridResult:
 
     def result(self, i: int, j: int) -> RunResult:
         """The (plan i, policy j) cell as a scalar-walk-shaped RunResult."""
-        c = self.compiled[i]
+        plan = self.plans[i]
         return RunResult(
             energy=self._energy(i, j),
             cycles=self._cycles(i, j),
             wall_seconds=float(self.wall_s[i, j]),
-            answer_ids=c.answer_ids,
-            n_candidates=c.n_candidates,
-            n_results=c.n_results,
-            messages=c.messages,
+            answer_ids=plan.answer_ids,
+            n_candidates=plan.n_candidates,
+            n_results=plan.n_results,
+            messages=self.messages[i],
             loss=self.loss(i, j),
         )
 
     def combine_policy(self, j: int) -> RunResult:
         """Policy ``j``'s column summed over the workload (plan order)."""
-        ids = [c.answer_ids for c in self.compiled]
-        msgs: List[tuple] = []
-        for c in self.compiled:
-            msgs.extend(c.messages)
+        answer_ids, n_candidates, n_results, messages = self._workload
         return RunResult(
             energy=EnergyBreakdown(
                 processor=float(self.energy_processor[:, j].sum()),
@@ -416,12 +464,10 @@ class GridResult:
                 wait=float(self.cycles_wait[:, j].sum()),
             ),
             wall_seconds=float(self.wall_s[:, j].sum()),
-            answer_ids=(
-                np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
-            ),
-            n_candidates=sum(c.n_candidates for c in self.compiled),
-            n_results=sum(c.n_results for c in self.compiled),
-            messages=tuple(msgs),
+            answer_ids=answer_ids,
+            n_candidates=n_candidates,
+            n_results=n_results,
+            messages=messages,
             loss=LossStats(
                 retx_tx_frames=float(self.retx_tx_frames[:, j].sum()),
                 retx_rx_frames=float(self.retx_rx_frames[:, j].sum()),
@@ -444,62 +490,13 @@ class GridResult:
         )
 
 
-@dataclass(frozen=True)
-class PlanAggregates:
-    """:class:`CompiledPlan` fields as (N,) columns for one wire framing.
-
-    :func:`price_grid` gathers them from the compiled plans and prices
-    them through :func:`_price_framing_into`.
-    """
-
-    proc_cycles: np.ndarray
-    proc_energy_j: np.ndarray
-    quiet_s: np.ndarray
-    idle_wait_s: np.ndarray
-    sleep_wait_s: np.ndarray
-    tx_bits: np.ndarray
-    rx_bits: np.ndarray
-    tx_frames: np.ndarray
-    rx_frames: np.ndarray
-    #: (N, 2) SLEEP-exit counts, column 0 = nic_sleep, column 1 = no-sleep.
-    exits2: np.ndarray
-    #: (N, 2) exits charged inside ``transmit()``, same column layout.
-    txwake2: np.ndarray
-
-    @classmethod
-    def from_compiled(cls, compiled: Sequence[CompiledPlan]) -> "PlanAggregates":
-        a = lambda attr: np.asarray(  # noqa: E731
-            [getattr(c, attr) for c in compiled], dtype=np.float64
-        )
-        return cls(
-            proc_cycles=a("proc_cycles"),
-            proc_energy_j=a("proc_energy_j"),
-            quiet_s=a("quiet_s"),
-            idle_wait_s=a("idle_wait_s"),
-            sleep_wait_s=a("sleep_wait_s"),
-            tx_bits=a("tx_bits"),
-            rx_bits=a("rx_bits"),
-            tx_frames=a("tx_frames"),
-            rx_frames=a("rx_frames"),
-            exits2=np.asarray(
-                [[c.n_exits_sleep, c.n_exits_nosleep] for c in compiled],
-                dtype=np.float64,
-            ),
-            txwake2=np.asarray(
-                [[c.n_tx_wake_sleep, c.n_tx_wake_nosleep] for c in compiled],
-                dtype=np.float64,
-            ),
-        )
-
-
-def _empty_grid(plans, policies, compiled, n: int, m: int) -> GridResult:
+def _empty_grid(plans, policies, n: int, m: int) -> GridResult:
     """A zero-filled GridResult to be populated per framing group."""
     shape = (n, m)
     z = lambda: np.zeros(shape, dtype=np.float64)  # noqa: E731
     return GridResult(
         plans=plans,
         policies=policies,
-        compiled=compiled,
         energy_processor=z(),
         energy_tx=z(),
         energy_rx=z(),
@@ -598,44 +595,18 @@ def _price_framing_into(
     grid.backoff_s[:, j] = backoff_s
 
 
-def _compile_for(
-    plans: Sequence[QueryPlan],
-    env: Environment,
-    network: NetworkConfig,
-    cache: Optional[Dict[tuple, Tuple[QueryPlan, CompiledPlan]]] = None,
-) -> List[CompiledPlan]:
-    """Compile ``plans`` under one framing, reusing ``cache`` when given."""
-    key = framing_key(network)
-    out = []
-    for plan in plans:
-        if cache is not None:
-            # Key by object identity, but pin the plan in the entry: a
-            # bare id() key goes stale once the plan is garbage-collected
-            # and CPython hands its address to a different plan.
-            ck = (id(plan), key)
-            hit = cache.get(ck)
-            if hit is None or hit[0] is not plan:
-                hit = (plan, compile_plan(plan, env, network))
-                cache[ck] = hit
-            out.append(hit[1])
-        else:
-            out.append(compile_plan(plan, env, network))
-    return out
-
-
 def price_grid(
     plans: Sequence[QueryPlan],
     policies: Sequence[Policy],
     env: Environment,
-    *,
-    compile_cache: Optional[Dict[tuple, Tuple[QueryPlan, CompiledPlan]]] = None,
 ) -> GridResult:
     """Price the full plans x policies grid in one vectorized pass.
 
     Matches :func:`repro.core.executor.price_plan` cell-for-cell to float
     tolerance (property-tested).  Policies may mix bandwidths, distances,
     power tables, framings and discipline flags freely; plans are compiled
-    once per distinct wire framing.
+    once per distinct wire framing.  Each cell depends only on its plan and
+    its policy, never on the rest of the grid.
     """
     plans = list(plans)
     policies = list(policies)
@@ -654,20 +625,15 @@ def price_grid(
     for j, p in enumerate(policies):
         by_framing.setdefault(framing_key(p.network), []).append(j)
 
-    compiled_ref: List[CompiledPlan] = [None] * n  # type: ignore[list-item]
-    grid = _empty_grid(plans, policies, compiled_ref, n, m)
+    grid = _empty_grid(plans, policies, n, m)
 
     # Per-frame retransmission protocol unit cost (cycles/joules for one
     # reprocessed frame); linear in the frame count, like the scalar walk's
     # ``client.retx_protocol(extra_frames)``.
     retx_unit = env.client_cpu.retx_protocol(1.0)
 
-    for fkey, cols_j in by_framing.items():
-        net = policies[cols_j[0]].network
-        compiled = _compile_for(plans, env, net, compile_cache)
-        for i, c in enumerate(compiled):
-            compiled_ref[i] = c
-        agg = PlanAggregates.from_compiled(compiled)
+    for cols_j in by_framing.values():
+        agg = _compile_for(plans, env, policies[cols_j[0]].network)
         _price_framing_into(grid, agg, cols, cols_j, clock, retx_unit)
 
     return grid
@@ -677,8 +643,6 @@ def price_workload_grid(
     plans: Sequence[QueryPlan],
     policies: Sequence[Policy],
     env: Environment,
-    *,
-    compile_cache: Optional[Dict[tuple, Tuple[QueryPlan, CompiledPlan]]] = None,
 ) -> List[RunResult]:
     """Workload-summed results, one per policy, in policy order.
 
@@ -686,7 +650,7 @@ def price_workload_grid(
     aggregates *before* pricing, so M policy points cost O(N + M) rather
     than O(N x M) after compilation.
     """
-    grid = price_grid(plans, policies, env, compile_cache=compile_cache)
+    grid = price_grid(plans, policies, env)
     return [grid.combine_policy(j) for j in range(len(grid.policies))]
 
 

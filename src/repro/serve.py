@@ -268,8 +268,8 @@ class QueryService:
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
     :class:`~repro.core.executor.Environment`, or an
     :class:`~repro.api.Engine` to share with a
-    :class:`~repro.api.Session` (plan/phase/compile caches and ledger are
-    then common; the ``plan_cache``/``ledger`` keywords must stay unset).
+    :class:`~repro.api.Session` (plan/phase caches and ledger are then
+    common; the ``plan_cache``/``ledger`` keywords must stay unset).
 
     ``max_queue`` bounds the arrival queue (arrivals beyond it are
     rejected), ``max_batch`` caps micro-batch size, and ``batch_window_s``
@@ -597,22 +597,20 @@ class QueryService:
         plans: List[QueryPlan],
         states: Dict[int, _ClientState],
     ) -> List[RunResult]:
-        """Price one micro-batch: one vectorized grid call per distinct policy.
+        """Price one micro-batch in one vectorized grid call.
 
-        Policies are hashable, so the batch's plans group by policy and each
-        group prices in one call — every cell computed is a cell used
-        (pricing the full plans x policies grid would waste a factor of the
-        policy count).
+        The grid is the batch's plans x its distinct policies, and request
+        ``k`` reads the cell in its own policy's column.  A cell depends
+        only on its plan and its policy, so each outcome is the one pricing
+        that request alone would give.
         """
-        groups: Dict[object, List[int]] = {}
-        for k, r in enumerate(batch_reqs):
-            groups.setdefault(states[r.client_id].profile.policy, []).append(k)
-        results: List[Optional[RunResult]] = [None] * len(plans)
-        for policy, idxs in groups.items():
-            grid = self.engine.price_grid([plans[k] for k in idxs], [policy])
-            for row, k in enumerate(idxs):
-                results[k] = grid.result(row, 0)
-        return results  # type: ignore[return-value]
+        column: Dict[object, int] = {}
+        cols = [
+            column.setdefault(states[r.client_id].profile.policy, len(column))
+            for r in batch_reqs
+        ]
+        grid = self.engine.price_grid(plans, list(column))
+        return [grid.result(k, j) for k, j in enumerate(cols)]
 
     def _serve_serial(
         self,

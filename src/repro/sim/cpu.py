@@ -141,7 +141,8 @@ class ClientCPU:
         return self.config.clock_hz
 
     def seconds(self, cycles: float) -> float:
-        """Wall-clock duration of ``cycles`` at the client clock."""
+        """Wall-clock duration of ``cycles`` (a float or an array) at the
+        client clock."""
         return cycles / self.config.clock_hz
 
     def cycles_in(self, seconds: float) -> float:
@@ -173,6 +174,8 @@ class ClientCPU:
     def _price(
         self, instructions: float, accesses: int, misses: int
     ) -> ComputeCost:
+        """Cycles and energy of ``instructions`` with their D-cache accesses
+        and misses (scalars, or equal-length arrays priced elementwise)."""
         cycles = instructions + misses * self.config.memory_latency_cycles
         c = self.costs
         energy = (
@@ -237,7 +240,9 @@ class ClientCPU:
         Streaming the payload through the protocol stack touches every byte
         once: line-granular accesses with compulsory misses on the payload
         (fresh buffers), which is what makes large transfers cost client
-        cycles even before the NIC is charged.
+        cycles even before the NIC is charged.  A ``msg`` holding arrays
+        (:func:`~repro.sim.protocol.packetize` of an array) prices one
+        message per element.
         """
         instructions = protocol_instructions(msg, self.network)
         line = self.config.cache_line_bytes

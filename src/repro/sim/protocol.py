@@ -16,8 +16,9 @@ no less) is property-tested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.constants import DEFAULT_NETWORK, NetworkConfig
 
@@ -26,7 +27,8 @@ __all__ = ["WireMessage", "packetize", "transfer_seconds"]
 
 @dataclass(frozen=True)
 class WireMessage:
-    """One application message as it appears on the wireless link."""
+    """One application message (or, from an array, one per element) as it
+    appears on the wireless link."""
 
     #: Application payload bytes.
     payload_bytes: int
@@ -46,13 +48,18 @@ class WireMessage:
         return self.wire_bytes * 8
 
 
-def packetize(payload_bytes: int, net: NetworkConfig = DEFAULT_NETWORK) -> WireMessage:
+def packetize(payload_bytes, net: NetworkConfig = DEFAULT_NETWORK) -> WireMessage:
     """Split a payload into MTU frames and account the header overhead.
 
     A zero-byte payload still produces one frame (a request with an empty
-    body is still a packet); negative sizes raise.
+    body is still a packet); negative sizes raise.  ``payload_bytes`` may
+    also be an integer array, one message per element: the grid pricer
+    sizes a whole step column in one call, through this same formula.
     """
-    if payload_bytes < 0:
+    # Plain ints, one per message of the scalar walk, skip the reduction.
+    low = (payload_bytes if type(payload_bytes) is int
+           else np.asarray(payload_bytes).min(initial=0))
+    if low < 0:
         raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes!r}")
     per_frame_capacity = net.mtu_bytes - net.tcp_header_bytes - net.ip_header_bytes
     if per_frame_capacity <= 0:
@@ -60,7 +67,8 @@ def packetize(payload_bytes: int, net: NetworkConfig = DEFAULT_NETWORK) -> WireM
             f"MTU {net.mtu_bytes} too small for TCP/IP headers "
             f"({net.tcp_header_bytes}+{net.ip_header_bytes})"
         )
-    n_frames = max(1, math.ceil(payload_bytes / per_frame_capacity))
+    # ceil(payload / capacity) frames, and one for an empty payload.
+    n_frames = -(-payload_bytes // per_frame_capacity) + (payload_bytes == 0)
     per_frame_overhead = (
         net.tcp_header_bytes + net.ip_header_bytes + net.link_header_bytes
     )

@@ -86,7 +86,8 @@ class ServerCPU:
         return self.config.clock_hz
 
     def seconds(self, cycles: float) -> float:
-        """Wall-clock duration of ``cycles`` at the server clock."""
+        """Wall-clock duration of ``cycles`` (a float or an array) at the
+        server clock."""
         return cycles / self.config.clock_hz
 
     def reset_cache(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import RunRow, RunTable, Session, SweepCell
@@ -12,7 +14,7 @@ from repro.constants import (
     NICPowerTable,
 )
 from repro.core.executor import WAIT_POLICIES, Policy
-from repro.core.gridrun import RunLedger
+from repro.core.gridrun import RunLedger, dataset_fingerprint
 from repro.core.batchplan import plans_equal
 from repro.core.queries import KNNQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
@@ -259,6 +261,17 @@ class TestSessionRun:
         session = Session(pa_small)
         assert session.dataset is pa_small
         assert session.fingerprint == Session(pa_small).fingerprint
+
+    def test_fingerprint_hashed_once_per_environment(self, env_small, nyc_small):
+        """Every engine over one environment reuses its hash; a
+        ``dataclasses.replace`` copy over other data hashes its own."""
+        fp = Session(env_small).fingerprint
+        assert env_small.fingerprint == fp == dataset_fingerprint(env_small.dataset)
+        env_small.fingerprint = "sentinel"
+        assert Session(env_small).fingerprint == "sentinel"
+        other = dataclasses.replace(env_small, dataset=nyc_small)
+        assert other.fingerprint is None
+        assert Session(other).fingerprint == dataset_fingerprint(nyc_small)
 
 
 class TestNNWorkloads:

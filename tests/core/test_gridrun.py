@@ -10,11 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import MBPS, NetworkConfig
-from repro.core.executor import Environment, Policy, plan_query, price_plan
+from repro.core.broadcast import BroadcastClient, BroadcastSchedule
+from repro.core.clientcache import ClientCacheSession
+from repro.core.executor import (
+    Environment,
+    Policy,
+    WaitStep,
+    plan_query,
+    price_plan,
+)
+from repro.core.freshness import FreshClientSession, UpdateStream
 from repro.core.gridrun import (
     PlanCache,
     RunLedger,
-    compile_plan,
+    _compile_for,
     dataset_fingerprint,
     framing_key,
     price_grid,
@@ -23,9 +32,18 @@ from repro.core.gridrun import (
     scheme_key,
     workload_key,
 )
+from repro.core.queries import RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 from repro.data import tiger
-from repro.data.workloads import nn_queries, point_queries, range_queries
+from repro.data.workloads import (
+    knn_queries,
+    nn_queries,
+    point_queries,
+    proximity_sequence,
+    range_queries,
+)
+from repro.spatial.mbr import MBR
+from tests.integration.oracles import _GRID_ARRAYS
 
 FS = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)
 
@@ -55,6 +73,60 @@ def plan_pool(grid_env):
             grid_env.reset_caches()
             pool.extend(plan_query(q, cfg, grid_env) for q in qs)
     return pool
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(grid_env):
+    """Plans of every step template the planners produce, in one batch.
+
+    Every Table 1 configuration (data present and absent) over point,
+    range, NN and k-NN queries; cached-client plans for a shipment, a local
+    hit and a fully-at-server fallback; broadcast plans with sleeping and
+    with listening waits; and a freshness version check.
+    """
+    ds = grid_env.dataset
+    plans = []
+    for qs in (
+        point_queries(ds, 2, seed=31),
+        range_queries(ds, 2, seed=32),
+        nn_queries(ds, 2, seed=33),
+        knn_queries(ds, 2, seed=34),
+    ):
+        for cfg in ADEQUATE_MEMORY_CONFIGS:
+            if qs[0].kind.value.startswith("n") and cfg.scheme in (
+                Scheme.FILTER_CLIENT_REFINE_SERVER,
+                Scheme.FILTER_SERVER_REFINE_CLIENT,
+            ):
+                continue
+            grid_env.reset_caches()
+            plans.extend(plan_query(q, cfg, grid_env) for q in qs)
+    cached = ClientCacheSession(grid_env, 256 * 1024)
+    plans += cached.plan_sequence(proximity_sequence(ds, y=3, n_groups=2, seed=35))
+    assert cached.misses and cached.local_hits
+    tiny = ClientCacheSession(grid_env, 4 * 1024)
+    plans.append(tiny.plan(RangeQuery(ds.extent)))
+    assert tiny.fallbacks == 1
+    schedule = BroadcastSchedule(grid_env, n_chunks=8)
+    for air_index in (True, False):
+        client = BroadcastClient(schedule, air_index=air_index)
+        plans += client.plan_workload(range_queries(ds, 3, seed=36))
+    # An empty answer under the air index sleeps to the index slot and
+    # receives the index: the step types of a listening wait for a chunk,
+    # told apart only by the wait's radio flag.
+    e = ds.extent
+    nowhere = RangeQuery(MBR(e.xmax + 1.0, e.ymax + 1.0, e.xmax + 2.0, e.ymax + 2.0))
+    plans.append(BroadcastClient(schedule, air_index=True).plan(nowhere, phase_s=1.0))
+    flags: dict = {}
+    for p in plans:
+        for s in p.steps:
+            if isinstance(s, WaitStep):
+                flags.setdefault(tuple(map(type, p.steps)), set()).add(s.radio_listening)
+    assert {True, False} in flags.values()
+    fresh = FreshClientSession(
+        grid_env, 192 * 1024, UpdateStream(len(grid_env.tree.entry_ids), 0.5)
+    )
+    plans.append(fresh._verify_plan(point_queries(ds, 1, seed=37)[0]))
+    return plans
 
 
 def _policy(bw_mbps, dist, nic_sleep, busy, low, mtu, loss, burst, retx_t0):
@@ -166,28 +238,66 @@ class TestBatchedMatchesScalar:
         assert d.idle_j == pytest.approx(r.energy.nic_idle)
         assert d.total_seconds() == pytest.approx(r.wall_seconds)
 
-    def test_compile_reused_across_framings(self, grid_env, plan_pool):
-        """Policies sharing a wire framing share compiled plans."""
-        cache: dict = {}
-        pols = [Policy(), Policy(nic_sleep=False), Policy(busy_wait=True)]
-        price_grid(plan_pool[:3], pols, grid_env, compile_cache=cache)
-        assert len(cache) == 3  # one entry per plan, single framing
-        other = Policy(network=NetworkConfig(mtu_bytes=576))
-        price_grid(plan_pool[:3], pols + [other], grid_env, compile_cache=cache)
-        assert len(cache) == 6  # second framing recompiles each plan
-
     def test_empty_inputs_rejected(self, grid_env, plan_pool):
         with pytest.raises(ValueError):
             price_grid([], [Policy()], grid_env)
         with pytest.raises(ValueError):
             price_grid(plan_pool[:1], [], grid_env)
 
-    def test_compiled_wait_matches_oracle(self, grid_env, plan_pool):
-        c = compile_plan(plan_pool[0], grid_env, Policy().network)
-        assert c.wait_s == c.idle_wait_s + c.sleep_wait_s
+    def test_compiled_wait_matches_oracle(self, grid_env, mixed_batch):
+        """The compiled wait columns are the scalar walk's wait seconds,
+        split by whether the radio listens."""
+        agg = _compile_for(mixed_batch, grid_env, Policy().network)
+        clock = grid_env.client_cpu.clock_hz
+        for i, plan in enumerate(mixed_batch):
+            ref = price_plan(plan, grid_env, Policy())
+            wait_s = agg.idle_wait_s[i] + agg.sleep_wait_s[i]
+            assert wait_s * clock == pytest.approx(ref.cycles.wait, rel=1e-12)
+            asleep = sum(
+                s.seconds
+                for s in plan.steps
+                if isinstance(s, WaitStep) and not s.radio_listening
+            )
+            assert agg.sleep_wait_s[i] == asleep
+        assert agg.sleep_wait_s.any() and agg.idle_wait_s.any()
         assert framing_key(Policy().network) == framing_key(
             Policy().with_bandwidth(11 * MBPS).network
         )
+
+    def test_mixed_batch_matches_oracle_and_single_cells(
+        self, grid_env, mixed_batch
+    ):
+        """Every cell of a batch mixing all step templates equals the
+        scalar walk to 1e-9, and equals bit for bit the same plan priced
+        alone under the same policy alone, whatever the order."""
+        lossy = Policy().with_loss(0.05)
+        small_mtu = Policy(network=NetworkConfig(mtu_bytes=576))
+        policies = [
+            Policy(),
+            Policy(nic_sleep=False),
+            Policy(busy_wait=True),
+            lossy,
+            small_mtu,
+            Policy(network=small_mtu.network, nic_sleep=False, busy_wait=True),
+            small_mtu.with_loss(0.05),
+        ]
+        grid = price_grid(mixed_batch, policies, grid_env)
+        for i, plan in enumerate(mixed_batch):
+            for j, pol in enumerate(policies):
+                _assert_cell_matches(
+                    price_plan(plan, grid_env, pol), grid.result(i, j)
+                )
+        cells = [(i, j) for i in range(len(mixed_batch)) for j in range(len(policies))]
+        order = np.random.default_rng(7).permutation(len(cells))
+        alone = {name: np.zeros_like(getattr(grid, name)) for name in _GRID_ARRAYS}
+        for k in order:
+            i, j = cells[k]
+            single = price_grid([mixed_batch[i]], [policies[j]], grid_env)
+            for name in _GRID_ARRAYS:
+                alone[name][i, j] = getattr(single, name)[0, 0]
+            assert single.result(0, 0).messages == grid.result(i, j).messages
+        for name in _GRID_ARRAYS:
+            assert np.array_equal(alone[name], getattr(grid, name)), name
 
 
 class TestPlanCache:

@@ -8,8 +8,8 @@ tests — asserts the same contract through the same helpers:
 
 ``assert_grids_identical``
     Every array of two :class:`~repro.core.gridrun.GridResult`\\ s equal
-    via ``np.array_equal`` (bit-for-bit), plus the compiled shims' answer
-    ids / op tallies / message shapes.
+    via ``np.array_equal`` (bit-for-bit), plus each plan's answer ids / op
+    tallies / message log.
 ``assert_tables_identical`` / ``assert_tables_close``
     :class:`~repro.api.RunTable` equality — exact for engine twins that
     share summation order, 1e-9 relative for the scalar oracle (its
@@ -77,17 +77,18 @@ def cache_state(env: Environment):
 
 
 def assert_grids_identical(grid: GridResult, oracle: GridResult) -> None:
-    """Both grids bit-for-bit: every plane, and every compiled shim."""
+    """Both grids bit-for-bit: every plane, and every plan's answer ids,
+    tallies and message log."""
     assert grid.shape == oracle.shape
     for name in _GRID_ARRAYS:
         a, b = getattr(grid, name), getattr(oracle, name)
         assert np.array_equal(a, b), f"GridResult.{name} differs"
-    assert len(grid.compiled) == len(oracle.compiled)
-    for c, o in zip(grid.compiled, oracle.compiled):
-        assert np.array_equal(c.answer_ids, o.answer_ids)
-        assert c.n_candidates == o.n_candidates
-        assert c.n_results == o.n_results
-        assert tuple(c.messages) == tuple(o.messages)
+    assert len(grid.plans) == len(oracle.plans)
+    for i, (p, o) in enumerate(zip(grid.plans, oracle.plans)):
+        assert np.array_equal(p.answer_ids, o.answer_ids)
+        assert p.n_candidates == o.n_candidates
+        assert p.n_results == o.n_results
+        assert grid.messages[i] == oracle.messages[i]
 
 
 def assert_tables_identical(table: RunTable, oracle: RunTable) -> None:
