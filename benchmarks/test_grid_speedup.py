@@ -6,20 +6,22 @@ workload on full-scale PA) through :func:`repro.core.gridrun.price_grid`
 must run at least 10x faster wall-clock than the per-step scalar walk,
 with both engines agreeing to 1e-9.
 
-Both sides price the same cached plans through ``Engine.price`` (the grid
-plus its per-policy workload sums, or ``price_plan`` per cell plus
-``RunResult.combine``).  A round times back-to-back passes of one side
-until :data:`repro.bench.planbench.MIN_REGION_S` has passed; each side
-keeps its fastest round's seconds per pass, over :data:`ROUNDS` rounds
-with the two sides interleaved.
+Both sides price the same plans, planned once up front, through
+``Engine.price`` (the grid plus its per-policy workload sums, or
+``price_plan`` per cell plus ``RunResult.combine``).  A round times
+back-to-back passes of one side until
+:data:`repro.bench.planbench.MIN_REGION_S` has passed
+(:func:`repro.bench.planbench.time_regions`); each side keeps its fastest
+round's seconds per pass, over :data:`ROUNDS` rounds with the two sides
+interleaved.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 from repro.api import Session
-from repro.bench.planbench import MIN_REGION_S
+from repro.bench.planbench import MIN_REGION_S, time_regions
 from repro.bench.provenance import stamp_record
 from repro.core.executor import Policy
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
@@ -33,8 +35,8 @@ def test_fig5_sweep_batched_speedup(pa_env, save_report, save_json):
     qs = range_queries(pa_env.dataset, DEFAULT_RUNS)
     policies = Policy.sweep()
     session = Session(pa_env)
-    # Plan once up front so both engines price identical cached plans and
-    # the timed regions hold pricing alone.
+    # Plan once up front so both engines price identical plans and the
+    # timed regions hold pricing alone.
     plans = [session.plan(qs, cfg) for cfg in ADEQUATE_MEMORY_CONFIGS]
 
     def price_once(engine: str):
@@ -50,19 +52,10 @@ def test_fig5_sweep_batched_speedup(pa_env, save_report, save_json):
         for metric in ("energy", "cycles")
     )
 
-    best = {"scalar": (float("inf"), 1), "batched": (float("inf"), 1)}
-    for _ in range(ROUNDS):
-        for engine in best:
-            passes = 0
-            t0 = time.perf_counter()
-            while True:
-                price_once(engine)
-                passes += 1
-                wall = time.perf_counter() - t0
-                if wall >= MIN_REGION_S:
-                    break
-            if wall / passes < best[engine][0] / best[engine][1]:
-                best[engine] = (wall, passes)
+    best = time_regions(
+        {engine: partial(price_once, engine) for engine in ("scalar", "batched")},
+        ROUNDS,
+    )
     scalar_s = best["scalar"][0] / best["scalar"][1]
     batched_s = best["batched"][0] / best["batched"][1]
     speedup = scalar_s / batched_s

@@ -19,14 +19,14 @@ deprecation cycle; this module is the one facade::
 
 Since the service arc, the machinery behind the facade lives in
 :class:`Engine`: one environment plus everything the batched runtime needs
-between calls — the plan cache (keyed on dataset fingerprint x workload x
-scheme, so repeated sweeps never re-plan), the phase-data cache, and an
-optional :class:`~repro.core.gridrun.RunLedger` that every phase reports
-into.
+between calls — the phase-data cache (each distinct query is traversed
+once, whatever schemes and calls reuse it) and an optional
+:class:`~repro.core.gridrun.RunLedger` that every phase reports into.
+Plans themselves are never cached: every call computes them.
 :class:`Session` is a thin single-user wrapper over an :class:`Engine`;
 :class:`repro.serve.QueryService` shares the same core for multi-tenant
 serving.  Construct an :class:`Engine` once and hand it to both when a
-session and a service should share caches::
+session and a service should share the phase cache and ledger::
 
     engine = Engine(dataset)
     session = Session(engine)
@@ -50,13 +50,7 @@ from repro.core.executor import (
     plan_query,
     price_plan,
 )
-from repro.core.gridrun import (
-    GridResult,
-    PlanCache,
-    RunLedger,
-    dataset_fingerprint,
-    price_grid,
-)
+from repro.core.gridrun import GridResult, RunLedger, price_grid
 from repro.core.queries import Query
 from repro.core.schemes import SchemeConfig
 from repro.data.model import SegmentDataset
@@ -236,21 +230,18 @@ class Engine:
     :class:`~repro.core.executor.Environment` (for custom CPU models, as in
     the Figure 8 clock-ratio experiment).
 
-    The engine carries a :class:`~repro.core.gridrun.PlanCache` so identical
-    (workload, scheme) requests are planned once, a
-    :class:`~repro.core.batchplan.PhaseDataCache` so identical queries share
-    one traversal, and optionally a
+    The engine carries a :class:`~repro.core.batchplan.PhaseDataCache` so
+    identical queries share one traversal, and optionally a
     :class:`~repro.core.gridrun.RunLedger` every phase reports into.  Both
     :class:`Session` (single user) and :class:`repro.serve.QueryService`
     (multi-tenant) are thin wrappers over an engine; sharing one engine
-    shares all of its caches.
+    shares its phase cache and ledger.
     """
 
     def __init__(
         self,
         source: Union[SegmentDataset, Environment],
         *,
-        plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
     ) -> None:
         if isinstance(source, Environment):
@@ -262,40 +253,26 @@ class Engine:
                 f"{type(self).__name__}() takes a SegmentDataset or an "
                 f"Environment, got {type(source).__name__}"
             )
-        if plan_cache is not None and not isinstance(plan_cache, PlanCache):
-            raise TypeError(
-                f"plan_cache must be a PlanCache, got {type(plan_cache).__name__}"
-            )
         if ledger is not None and not isinstance(ledger, RunLedger):
             raise TypeError(
                 f"ledger must be a RunLedger, got {type(ledger).__name__}"
             )
         self.dataset = self.env.dataset
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.ledger = ledger
         self._phase_cache: Optional[PhaseDataCache] = None
 
     # ------------------------------------------------------------------
     @property
-    def fingerprint(self) -> str:
-        """The dataset's content hash (keys the plan cache), computed once
-        per environment and kept on it."""
-        env = self.env
-        if env.fingerprint is None:
-            env.fingerprint = dataset_fingerprint(env.dataset)
-        return env.fingerprint
-
-    @property
     def phase_cache(self) -> PhaseDataCache:
         """Per-query phase work, memoized across schemes and plan calls.
 
-        Created lazily (keyed to the dataset fingerprint) and handed to the
-        batched planner so that identical queries — within a workload,
-        across repeated ``plan``/``run`` calls, or across a service fleet's
-        clients — have their filter/refine phases computed once.
+        Created lazily and handed to the batched planner so that identical
+        queries — within a workload, across repeated ``plan``/``run``
+        calls, or across a service fleet's clients — have their
+        filter/refine phases computed once.
         """
         if self._phase_cache is None:
-            self._phase_cache = PhaseDataCache(self.fingerprint)
+            self._phase_cache = PhaseDataCache()
         return self._phase_cache
 
     def record(self, event: str, **fields) -> None:
@@ -328,10 +305,6 @@ class Engine:
         return out
 
     # ------------------------------------------------------------------
-    def _plan_serial(self, queries: List[Query], scheme: SchemeConfig) -> List[QueryPlan]:
-        """One scheme's workload through the scalar per-query planner."""
-        return [plan_query(q, scheme, self.env) for q in queries]
-
     def plan(
         self,
         workload: Union[Query, Sequence[Query]],
@@ -340,14 +313,14 @@ class Engine:
         reset_caches: bool = True,
         planner: str = "batched",
     ) -> List[QueryPlan]:
-        """Plan a workload under one scheme, through the plan cache.
+        """Plan a workload under one scheme.
 
         ``reset_caches=True`` (the default) cold-starts the device caches at
-        the workload boundary, as the sweep harness always did; only these
-        reproducible plans are cached.  ``reset_caches=False`` plans against
-        the environment's current warm state and bypasses the cache.
-        ``planner`` selects the batched or scalar implementation
-        (:data:`PLANNERS`); both produce bit-identical plans.
+        the workload boundary, as the sweep harness always did;
+        ``reset_caches=False`` plans against the environment's current warm
+        state.  ``planner`` selects the batched or scalar implementation
+        (:data:`PLANNERS`); both produce bit-identical plans and leave the
+        same cache state.
         """
         return self.plan_grid(
             workload, scheme, reset_caches=reset_caches, planner=planner
@@ -365,9 +338,8 @@ class Engine:
 
         The batched planner computes each distinct query's filter/refine
         phases once (through :attr:`phase_cache`) and assembles every
-        scheme's plans from them; schemes already in the plan cache are not
-        re-planned.  Returns one plan list per scheme, in scheme order, and
-        records one ledger ``plan`` event per scheme.
+        scheme's plans from them.  Returns one plan list per scheme, in
+        scheme order, and records one ledger ``plan`` event per scheme.
         """
         queries = self._as_queries(workload)
         configs = self._as_schemes(schemes)
@@ -376,56 +348,32 @@ class Engine:
                 f"unknown planner {planner!r}; choose from {PLANNERS}"
             )
         start = time.perf_counter()
-        per_scheme: List[Optional[List[QueryPlan]]] = []
-        missing: List[int] = []
-        for i, config in enumerate(configs):
-            plans = (
-                self.plan_cache.get(self.fingerprint, queries, config)
-                if reset_caches
-                else None
+        if planner == "batched":
+            planned = plan_workload_batched(
+                self.env,
+                queries,
+                configs,
+                reset_caches=reset_caches,
+                phase_cache=self.phase_cache,
             )
-            per_scheme.append(plans)
-            if plans is None:
-                missing.append(i)
-        if missing:
-            todo = [configs[i] for i in missing]
-            if planner == "batched":
-                planned = plan_workload_batched(
-                    self.env,
-                    queries,
-                    todo,
-                    reset_caches=reset_caches,
-                    phase_cache=self.phase_cache,
-                )
-            else:
-                planned = []
-                for config in todo:
-                    if reset_caches:
-                        self.env.reset_caches()
-                    planned.append(self._plan_serial(queries, config))
-            for i, plans in zip(missing, planned):
-                per_scheme[i] = plans
+        else:
+            planned = []
+            for config in configs:
                 if reset_caches:
-                    self.plan_cache.put(
-                        self.fingerprint, queries, configs[i], plans
-                    )
-        elapsed = time.perf_counter() - start
+                    self.env.reset_caches()
+                planned.append([plan_query(q, config, self.env) for q in queries])
         if self.ledger is not None:
-            planned_seconds = elapsed / len(missing) if missing else 0.0
-            for i, config in enumerate(configs):
+            seconds = (time.perf_counter() - start) / len(configs)
+            for config in configs:
                 self.ledger.record(
                     "plan",
                     dataset=self.dataset.name,
                     scheme=config.label,
                     planner=planner,
                     n_queries=len(queries),
-                    seconds=planned_seconds if i in missing else 0.0,
-                    cache_hit=i not in missing,
-                    cache_hits=self.plan_cache.hits,
-                    cache_misses=self.plan_cache.misses,
-                    cache_hit_rate=self.plan_cache.hit_rate,
+                    seconds=seconds,
                 )
-        return [plans if plans is not None else [] for plans in per_scheme]
+        return planned
 
     def price_grid(
         self,
@@ -483,28 +431,26 @@ class Session:
 
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
     :class:`~repro.core.executor.Environment`, or an :class:`Engine` to
-    share (its plan/phase caches and ledger are adopted; the
-    ``plan_cache``/``ledger`` keywords then must stay unset).  The session
-    itself is a thin single-user wrapper: all caching and ledger machinery
-    lives on :attr:`engine`.
+    share (its phase cache and ledger are adopted; the ``ledger`` keyword
+    then must stay unset).  The session itself is a thin single-user
+    wrapper: all caching and ledger machinery lives on :attr:`engine`.
     """
 
     def __init__(
         self,
         source: Union[SegmentDataset, Environment, Engine],
         *,
-        plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
     ) -> None:
         if isinstance(source, Engine):
-            if plan_cache is not None or ledger is not None:
+            if ledger is not None:
                 raise TypeError(
-                    "plan_cache and ledger are configured on the shared "
-                    "Engine; do not pass them again"
+                    "the ledger is configured on the shared Engine; do not "
+                    "pass it again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(source, plan_cache=plan_cache, ledger=ledger)
+            self.engine = Engine(source, ledger=ledger)
         else:
             raise TypeError(
                 "Session() takes a SegmentDataset or an Environment (or a "
@@ -524,19 +470,9 @@ class Session:
         return self.engine.dataset
 
     @property
-    def plan_cache(self) -> PlanCache:
-        """The engine's plan cache."""
-        return self.engine.plan_cache
-
-    @property
     def ledger(self) -> Optional[RunLedger]:
         """The engine's ledger (``None`` when not recording)."""
         return self.engine.ledger
-
-    @property
-    def fingerprint(self) -> str:
-        """The dataset's content hash (computed once, keys the plan cache)."""
-        return self.engine.fingerprint
 
     @property
     def phase_cache(self) -> PhaseDataCache:
@@ -666,8 +602,7 @@ class Session:
 
         Returns the plans plus the stateful
         :class:`~repro.core.clientcache.ClientCacheSession` (whose hit/miss
-        statistics the Figure 10 bench reports).  These plans depend on the
-        client buffer's evolving state, so they bypass the plan cache.
+        statistics the Figure 10 bench reports).
         """
         core = self.engine
         queries = core._as_queries(workload)
@@ -683,7 +618,6 @@ class Session:
             planner="scalar",
             n_queries=len(queries),
             seconds=time.perf_counter() - start,
-            cache_hit=False,
             local_hits=cache_session.local_hits,
             misses=cache_session.misses,
         )

@@ -16,11 +16,13 @@ engine/planner pairings:
 Methodology matches planbench: every side runs once untimed (page-fault
 warm-up is not engine work) and that warm-up pass doubles as the parity
 check — batched must match the scalar reference to ``rel_tol``; then
-``repeats`` timed rounds interleaved in one process, minimum per side.
-Each timed round constructs a fresh :class:`~repro.api.Session` (fresh
-plan/phase/compile caches) so no side amortizes another's warm state; the
-environment itself is shared because ``Session.run`` resets the cache sims
-per workload.
+``repeats`` timed rounds interleaved in one process, each timing one
+side's back-to-back passes over a region of at least
+:data:`~repro.bench.planbench.MIN_REGION_S` seconds
+(:func:`~repro.bench.planbench.time_regions`), fastest region per side.
+Each pass constructs a fresh :class:`~repro.api.Session` (a fresh phase
+cache) so no pass amortizes another's warm state; the environment itself is
+shared because ``Session.run`` resets the cache sims per workload.
 
 One measurement routine shared by ``repro planbench --e2e``, the
 ``benchmarks/test_e2e_speedup.py`` gate (which archives
@@ -30,12 +32,13 @@ One measurement routine shared by ``repro planbench --e2e``, the
 from __future__ import annotations
 
 import dataclasses
-import time
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api import RunTable, Session
+from repro.bench.planbench import MIN_REGION_S, _kind_workload, time_regions
 from repro.core.executor import Environment, Policy
 from repro.core.queries import Query
 from repro.core.schemes import SchemeConfig
@@ -65,23 +68,19 @@ def run_table_once(
     *,
     planner: str = "batched",
     engine: str = "batched",
-) -> Tuple[RunTable, float]:
-    """One cold workload→RunTable pass; returns ``(table, seconds)``.
+) -> RunTable:
+    """One cold workload→RunTable pass.
 
-    A fresh :class:`Session` per call means fresh plan/phase/compile
-    caches — the measurement is the full cost a new session pays, not an
-    incremental re-price.
+    A fresh :class:`Session` per call means a fresh phase cache — a timed
+    pass is the full cost a new session pays, not an incremental re-price.
     """
-    session = Session(env)
-    t0 = time.perf_counter()
-    table = session.run(
+    return Session(env).run(
         list(queries),
         schemes=list(configs),
         policies=list(policies),
         engine=engine,
         planner=planner,
     )
-    return table, time.perf_counter() - t0
 
 
 def _max_rel(a, b) -> float:
@@ -174,10 +173,14 @@ def measure_e2e_speedup(
          "n_configs": ..., "n_policies": ..., "repeats": ..., "rel_tol": ...,
          "scalar_seconds": ..., "batched_seconds": ...,
          "batched_vs_scalar": ..., "tables_match": ...,
-         "max_rel_err_vs_scalar": ...}
+         "max_rel_err_vs_scalar": ..., "min_region_s": ...,
+         "scalar_region_seconds": ..., "scalar_passes": ...,
+         "batched_region_seconds": ..., "batched_passes": ...}
 
-    Parity is established on the warm-up pass: batched vs the scalar
-    reference within ``rel_tol``.
+    ``*_seconds`` are per pass, in each side's fastest region, whose wall
+    and passes are ``*_region_seconds`` and ``*_passes``.  Parity is
+    established on the warm-up pass: batched vs the scalar reference
+    within ``rel_tol``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -189,25 +192,34 @@ def measure_e2e_speedup(
     tables = {
         side: run_table_once(
             env, queries, configs, policies, planner=planner, engine=engine
-        )[0]
+        )
         for side, (planner, engine) in E2E_SIDES.items()
     }
     parity_ok, scalar_err = tables_match(
         tables["batched"], tables["scalar"], rel_tol=rel_tol
     )
 
-    seconds = {side: float("inf") for side in E2E_SIDES}
-    for _ in range(repeats):
-        for side, (planner, engine) in E2E_SIDES.items():
-            _, s = run_table_once(
-                env, queries, configs, policies, planner=planner, engine=engine
+    best = time_regions(
+        {
+            side: partial(
+                run_table_once,
+                env,
+                queries,
+                configs,
+                policies,
+                planner=planner,
+                engine=engine,
             )
-            seconds[side] = min(seconds[side], s)
+            for side, (planner, engine) in E2E_SIDES.items()
+        },
+        repeats,
+    )
+    seconds = {side: wall / passes for side, (wall, passes) in best.items()}
 
     def ratio(num: float, den: float) -> float:
         return num / den if den > 0 else float("inf")
 
-    return {
+    record = {
         "benchmark": "e2e_speedup",
         "dataset": env.dataset.name,
         "n_queries": len(queries),
@@ -220,7 +232,12 @@ def measure_e2e_speedup(
         "batched_vs_scalar": ratio(seconds["scalar"], seconds["batched"]),
         "tables_match": bool(parity_ok),
         "max_rel_err_vs_scalar": scalar_err,
+        "min_region_s": MIN_REGION_S,
     }
+    for side, (wall, passes) in best.items():
+        record[f"{side}_region_seconds"] = wall
+        record[f"{side}_passes"] = passes
+    return record
 
 
 def measure_e2e_speedup_kinds(
@@ -241,8 +258,6 @@ def measure_e2e_speedup_kinds(
          "repeats": ..., "kinds": {"range": {<measure_e2e_speedup row>}, ...},
          "tables_match": <all kinds>, "min_speedup": <worst batched_vs_scalar>}
     """
-    from repro.bench.planbench import _kind_workload
-
     kinds = list(kinds)
     if not kinds:
         raise ValueError("kinds must name at least one query kind")
@@ -269,13 +284,24 @@ def render_e2e_speedup(record: Dict[str, object]) -> str:
         "e2e_speedup: workload -> RunTable, batched engine vs scalar",
         f"  dataset      : {record['dataset']}"
         f"  ({record['n_queries']} queries x {record['n_configs']} configs"
-        f" x {record['n_policies']} policies, min of {record['repeats']})",
-        f"  scalar       : {record['scalar_seconds']:.3f} s",
-        f"  batched      : {record['batched_seconds']:.3f} s"
-        f"  ({record['batched_vs_scalar']:.2f}x)",
+        f" x {record['n_policies']} policies, best of {record['repeats']})",
+        *(
+            f"  {side:<12} : {record[f'{side}_seconds']:.4f} s per pass"
+            f" ({record[f'{side}_passes']} passes in"
+            f" {record[f'{side}_region_seconds']:.2f} s)"
+            for side in E2E_SIDES
+        ),
+        f"  speedup      : {record['batched_vs_scalar']:.2f}x",
         f"  tables match : {record['tables_match']}"
         f"  (worst rel err vs scalar: {record['max_rel_err_vs_scalar']:.2e})",
     ]
+    prov = record.get("provenance")
+    if prov is not None:
+        lines.append(
+            f"  commit       : {prov['git_sha']}"
+            f"{' with uncommitted changes' if prov['git_dirty'] else ''}"
+            f" ({prov['timestamp_utc']}, {prov['platform']})"
+        )
     return "\n".join(lines)
 
 

@@ -6,10 +6,10 @@ structure (``{scheme label: [SweepCell, ...]}`` or figure-specific rows)
 that :mod:`repro.bench.report` renders as the paper-shaped table.
 
 All sweeps route through :class:`repro.api.Session` and its batched grid
-pricer: each workload x scheme is planned once (through the session's plan
-cache) and every bandwidth is priced in one vectorized pass.  Pass a
-``session`` to share plan/compile caches and a run-ledger across figures;
-passing a bare environment still works and creates a throwaway session.
+pricer: each workload x scheme is planned once and every bandwidth is
+priced in one vectorized pass.  Pass a ``session`` to share the phase cache
+and a run-ledger across figures; passing a bare environment still works and
+creates a throwaway session.
 
 The benchmark files under ``benchmarks/`` call these with full-scale
 datasets and record wall-clock via pytest-benchmark; EXPERIMENTS.md captures
@@ -255,14 +255,19 @@ def fig10_insufficient_memory(
     session = _session(env)
     policy = Policy().with_bandwidth(bandwidth_mbps * MBPS)
     server_cfg = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=False)
+    # The fully-at-server baseline does not depend on the client buffer:
+    # plan and price it once per proximity, cold, like every plan call.
+    sequences = {}
+    for y in proximities:
+        qs = proximity_sequence(session.dataset, y=y, n_groups=1, seed=seed)
+        server = session.price(session.plan(qs, server_cfg), policy)[0]
+        sequences[y] = (qs, server)
     rows: List[Fig10Row] = []
     for budget in buffers:
         for y in proximities:
-            qs = proximity_sequence(session.dataset, y=y, n_groups=1, seed=seed)
+            qs, server = sequences[y]
             plans, cache_session = session.plan_cached(qs, budget)
             client = session.price(plans, policy)[0]
-            server_plans = session.plan(qs, server_cfg)
-            server = session.price(server_plans, policy)[0]
             rows.append(
                 Fig10Row(
                     buffer_bytes=budget,

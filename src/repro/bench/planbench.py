@@ -10,7 +10,8 @@ three report the same methodology:
   process, taking the **minimum** per planner (the standard noise-robust
   statistic for a deterministic workload).  A round times as many
   back-to-back passes as fill :data:`MIN_REGION_S`, so that a fast planner
-  is not timed over too short a region;
+  is not timed over too short a region (:func:`time_regions`, which the
+  end-to-end and grid-pricing gates use too);
 * the batched plans are checked bit-for-bit against the scalar plans with
   :func:`repro.core.batchplan.plans_equal` before any timing is reported.
 """
@@ -18,7 +19,7 @@ three report the same methodology:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.batchplan import plan_workload_batched, plans_equal
 from repro.core.executor import Environment, QueryPlan, plan_query
@@ -33,6 +34,7 @@ __all__ = [
     "measure_plan_speedup_kinds",
     "render_plan_speedup",
     "render_plan_speedup_kinds",
+    "time_regions",
 ]
 
 #: The two schemes NN/k-NN queries admit (no filter/refine split exists for
@@ -48,6 +50,34 @@ PLAN_KINDS: tuple = ("point", "range", "nn", "knn")
 #: Shortest timed region, in seconds: a round repeats a planner's pass
 #: until this much wall has passed (a batched NN pass takes milliseconds).
 MIN_REGION_S = 0.5
+
+
+def time_regions(
+    sides: Dict[str, Callable[[], object]], rounds: int
+) -> Dict[str, Tuple[float, int]]:
+    """Each side's fastest timed region over ``rounds`` interleaved rounds.
+
+    In every round each side, in turn, runs back-to-back passes of its
+    callable until :data:`MIN_REGION_S` seconds have passed.  Returns, per
+    side, the ``(wall seconds, passes)`` of its region with the least wall
+    per pass.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    best = {side: (float("inf"), 1) for side in sides}
+    for _ in range(rounds):
+        for side, once in sides.items():
+            passes = 0
+            t0 = time.perf_counter()
+            while True:
+                once()
+                passes += 1
+                wall = time.perf_counter() - t0
+                if wall >= MIN_REGION_S:
+                    break
+            if wall / passes < best[side][0] / best[side][1]:
+                best[side] = (wall, passes)
+    return best
 
 
 def measure_plan_speedup(
@@ -96,23 +126,7 @@ def measure_plan_speedup(
         plans_equal(b, s) for b, s in zip(batched_grid, scalar_grid)
     )
 
-    def region(plan_once) -> Tuple[float, int]:
-        """One timed region: its wall seconds and its passes."""
-        passes = 0
-        t0 = time.perf_counter()
-        while True:
-            plan_once()
-            passes += 1
-            wall = time.perf_counter() - t0
-            if wall >= MIN_REGION_S:
-                return wall, passes
-
-    best = {"scalar": (float("inf"), 1), "batched": (float("inf"), 1)}
-    for _ in range(repeats):
-        for side, plan_once in (("scalar", scalar_once), ("batched", batched_once)):
-            wall, passes = region(plan_once)
-            if wall / passes < best[side][0] / best[side][1]:
-                best[side] = (wall, passes)
+    best = time_regions({"scalar": scalar_once, "batched": batched_once}, repeats)
     scalar_s = best["scalar"][0] / best["scalar"][1]
     batched_s = best["batched"][0] / best["batched"][1]
 

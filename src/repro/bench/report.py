@@ -171,14 +171,13 @@ def render_fig10(rows: Iterable[Fig10Row], title: str) -> str:
 
 
 def summarize_ledger(source: Union[str, List[dict]]) -> str:
-    """Summarize a run-ledger: phase timings, cache rates, NIC dwell.
+    """Summarize a run-ledger: phase timings, pricing rates, NIC dwell.
 
     ``source`` is a ledger file path or an in-memory record list
     (:attr:`repro.core.gridrun.RunLedger.records`).  The summary folds the
-    event stream back into the quantities the ISSUE's observability layer
-    promises: per-phase op counts and wall-clock, plan-cache hit rates,
-    per-engine pricing throughput, per-NIC-state joules/seconds, and any
-    recorded speedups.
+    event stream back into per-phase op counts and wall-clock, per-engine
+    pricing throughput, per-NIC-state joules/seconds, and any recorded
+    speedups.
     """
     records = read_ledger(source) if isinstance(source, str) else list(source)
     lines = ["== run-ledger summary =="]
@@ -198,13 +197,9 @@ def summarize_ledger(source: Union[str, List[dict]]) -> str:
     if plans:
         total_s = sum(r.get("seconds", 0.0) for r in plans)
         queries = sum(r.get("n_queries", 0) for r in plans)
-        last = plans[-1]
         lines.append(
             f"plan    : {len(plans)} workloads, {queries} queries, "
-            f"{total_s:.3f} s; cache hit rate "
-            f"{last.get('cache_hit_rate', 0.0):.0%} "
-            f"({last.get('cache_hits', 0)} hits / "
-            f"{last.get('cache_misses', 0)} misses)"
+            f"{total_s:.3f} s"
         )
 
     prices = [r for r in records if r.get("event") == "price"]

@@ -4,7 +4,7 @@
 tree, replays its memory trace through the stateful CPU caches, and prices
 the counts — a Python loop per query, per scheme, that dominates
 ``Session.run`` wall time on figure-scale workloads.  This module produces
-the *identical* :class:`~repro.core.executor.QueryPlan` objects in three
+the *identical* :class:`~repro.core.executor.QueryPlan` objects in two
 vectorized stages:
 
 1. **Phase data** (:func:`compute_query_phases`): every point/range query in
@@ -18,17 +18,20 @@ vectorized stages:
    best-first search (:func:`repro.spatial.batchtraverse.batch_nearest`),
    which reproduces each query's scalar heap-pop order, tie-breaks and op
    tallies exactly; its visit/refine logs land in the same trace form.
-2. **Cache replay**: for each scheme configuration the client/server phase
-   traces are concatenated into per-side access streams (exactly the line
-   sequence the scalar path would feed ``CacheSim``) and simulated together
-   by :class:`repro.sim.cache.BatchedLRU`.  Identical streams across
-   configurations (e.g. the server's work under both FULLY_SERVER
-   placements) are simulated once.
-3. **Assembly**: per-phase hit/miss slices price each step via the CPU
-   models' ``compute_replayed`` mirrors, and plans are assembled
-   branch-for-branch against ``plan_query`` — same labels, payloads, step
-   order, and cache-state side effects (the environment's caches are left
-   exactly as the scalar loop would leave them).
+2. **Cache replay and assembly** (:func:`_replay_workload`, the one
+   replay builder, shared with :class:`repro.serve.QueryService`): each
+   side's phase traces are concatenated into named access streams (exactly
+   the line sequence the scalar path would feed ``CacheSim``) and
+   simulated together by :class:`repro.sim.cache.BatchedLRU`.  A sweep
+   gives each configuration its own cold streams, and identical cold
+   streams (e.g. the server's work under both FULLY_SERVER placements)
+   are simulated once; warm planning chains every configuration on one
+   stream per side, seeded from the live caches.  Per-phase hit/miss
+   slices then price each step via the CPU models' ``compute_replayed``
+   mirrors, and plans are assembled branch-for-branch against
+   ``plan_query`` — same labels, payloads, step order, and cache-state
+   side effects (the environment's caches are left exactly as the scalar
+   loop would leave them).
 
 The op counts are **replayed, not re-derived**: the counts in each
 ``PhaseTrace`` are the scalar traversal's tallies (the paper's cost model),
@@ -38,15 +41,14 @@ energy/cycles, final cache state — is enforced bit for bit by the
 differential suite.
 
 :class:`PhaseDataCache` is the plan-dedup layer: phase data is keyed by
-:func:`repro.core.queries.query_key` and bound to a dataset fingerprint, so
-repeated workloads (and repeated queries within one) are planned once and
-shared across the scheme grid.
+:func:`repro.core.queries.query_key`, so repeated workloads (and repeated
+queries within one) are traversed once and shared across the scheme grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,9 +95,9 @@ class PhaseTrace:
 
     The array triplet ``(regions, ids, nbytes)`` is the exact sequence of
     :class:`~repro.sim.trace.Access` records the scalar phase appends to its
-    counter; :meth:`lines_for` expands it into line-granular cache addresses
-    for a given cache geometry (cached per geometry — the client and server
-    see the same touches through different line sizes).
+    counter.  ``_lines`` keeps its line-granular cache addresses per cache
+    geometry key, filled by the replay builder (the client and server see
+    the same touches through different line sizes).
     """
 
     counter: OpCounter
@@ -103,13 +105,6 @@ class PhaseTrace:
     ids: np.ndarray
     nbytes: np.ndarray
     _lines: dict = field(default_factory=dict, repr=False)
-
-    def lines_for(self, geom: "CacheGeometry") -> np.ndarray:
-        lines = self._lines.get(geom.key)
-        if lines is None:
-            lines = geom.lines_of(self.regions, self.ids, self.nbytes)
-            self._lines[geom.key] = lines
-        return lines
 
 
 @dataclass(frozen=True)
@@ -141,12 +136,6 @@ class CacheGeometry:
     def key(self) -> tuple:
         """Identity of the address expansion (shared line caches hinge on it)."""
         return (self.line_bytes, self.data_stride, self.result_stride)
-
-    def lines_of(
-        self, regions: np.ndarray, ids: np.ndarray, nbytes: np.ndarray
-    ) -> np.ndarray:
-        """Line-granular address sequence of one access trace."""
-        return self.lines_and_counts(regions, ids, nbytes)[0]
 
     def lines_and_counts(
         self, regions: np.ndarray, ids: np.ndarray, nbytes: np.ndarray
@@ -249,17 +238,15 @@ class QueryPhases:
 class PhaseDataCache:
     """Keyed store of :class:`QueryPhases`: the plan-dedup layer.
 
-    Keys are :func:`~repro.core.queries.query_key` tuples; ``fingerprint``
-    names the dataset the phase data was computed against — a cache must
-    never be consulted for a different dataset (Session binds one per
-    fingerprint).  Bounded FIFO to keep long sweeps from accumulating
-    unbounded trace arrays.
+    Keys are :func:`~repro.core.queries.query_key` tuples.  Phase data
+    belongs to the dataset it was computed against, so a cache serves one
+    environment only (each :class:`repro.api.Engine` owns one).  Bounded
+    FIFO to keep long sweeps from accumulating unbounded trace arrays.
     """
 
-    def __init__(self, fingerprint: Optional[str] = None, max_entries: int = 8192):
+    def __init__(self, max_entries: int = 8192):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        self.fingerprint = fingerprint
         self.max_entries = max_entries
         self._data: Dict[tuple, QueryPhases] = {}
         self.hits = 0
@@ -573,9 +560,16 @@ def _query_phase_slots(
 
 
 class _Stream:
-    """One side's concatenated replay stream with per-phase boundaries."""
+    """One replay stream: its phase boundaries, then what the replay left.
 
-    __slots__ = ("handle", "starts", "ends", "hm", "hits_total", "misses_total")
+    After :meth:`finish`, ``hm`` holds each phase's ``(hits, misses)`` in
+    stream order, ``hits_total``/``misses_total`` their sums, and ``ways``
+    the final cache state (a :meth:`BatchedLRU.final_ways` matrix).
+    """
+
+    __slots__ = (
+        "handle", "starts", "ends", "hm", "hits_total", "misses_total", "ways"
+    )
 
     def __init__(self, handle: int, starts: np.ndarray, ends: np.ndarray) -> None:
         self.handle = handle
@@ -584,6 +578,7 @@ class _Stream:
         self.hm: List[Tuple[int, int]] = []
         self.hits_total = 0
         self.misses_total = 0
+        self.ways: Optional[np.ndarray] = None
 
     def finish(self, batch: BatchedLRU) -> None:
         hits = batch.hits_of(self.handle)
@@ -596,39 +591,7 @@ class _Stream:
         self.hm = list(zip(h.tolist(), (self.ends - self.starts - h).tolist()))
         self.hits_total = int(h.sum())
         self.misses_total = int(hits.size) - self.hits_total
-
-    def phase_hm(self, j: int) -> Tuple[int, int]:
-        return self.hm[j]
-
-
-def _prime_lines(traces: Sequence[PhaseTrace], geom: CacheGeometry) -> None:
-    """Expand every uncached trace's line sequence in one vectorized call.
-
-    ``lines_for`` on a short trace (an NN visit log, a display phase) costs
-    more in per-call NumPy overhead than in actual work; concatenating the
-    uncached traces' access arrays, expanding once, and splitting the result
-    back per trace keeps stream building flat in the number of traces.
-    """
-    missing: List[PhaseTrace] = []
-    seen: set = set()
-    for t in traces:
-        if geom.key not in t._lines and id(t) not in seen:
-            seen.add(id(t))
-            missing.append(t)
-    if not missing:
-        return
-    acc_counts = np.array([t.regions.size for t in missing], dtype=np.int64)
-    regs = np.concatenate([t.regions for t in missing])
-    ids = np.concatenate([t.ids for t in missing])
-    nbs = np.concatenate([t.nbytes for t in missing])
-    lines, per_access = geom.lines_and_counts(regs, ids, nbs)
-    cum = np.zeros(per_access.size + 1, dtype=np.int64)
-    np.cumsum(per_access, out=cum[1:])
-    ends = np.cumsum(acc_counts)
-    line_ends = cum[ends]
-    line_starts = cum[ends - acc_counts]
-    for t, a, b in zip(missing, line_starts.tolist(), line_ends.tolist()):
-        t._lines[geom.key] = lines[a:b]
+        self.ways = batch.final_ways(self.handle)
 
 
 def _make_stream(
@@ -637,8 +600,29 @@ def _make_stream(
     geom: CacheGeometry,
     seed: Optional[np.ndarray],
 ) -> _Stream:
-    _prime_lines(traces, geom)
-    parts = [t.lines_for(geom) for t in traces]
+    """Add the concatenated line sequence of ``traces`` to ``batch``.
+
+    The traces not yet expanded under ``geom`` are expanded together: on a
+    short trace (an NN visit log, a display phase) per-call NumPy overhead
+    would cost more than the work, so their access arrays are concatenated,
+    expanded once and split back per trace.
+    """
+    key = geom.key
+    missing = list({id(t): t for t in traces if key not in t._lines}.values())
+    if missing:
+        acc_counts = np.array([t.regions.size for t in missing], dtype=np.int64)
+        expanded, per_access = geom.lines_and_counts(
+            np.concatenate([t.regions for t in missing]),
+            np.concatenate([t.ids for t in missing]),
+            np.concatenate([t.nbytes for t in missing]),
+        )
+        cum = np.zeros(per_access.size + 1, dtype=np.int64)
+        np.cumsum(per_access, out=cum[1:])
+        acc_ends = np.cumsum(acc_counts)
+        starts = cum[acc_ends - acc_counts].tolist()
+        for t, a, b in zip(missing, starts, cum[acc_ends].tolist()):
+            t._lines[key] = expanded[a:b]
+    parts = [t._lines[key] for t in traces]
     lens = np.array([p.size for p in parts], dtype=np.int64)
     lines = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     handle = batch.add_stream(lines, geom.n_sets, geom.assoc, seed_ways=seed)
@@ -705,105 +689,112 @@ def _assemble_plan(
     return QueryPlan(query, config, steps, answer_ids, n_cand, n_res)
 
 
+#: One replay group: ``(queries, phase data, scheme, client-stream name,
+#: server-stream name)``; see :func:`_replay_workload`.
+_Group = Tuple[Sequence[Query], Sequence[QueryPhases], SchemeConfig, Hashable, Hashable]
+
+
 def _replay_workload(
     env: Environment,
-    phases: Sequence[QueryPhases],
-    configs: Sequence[SchemeConfig],
-    costs,
-    *,
-    reset_caches: bool,
-) -> Tuple[BatchedLRU, List[Dict[str, Tuple[_Stream, int]]], Dict[str, object]]:
-    """Build and run every configuration's per-side replay streams.
+    groups: Sequence[_Group],
+    seeds: Dict[Hashable, np.ndarray],
+) -> Tuple[List[List[QueryPlan]], Dict[Hashable, _Stream]]:
+    """Replay every group's data-cache streams and assemble its plans.
 
-    The replay core of :func:`plan_workload_batched`.  Returns the finished
-    :class:`BatchedLRU`, one ``side -> (stream, first-phase offset)``
-    mapping per configuration, and the live cache simulators by side
-    (for :func:`_writeback_sims`).
+    The one replay builder, behind :func:`plan_workload_batched` and
+    :meth:`repro.serve.QueryService._replay_batch`.  ``groups`` come in
+    replay order; each group's client phases run on the stream its client
+    name names and its server phases on the stream its server name names,
+    so a name several groups share is one timeline continuing across them
+    (a name is a client name or a server name, never both).
+    ``seeds`` warm-starts streams by name with a way matrix
+    (:meth:`repro.sim.cache.CacheSim.ways`); other streams start cold, and
+    cold streams with identical trace sequences are simulated once.  A side
+    whose CPU model does not simulate its cache gets no stream and prices
+    each phase with the scalar path's fallback estimate.
+
+    Returns each group's plans, in group order, and the finished streams by
+    name, from which callers write the final cache states back.
     """
     client = env.client_cpu
     server = env.server_cpu
-    sims = {"client": client.dcache, "server": server.l1}
-    use_sim = {"client": client.use_cache_sim, "server": server.use_cache_sim}
-    geoms = {
-        "client": CacheGeometry.of(client.dcache, client.costs),
-        "server": CacheGeometry.of(server.l1, server.costs),
-    }
+    costs = env.dataset.costs
+
+    # Each named stream's phase traces, in replay order.
+    named: Dict[str, Dict[Hashable, List[PhaseTrace]]] = {"client": {}, "server": {}}
+    for _, phases, scheme, client_name, server_name in groups:
+        lists = {
+            "client": named["client"].setdefault(client_name, []),
+            "server": named["server"].setdefault(server_name, []),
+        }
+        for qp in phases:
+            for side, trace in _query_phase_slots(qp, scheme, costs):
+                lists[side].append(trace)
 
     batch = BatchedLRU()
-    all_streams: List[_Stream] = []
-    # Per config: side -> (stream, index of the config's first phase in it).
-    per_config: List[Dict[str, Tuple[_Stream, int]]] = []
-
-    if reset_caches:
-        table: Dict[tuple, _Stream] = {}
-        for config in configs:
-            sides: Dict[str, List[PhaseTrace]] = {"client": [], "server": []}
-            for qp in phases:
-                for side, trace in _query_phase_slots(qp, config, costs):
-                    sides[side].append(trace)
-            entry: Dict[str, Tuple[_Stream, int]] = {}
-            for side, traces in sides.items():
-                if not traces or not use_sim[side]:
-                    continue
-                # Identical trace sequences replay identically from cold:
-                # share one simulated stream across configurations.
-                sig = (side, tuple(map(id, traces)))
-                stream = table.get(sig)
-                if stream is None:
-                    stream = _make_stream(batch, traces, geoms[side], None)
-                    table[sig] = stream
-                    all_streams.append(stream)
-                entry[side] = (stream, 0)
-            per_config.append(entry)
-    else:
-        sides_all: Dict[str, List[PhaseTrace]] = {"client": [], "server": []}
-        base_at: List[Dict[str, int]] = []
-        for config in configs:
-            base_at.append({s: len(sides_all[s]) for s in sides_all})
-            for qp in phases:
-                for side, trace in _query_phase_slots(qp, config, costs):
-                    sides_all[side].append(trace)
-        side_stream: Dict[str, _Stream] = {}
-        for side, traces in sides_all.items():
-            if not traces or not use_sim[side]:
+    streams: Dict[Hashable, _Stream] = {}
+    made: List[_Stream] = []
+    cold: Dict[tuple, _Stream] = {}
+    for side, cpu, sim in (
+        ("client", client, client.dcache),
+        ("server", server, server.l1),
+    ):
+        if not cpu.use_cache_sim:
+            continue
+        geom = CacheGeometry.of(sim, cpu.costs)
+        for name, traces in named[side].items():
+            if not traces:
                 continue
-            side_stream[side] = _make_stream(
-                batch, traces, geoms[side], sims[side].ways()
-            )
-            all_streams.append(side_stream[side])
-        for ci in range(len(configs)):
-            per_config.append(
-                {s: (stream, base_at[ci][s]) for s, stream in side_stream.items()}
-            )
-
+            seed = seeds.get(name)
+            if seed is None:
+                # Identical trace sequences replay identically from cold.
+                sig = (side, tuple(map(id, traces)))
+                stream = cold.get(sig)
+                if stream is None:
+                    stream = cold[sig] = _make_stream(batch, traces, geom, None)
+                    made.append(stream)
+            else:
+                stream = _make_stream(batch, traces, geom, seed)
+                made.append(stream)
+            streams[name] = stream
     batch.run()
-    for stream in all_streams:
+    for stream in made:
         stream.finish(batch)
-    return batch, per_config, sims
 
-
-def _writeback_sims(
-    batch: BatchedLRU,
-    per_config: List[Dict[str, Tuple[_Stream, int]]],
-    sims: Dict[str, object],
-    env: Environment,
-    *,
-    reset_caches: bool,
-) -> None:
-    """Leave the environment's caches exactly as the scalar loop would."""
-    if reset_caches:
-        env.reset_caches()
-        for side, (stream, _base) in per_config[-1].items():
-            sim = sims[side]
-            sim.load_ways(batch.final_ways(stream.handle))
-            sim.hits = stream.hits_total
-            sim.misses = stream.misses_total
-    else:
-        for side, (stream, _base) in (per_config[-1] if per_config else {}).items():
-            sim = sims[side]
-            sim.load_ways(batch.final_ways(stream.handle))
-            sim.hits += stream.hits_total
-            sim.misses += stream.misses_total
+    # Walk the groups again: price each phase from its stream's next
+    # (hits, misses) slice, and assemble each plan once its costs exist.
+    at: Dict[Hashable, int] = {}
+    plans_per_group: List[List[QueryPlan]] = []
+    for queries, phases, scheme, client_name, server_name in groups:
+        client_hm = streams[client_name].hm if client_name in streams else None
+        server_hm = streams[server_name].hm if server_name in streams else None
+        ci = at.get(client_name, 0)
+        si = at.get(server_name, 0)
+        plans: List[QueryPlan] = []
+        for query, qp in zip(queries, phases):
+            slot_costs = []
+            for side, trace in _query_phase_slots(qp, scheme, costs):
+                if side == "client":
+                    if client_hm is None:
+                        # No cache simulation on this side: the scalar
+                        # path's fallback estimate uses only the counts.
+                        slot_costs.append(client.compute(trace.counter))
+                    else:
+                        h, m = client_hm[ci]
+                        slot_costs.append(client.compute_replayed(trace.counter, h, m))
+                    ci += 1
+                else:
+                    if server_hm is None:
+                        slot_costs.append(server.compute(trace.counter))
+                    else:
+                        h, m = server_hm[si]
+                        slot_costs.append(server.compute_replayed(trace.counter, h, m))
+                    si += 1
+            plans.append(_assemble_plan(query, scheme, qp, costs, slot_costs))
+        at[client_name] = ci
+        at[server_name] = si
+        plans_per_group.append(plans)
+    return plans_per_group, streams
 
 
 def plan_workload_batched(
@@ -822,11 +813,11 @@ def plan_workload_batched(
             env.reset_caches()          # reset_caches=True (the grid loop)
             [plan_query(q, config, env) for q in queries]
 
-    including the caches' final state.  With ``reset_caches=False`` the
-    replay instead continues from the caches' current contents, chaining
-    all configurations on one warm timeline (no cross-config stream
-    sharing is possible then).  Returns one plan list per configuration,
-    aligned with ``configs``.
+    including the caches' final state.  Each configuration replays on its
+    own cold streams.  With ``reset_caches=False`` the replay instead
+    continues from the caches' current contents, chaining all
+    configurations on one warm stream per side.  Returns one plan list per
+    configuration, aligned with ``configs``.
     """
     queries = list(queries)
     configs = list(configs)
@@ -837,38 +828,29 @@ def plan_workload_batched(
             config.validate_for(q)
     if not configs:
         return []
-    costs = env.dataset.costs
     phases = compute_query_phases(env, queries, phase_cache)
+    sims = (env.client_cpu.dcache, env.server_cpu.l1)
+    if reset_caches:
+        groups = [
+            (queries, phases, config, ("client", i), ("server", i))
+            for i, config in enumerate(configs)
+        ]
+        seeds: Dict[Hashable, np.ndarray] = {}
+    else:
+        groups = [(queries, phases, config, "client", "server") for config in configs]
+        seeds = {"client": sims[0].ways(), "server": sims[1].ways()}
+    plans, streams = _replay_workload(env, groups, seeds)
 
-    client = env.client_cpu
-    server = env.server_cpu
-    batch, per_config, sims = _replay_workload(
-        env, phases, configs, costs, reset_caches=reset_caches
-    )
-
-    plans_all: List[List[QueryPlan]] = []
-    for ci, config in enumerate(configs):
-        entry = per_config[ci]
-        seq = {"client": 0, "server": 0}
-        plans: List[QueryPlan] = []
-        for qi, qp in enumerate(phases):
-            slot_costs = []
-            for side, trace in _query_phase_slots(qp, config, costs):
-                cpu = client if side == "client" else server
-                if side in entry:
-                    stream, base = entry[side]
-                    h, m = stream.phase_hm(base + seq[side])
-                    slot_costs.append(cpu.compute_replayed(trace.counter, h, m))
-                else:
-                    # No cache simulation on this side: the scalar path's
-                    # fallback estimate uses only the counts.
-                    slot_costs.append(cpu.compute(trace.counter))
-                seq[side] += 1
-            plans.append(_assemble_plan(queries[qi], config, qp, costs, slot_costs))
-        plans_all.append(plans)
-
-    _writeback_sims(batch, per_config, sims, env, reset_caches=reset_caches)
-    return plans_all
+    # Leave the environment's caches exactly as the scalar loop would.
+    if reset_caches:
+        env.reset_caches()
+    for sim, name in zip(sims, groups[-1][3:]):
+        stream = streams.get(name)
+        if stream is not None:
+            sim.load_ways(stream.ways)
+            sim.hits += stream.hits_total
+            sim.misses += stream.misses_total
+    return plans
 
 
 def plans_equal(a: Sequence[QueryPlan], b: Sequence[QueryPlan]) -> bool:

@@ -28,13 +28,12 @@ ledger conservation laws are property-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.constants import (
-    DEFAULT_COSTS,
     DEFAULT_NETWORK,
     DEFAULT_NIC_POWER,
     NetworkConfig,
@@ -160,11 +159,6 @@ class Environment:
     engine: QueryEngine
     client_cpu: ClientCPU
     server_cpu: ServerCPU
-    #: ``dataset``'s content hash, filled on first use by
-    #: :attr:`repro.api.Engine.fingerprint`: one hash per environment, whose
-    #: tree is already bulk-loaded from the coordinates.  Not an init field,
-    #: so ``dataclasses.replace`` never copies it.
-    fingerprint: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def create(

@@ -19,14 +19,12 @@ whole grid at once:
 2. :func:`price_grid` broadcasts those aggregates against per-policy
    scalars (bandwidth, transmit power, blocked-CPU power, NIC state powers)
    as NumPy arrays, producing every (plan, policy) cell in one shot;
-   :func:`price_workload_grid` sums the aggregates over the workload first
-   and prices M policies in O(N + M) instead of O(N * M).
-3. :class:`PlanCache` memoizes planning per (dataset fingerprint, workload,
-   scheme) so sweeps and repeated benches never re-plan.
-4. :class:`RunLedger` records what happened — per-phase op counts, per-NIC-
-   state joules/seconds (:class:`repro.sim.metrics.NICDwell`), plan-cache
-   hit rates, wall-clock timings — as JSON-lines for
-   ``repro bench --ledger`` and :func:`repro.bench.report.summarize_ledger`.
+   :meth:`GridResult.combine_policy` sums one policy's column over the
+   workload.
+3. :class:`RunLedger` records what happened — per-phase op counts, per-NIC-
+   state joules/seconds (:class:`repro.sim.metrics.NICDwell`), wall-clock
+   timings — as JSON-lines for ``repro bench --ledger`` and
+   :func:`repro.bench.report.summarize_ledger`.
 
 The scalar ``price_plan`` remains the oracle; everything here is an exact
 algebraic regrouping of its arithmetic.  The aggregates work because the
@@ -39,7 +37,6 @@ so both variants are counted up front.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -62,9 +59,6 @@ from repro.core.executor import (
     ServerComputeStep,
     WaitStep,
 )
-from repro.core.queries import Query, query_key
-from repro.core.schemes import SchemeConfig
-from repro.data.model import SegmentDataset
 from repro.sim.lossy import expected_retx
 from repro.sim.metrics import CycleBreakdown, EnergyBreakdown, LossStats, NICDwell
 from repro.sim.protocol import packetize
@@ -75,11 +69,6 @@ __all__ = [
     "framing_key",
     "GridResult",
     "price_grid",
-    "price_workload_grid",
-    "dataset_fingerprint",
-    "workload_key",
-    "scheme_key",
-    "PlanCache",
     "RunLedger",
     "read_ledger",
 ]
@@ -639,121 +628,6 @@ def price_grid(
     return grid
 
 
-def price_workload_grid(
-    plans: Sequence[QueryPlan],
-    policies: Sequence[Policy],
-    env: Environment,
-) -> List[RunResult]:
-    """Workload-summed results, one per policy, in policy order.
-
-    The fast path for sweeps: per-plan detail is folded into workload
-    aggregates *before* pricing, so M policy points cost O(N + M) rather
-    than O(N x M) after compilation.
-    """
-    grid = price_grid(plans, policies, env)
-    return [grid.combine_policy(j) for j in range(len(grid.policies))]
-
-
-# ----------------------------------------------------------------------
-# Plan cache
-# ----------------------------------------------------------------------
-def dataset_fingerprint(ds: SegmentDataset) -> str:
-    """A content hash of a dataset: geometry, cardinality, cost model.
-
-    Any mutation of the coordinate arrays (or a differently calibrated cost
-    model) changes the fingerprint, so cached plans can never be served for
-    data they were not planned against.
-    """
-    h = hashlib.sha1()
-    h.update(ds.name.encode())
-    h.update(str(ds.size).encode())
-    for arr in (ds.x1, ds.y1, ds.x2, ds.y2):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(repr(ds.costs).encode())
-    return h.hexdigest()
-
-
-def workload_key(queries: Sequence[Query]) -> Tuple[tuple, ...]:
-    """A hashable key for an ordered query sequence.
-
-    Plans within a workload are order-dependent (the client D-cache warms
-    across queries, as it does on the device), so the cache unit is the
-    whole ordered workload, not the single query.  Each element is the
-    query's explicit field tuple (:func:`repro.core.queries.query_key`) —
-    kind tag plus coordinates — rather than a ``repr`` string, so the key
-    survives cosmetic ``__repr__`` changes and never conflates queries whose
-    floats print alike.
-    """
-    return tuple(query_key(q) for q in queries)
-
-
-def scheme_key(config: SchemeConfig) -> Tuple[str, bool]:
-    """A hashable key for a scheme configuration."""
-    return (config.scheme.value, config.data_at_client)
-
-
-class PlanCache:
-    """LRU cache of planned workloads.
-
-    Keyed on (dataset fingerprint, ordered workload, scheme): the exact
-    inputs that determine a plan list.  Hit/miss counts feed the run-ledger
-    (``plan`` events carry the rates).
-    """
-
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, List[QueryPlan]] = {}
-        self._order: List[tuple] = []
-        self.hits = 0
-        self.misses = 0
-
-    def _key(
-        self, fingerprint: str, queries: Sequence[Query], config: SchemeConfig
-    ) -> tuple:
-        return (fingerprint, workload_key(queries), scheme_key(config))
-
-    def get(
-        self, fingerprint: str, queries: Sequence[Query], config: SchemeConfig
-    ) -> Optional[List[QueryPlan]]:
-        """The cached plan list, or None (counts a hit/miss either way)."""
-        key = self._key(fingerprint, queries, config)
-        plans = self._entries.get(key)
-        if plans is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._order.remove(key)
-        self._order.append(key)
-        return plans
-
-    def put(
-        self,
-        fingerprint: str,
-        queries: Sequence[Query],
-        config: SchemeConfig,
-        plans: List[QueryPlan],
-    ) -> None:
-        """Store a planned workload, evicting the least recently used."""
-        key = self._key(fingerprint, queries, config)
-        if key not in self._entries:
-            self._order.append(key)
-        self._entries[key] = plans
-        while len(self._order) > self.max_entries:
-            evicted = self._order.pop(0)
-            del self._entries[evicted]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when never consulted)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
 # ----------------------------------------------------------------------
 # Run ledger
 # ----------------------------------------------------------------------
@@ -765,9 +639,8 @@ class RunLedger:
     written by the runtime:
 
     ``plan``
-        One workload planned: ``dataset``, ``scheme``, ``n_queries``,
-        ``seconds``, ``cache_hit``, ``cache_hits``, ``cache_misses``,
-        ``cache_hit_rate``.
+        One workload planned: ``dataset``, ``scheme``, ``planner``,
+        ``n_queries``, ``seconds``.
     ``price``
         One grid priced: ``engine`` (batched/scalar), ``n_plans``,
         ``n_policies``, ``seconds``.

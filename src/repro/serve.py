@@ -49,13 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api import Engine
-from repro.core.batchplan import (
-    CacheGeometry,
-    _assemble_plan,
-    _make_stream,
-    _query_phase_slots,
-    compute_query_phases,
-)
+from repro.core.batchplan import _replay_workload, compute_query_phases
 from repro.core.executor import (
     Environment,
     QueryPlan,
@@ -64,11 +58,11 @@ from repro.core.executor import (
     plan_query,
     price_plan,
 )
-from repro.core.gridrun import PlanCache, RunLedger
+from repro.core.gridrun import RunLedger
 from repro.core.queries import Query
 from repro.data.model import SegmentDataset
 from repro.data.workloads import ClientProfile, QueryRequest
-from repro.sim.cache import BatchedLRU, CacheSim
+from repro.sim.cache import CacheSim
 
 __all__ = [
     "QueryService",
@@ -268,8 +262,8 @@ class QueryService:
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
     :class:`~repro.core.executor.Environment`, or an
     :class:`~repro.api.Engine` to share with a
-    :class:`~repro.api.Session` (plan/phase caches and ledger are then
-    common; the ``plan_cache``/``ledger`` keywords must stay unset).
+    :class:`~repro.api.Session` (the phase cache and ledger are then
+    common; the ``ledger`` keyword must stay unset).
 
     ``max_queue`` bounds the arrival queue (arrivals beyond it are
     rejected), ``max_batch`` caps micro-batch size, and ``batch_window_s``
@@ -285,18 +279,17 @@ class QueryService:
         max_queue: int = 256,
         max_batch: int = 64,
         batch_window_s: float = 0.05,
-        plan_cache: Optional[PlanCache] = None,
         ledger: Optional[RunLedger] = None,
     ) -> None:
         if isinstance(source, Engine):
-            if plan_cache is not None or ledger is not None:
+            if ledger is not None:
                 raise TypeError(
-                    "plan_cache and ledger are configured on the shared "
-                    "Engine; do not pass them again"
+                    "the ledger is configured on the shared Engine; do not "
+                    "pass it again"
                 )
             self.engine = source
         elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(source, plan_cache=plan_cache, ledger=ledger)
+            self.engine = Engine(source, ledger=ledger)
         else:
             raise TypeError(
                 "QueryService() takes a SegmentDataset or an Environment "
@@ -394,7 +387,7 @@ class QueryService:
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
             if planner == "batched":
-                plans = self._plan_batch(batch_reqs, states, server_ways)
+                plans = self._replay_batch(batch_reqs, states, server_ways)
                 results = self._price_batch(batch_reqs, plans, states)
             else:
                 plans, results = self._serve_serial(
@@ -471,125 +464,36 @@ class QueryService:
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
-    ):
-        """Traverse and replay one micro-batch; no plan objects yet.
+    ) -> List[QueryPlan]:
+        """Plan one micro-batch through the batched machinery.
 
         One phase computation covers every distinct query in the batch
-        (cross-client dedup through the engine's phase cache); one
-        :class:`~repro.sim.cache.BatchedLRU` replays every client's private
-        D-cache stream plus the single shared server-L1 stream together,
-        each warm-seeded from its saved way matrix so every timeline
-        continues exactly where the last batch left it.  The environment's
-        own caches are never touched; the per-client way matrices and
-        ``server_ways`` are advanced in place.  Returns ``(phases,
-        slot_costs)`` with one entry per request, which :meth:`_plan_batch`
-        assembles into plans.
+        (cross-client dedup through the engine's phase cache).  The replay
+        builder then gets one group per request, in dispatch order: each
+        client's phases run on that client's private D-cache stream and
+        every server phase on the one shared server-L1 stream, each
+        warm-seeded from its saved way matrix so every timeline continues
+        exactly where the last batch left it.  The environment's own
+        caches are never touched; the per-client way matrices and
+        ``server_ways`` are advanced in place.  Returns one plan per
+        request.
         """
-        engine = self.engine
-        env = engine.env
-        costs = env.dataset.costs
-        client_cpu, server_cpu = env.client_cpu, env.server_cpu
-        geoms = {
-            "client": CacheGeometry.of(client_cpu.dcache, client_cpu.costs),
-            "server": CacheGeometry.of(server_cpu.l1, server_cpu.costs),
-        }
+        env = self.engine.env
         phases = compute_query_phases(
-            env, [r.query for r in batch_reqs], engine.phase_cache
+            env, [r.query for r in batch_reqs], self.engine.phase_cache
         )
-        slots = [
-            _query_phase_slots(qp, states[r.client_id].profile.scheme, costs)
-            for qp, r in zip(phases, batch_reqs)
+        groups = [
+            ([r.query], [qp], states[r.client_id].profile.scheme, r.client_id, "server")
+            for r, qp in zip(batch_reqs, phases)
         ]
-        per_client: Dict[int, List[int]] = {}
-        for k, r in enumerate(batch_reqs):
-            per_client.setdefault(r.client_id, []).append(k)
-        lru = BatchedLRU()
-        # One private client stream per client; one shared server stream.
-        client_streams: Dict[int, object] = {}
-        if client_cpu.use_cache_sim:
-            for cid, idxs in per_client.items():
-                traces = [
-                    trace
-                    for k in idxs
-                    for side, trace in slots[k]
-                    if side == "client"
-                ]
-                if not traces:
-                    continue
-                client_streams[cid] = _make_stream(
-                    lru, traces, geoms["client"], states[cid].ways
-                )
-        server_stream = None
-        if server_cpu.use_cache_sim:
-            server_traces = [
-                trace
-                for s in slots
-                for side, trace in s
-                if side == "server"
-            ]
-            if server_traces:
-                server_stream = _make_stream(
-                    lru, server_traces, geoms["server"], server_ways
-                )
-        lru.run()
-        for stream in client_streams.values():
-            stream.finish(lru)
-        if server_stream is not None:
-            server_stream.finish(lru)
-        slot_costs: List[list] = []
-        client_seq = {cid: 0 for cid in per_client}
-        server_seq = 0
-        for k, r in enumerate(batch_reqs):
-            cid = r.client_id
-            query_costs = []
-            for side, trace in slots[k]:
-                if side == "client":
-                    stream = client_streams.get(cid)
-                    if stream is not None:
-                        h, m = stream.phase_hm(client_seq[cid])
-                        query_costs.append(
-                            client_cpu.compute_replayed(trace.counter, h, m)
-                        )
-                    else:
-                        # No cache simulation: the scalar path's fallback
-                        # estimate uses only the counts.
-                        query_costs.append(client_cpu.compute(trace.counter))
-                    client_seq[cid] += 1
-                else:
-                    if server_stream is not None:
-                        h, m = server_stream.phase_hm(server_seq)
-                        query_costs.append(
-                            server_cpu.compute_replayed(trace.counter, h, m)
-                        )
-                    else:
-                        query_costs.append(server_cpu.compute(trace.counter))
-                    server_seq += 1
-            slot_costs.append(query_costs)
-        for cid, stream in client_streams.items():
-            states[cid].ways[...] = lru.final_ways(stream.handle)
-        if server_stream is not None:
-            server_ways[...] = lru.final_ways(server_stream.handle)
-        return phases, slot_costs
-
-    def _plan_batch(
-        self,
-        batch_reqs: List[QueryRequest],
-        states: Dict[int, _ClientState],
-        server_ways: np.ndarray,
-    ) -> List[QueryPlan]:
-        """Plan one micro-batch through the batched machinery."""
-        phases, slot_costs = self._replay_batch(batch_reqs, states, server_ways)
-        costs = self.engine.env.dataset.costs
-        return [
-            _assemble_plan(
-                r.query,
-                states[r.client_id].profile.scheme,
-                phases[k],
-                costs,
-                slot_costs[k],
-            )
-            for k, r in enumerate(batch_reqs)
-        ]
+        seeds = {r.client_id: states[r.client_id].ways for r in batch_reqs}
+        seeds["server"] = server_ways
+        plans, streams = _replay_workload(env, groups, seeds)
+        for name, stream in streams.items():
+            # Client ids are ints, so no client stream is named "server".
+            ways = server_ways if name == "server" else states[name].ways
+            ways[...] = stream.ways
+        return [group_plans[0] for group_plans in plans]
 
     def _price_batch(
         self,

@@ -31,6 +31,7 @@ policies are implemented so the ablation bench can reproduce that finding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -83,6 +84,20 @@ def instruction_counts(counter: OpCounter, costs: CostModel) -> Tuple[float, flo
     return float(int_instr), float(fp_ops)
 
 
+def check_miss_rate(value) -> float:
+    """``value`` if it is a usable ``fallback_miss_rate``: a real number in
+    [0, 1] (so never NaN, infinite or a bool); otherwise ValueError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0.0 <= value <= 1.0
+    ):
+        raise ValueError(
+            f"fallback_miss_rate must be a number in [0, 1], got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class ComputeCost:
     """Priced cost of one compute phase on the client."""
@@ -129,7 +144,7 @@ class ClientCPU:
         self.costs = costs
         self.network = network
         self.use_cache_sim = use_cache_sim
-        self.fallback_miss_rate = fallback_miss_rate
+        self.fallback_miss_rate = check_miss_rate(fallback_miss_rate)
         self.dcache = CacheSim(
             config.dcache_bytes, config.cache_assoc, config.cache_line_bytes
         )

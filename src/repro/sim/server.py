@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.constants import DEFAULT_COSTS, DEFAULT_SERVER, CostModel, ServerConfig
 from repro.sim.cache import CacheSim
-from repro.sim.cpu import instruction_counts
+from repro.sim.cpu import check_miss_rate, instruction_counts
 from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
 
 __all__ = ["ServerCost", "ServerCPU"]
@@ -76,7 +76,7 @@ class ServerCPU:
         self.config = config
         self.costs = costs
         self.use_cache_sim = use_cache_sim
-        self.fallback_miss_rate = fallback_miss_rate
+        self.fallback_miss_rate = check_miss_rate(fallback_miss_rate)
         # Table 4: 32 KB L1 D-cache, 2-way, 64 B lines.
         self.l1 = CacheSim(32 * 1024, 2, 64)
 

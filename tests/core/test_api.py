@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.api import RunRow, RunTable, Session, SweepCell
@@ -14,7 +12,7 @@ from repro.constants import (
     NICPowerTable,
 )
 from repro.core.executor import WAIT_POLICIES, Policy
-from repro.core.gridrun import RunLedger, dataset_fingerprint
+from repro.core.gridrun import RunLedger
 from repro.core.batchplan import plans_equal
 from repro.core.queries import KNNQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
@@ -210,14 +208,6 @@ class TestSessionRun:
         best = table.best("energy_j")
         assert best.energy_j == min(r.energy_j for r in table)
 
-    def test_plan_cache_reused_across_runs(self, env_small, pa_small):
-        qs = range_queries(pa_small, 2, seed=36)
-        session = Session(env_small)
-        session.run(qs, schemes=FS, policies=Policy())
-        assert session.plan_cache.misses == 1
-        session.run(qs, schemes=FS, policies=Policy(nic_sleep=False))
-        assert session.plan_cache.hits == 1
-
     def test_ledger_events(self, env_small, pa_small):
         qs = range_queries(pa_small, 2, seed=37)
         ledger = RunLedger()
@@ -260,18 +250,7 @@ class TestSessionRun:
     def test_session_from_dataset(self, pa_small):
         session = Session(pa_small)
         assert session.dataset is pa_small
-        assert session.fingerprint == Session(pa_small).fingerprint
-
-    def test_fingerprint_hashed_once_per_environment(self, env_small, nyc_small):
-        """Every engine over one environment reuses its hash; a
-        ``dataclasses.replace`` copy over other data hashes its own."""
-        fp = Session(env_small).fingerprint
-        assert env_small.fingerprint == fp == dataset_fingerprint(env_small.dataset)
-        env_small.fingerprint = "sentinel"
-        assert Session(env_small).fingerprint == "sentinel"
-        other = dataclasses.replace(env_small, dataset=nyc_small)
-        assert other.fingerprint is None
-        assert Session(other).fingerprint == dataset_fingerprint(nyc_small)
+        assert session.env.dataset is pa_small
 
 
 class TestNNWorkloads:

@@ -3,8 +3,8 @@
 The bit-for-bit planner equality itself is covered by
 ``tests/integration/test_batchplan_differential.py``; this module pins the
 surrounding machinery: the plan-dedup :class:`PhaseDataCache`, the Session
-``plan_grid``/``planner=`` surface and its ledger records, and the explicit
-query/workload cache keys.
+``plan_grid``/``planner=`` surface and its ledger records, warm planning,
+and the explicit query cache keys.
 """
 
 from __future__ import annotations
@@ -12,19 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import PLANNERS, Session
 from repro.core.batchplan import (
     PhaseDataCache,
     plan_workload_batched,
     plans_equal,
 )
 from repro.core.executor import Environment, plan_query
-from repro.core.gridrun import RunLedger, workload_key
+from repro.core.gridrun import RunLedger
 from repro.core.queries import PointQuery, RangeQuery, query_key
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
 from repro.data import tiger
-from repro.data.workloads import range_queries
+from repro.data.workloads import point_queries, range_queries
 from repro.spatial.mbr import MBR
+from tests.integration.oracles import cache_state
 
 CONFIGS = list(ADEQUATE_MEMORY_CONFIGS[:3])
 
@@ -43,7 +44,7 @@ def workload(env):
 # PhaseDataCache — the plan-dedup layer
 # ----------------------------------------------------------------------
 def test_phase_cache_dedups_repeated_queries(env, workload):
-    cache = PhaseDataCache(fingerprint="x")
+    cache = PhaseDataCache()
     plan_workload_batched(env, workload, CONFIGS, phase_cache=cache)
     assert cache.misses == len(workload)
     assert cache.hits == 0
@@ -58,7 +59,7 @@ def test_phase_cache_dedups_repeated_queries(env, workload):
 
 def test_phase_cache_duplicate_queries_in_one_workload(env):
     q = range_queries(env.dataset, 1, seed=43)[0]
-    cache = PhaseDataCache(fingerprint="x")
+    cache = PhaseDataCache()
     plans = plan_workload_batched(env, [q, q, q], CONFIGS, phase_cache=cache)
     # One distinct query -> one phase computation, shared three ways...
     assert len(cache) == 1
@@ -72,10 +73,10 @@ def test_phase_cache_duplicate_queries_in_one_workload(env):
 
 def test_phase_cache_plans_match_uncached(env, workload):
     cached = plan_workload_batched(
-        env, workload, CONFIGS, phase_cache=PhaseDataCache(fingerprint="x")
+        env, workload, CONFIGS, phase_cache=PhaseDataCache()
     )
     # Warm cache from a prior pass, then replan through it.
-    cache = PhaseDataCache(fingerprint="x")
+    cache = PhaseDataCache()
     plan_workload_batched(env, workload, CONFIGS, phase_cache=cache)
     warm = plan_workload_batched(env, workload, CONFIGS, phase_cache=cache)
     for a, b in zip(cached, warm):
@@ -116,37 +117,30 @@ def test_plan_grid_one_ledger_event_per_scheme(env, workload):
     events = [r for r in ledger.records if r["event"] == "plan"]
     assert len(events) == len(CONFIGS)
     assert all(e["planner"] == "batched" for e in events)
-    assert all(not e["cache_hit"] for e in events)
-
-    # Second call: all schemes come from the plan cache.
-    session.plan_grid(workload, CONFIGS)
-    events = [r for r in ledger.records if r["event"] == "plan"]
-    assert all(e["cache_hit"] for e in events[len(CONFIGS):])
-    assert all(e["seconds"] == 0.0 for e in events[len(CONFIGS):])
+    assert [e["scheme"] for e in events] == [c.label for c in CONFIGS]
 
 
-def test_plan_grid_partial_cache_replans_only_missing(env, workload):
-    session = Session(env)
-    session.plan(workload, CONFIGS[0])
-    h0, m0 = session.plan_cache.hits, session.plan_cache.misses
-    grid = session.plan_grid(workload, CONFIGS)
-    assert session.plan_cache.hits == h0 + 1  # CONFIGS[0] reused
-    assert session.plan_cache.misses == m0 + len(CONFIGS) - 1
-    # And the reused plans are the same objects the cache held.
-    assert plans_equal(grid[0], session.plan(workload, CONFIGS[0]))
-
-
-def test_plan_warm_not_cached(env, workload):
-    session = Session(env)
-    warm = session.plan(workload, CONFIGS[0], reset_caches=False)
-    assert len(warm) == len(workload)
-    # Warm plans bypass the plan cache entirely.
-    assert session.plan_cache.hits == 0
-
-
-def test_phase_cache_bound_to_dataset_fingerprint(env):
-    session = Session(env)
-    assert session.phase_cache.fingerprint == session.fingerprint
+def test_plan_warm_matches_scalar_warm_plans(env, workload):
+    """``reset_caches=False`` continues from the live caches: the batched
+    planner returns the scalar planner's warm plans and leaves the same
+    cache state."""
+    # Small point queries keep their lines resident between plan calls.
+    qs = workload[:1] + point_queries(env.dataset, 6, seed=44)
+    out = {}
+    for planner in PLANNERS:
+        session = Session(env)
+        session.plan(qs, CONFIGS[0], planner=planner)
+        warm = [
+            session.plan(qs, config, reset_caches=False, planner=planner)
+            for config in CONFIGS
+        ]
+        out[planner] = (warm, cache_state(env))
+    (batched, batched_state), (scalar, scalar_state) = out["batched"], out["scalar"]
+    for config, b, s in zip(CONFIGS, batched, scalar):
+        assert plans_equal(b, s)
+        # The caches really were warm: cold plans of the scheme differ.
+        assert not plans_equal(b, Session(env).plan(qs, config))
+    assert batched_state == scalar_state
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +152,3 @@ def test_query_key_distinguishes_kinds_and_fields():
     assert query_key(p) != query_key(r)
     assert query_key(p) == query_key(PointQuery(1.0, 2.0))
     assert query_key(p) != query_key(PointQuery(1.0, 2.5))
-
-
-def test_workload_key_is_explicit_field_tuples():
-    qs = [PointQuery(1.0, 2.0), RangeQuery(MBR(0.0, 0.0, 1.0, 1.0))]
-    key = workload_key(qs)
-    assert key == tuple(query_key(q) for q in qs)
-    assert workload_key(list(qs)) == key
-    assert workload_key(qs[:1]) != key

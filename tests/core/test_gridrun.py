@@ -1,4 +1,4 @@
-"""Batched grid pricer vs the scalar oracle, plan cache, ledger."""
+"""Batched grid pricer vs the scalar oracle, ledger."""
 
 from __future__ import annotations
 
@@ -21,20 +21,14 @@ from repro.core.executor import (
 )
 from repro.core.freshness import FreshClientSession, UpdateStream
 from repro.core.gridrun import (
-    PlanCache,
     RunLedger,
     _compile_for,
-    dataset_fingerprint,
     framing_key,
     price_grid,
-    price_workload_grid,
     read_ledger,
-    scheme_key,
-    workload_key,
 )
 from repro.core.queries import RangeQuery
-from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
-from repro.data import tiger
+from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme
 from repro.data.workloads import (
     knn_queries,
     nn_queries,
@@ -44,8 +38,6 @@ from repro.data.workloads import (
 )
 from repro.spatial.mbr import MBR
 from tests.integration.oracles import _GRID_ARRAYS
-
-FS = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +214,14 @@ class TestBatchedMatchesScalar:
     def test_workload_sum_matches_oracle_sum(self, grid_env, plan_pool):
         plans = plan_pool[:6]
         policies = Policy.sweep()
-        results = price_workload_grid(plans, policies, grid_env)
+        grid = price_grid(plans, policies, grid_env)
         for j, pol in enumerate(policies):
             ref_e = sum(
                 price_plan(p, grid_env, pol).energy.total() for p in plans
             )
-            assert results[j].energy.total() == pytest.approx(ref_e, rel=1e-9)
+            assert grid.combine_policy(j).energy.total() == pytest.approx(
+                ref_e, rel=1e-9
+            )
 
     def test_dwell_energy_consistent(self, grid_env, plan_pool):
         """Per-state dwell joules re-sum to the energy buckets."""
@@ -298,56 +292,6 @@ class TestBatchedMatchesScalar:
             assert single.result(0, 0).messages == grid.result(i, j).messages
         for name in _GRID_ARRAYS:
             assert np.array_equal(alone[name], getattr(grid, name)), name
-
-
-class TestPlanCache:
-    def test_same_workload_and_scheme_hits(self, grid_env):
-        qs = range_queries(grid_env.dataset, 3, seed=21)
-        fp = dataset_fingerprint(grid_env.dataset)
-        cache = PlanCache()
-        assert cache.get(fp, qs, FS) is None
-        grid_env.reset_caches()
-        plans = [plan_query(q, FS, grid_env) for q in qs]
-        cache.put(fp, qs, FS, plans)
-        assert cache.get(fp, qs, FS) is plans
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
-    def test_different_scheme_misses(self, grid_env):
-        qs = range_queries(grid_env.dataset, 2, seed=22)
-        fp = dataset_fingerprint(grid_env.dataset)
-        cache = PlanCache()
-        cache.put(fp, qs, FS, [])
-        other = SchemeConfig(Scheme.FULLY_CLIENT)
-        assert cache.get(fp, qs, other) is None
-        assert scheme_key(FS) != scheme_key(other)
-
-    def test_mutated_dataset_misses(self):
-        ds_a = tiger.pa_dataset(scale=0.01, seed=5)
-        ds_b = tiger.pa_dataset(scale=0.01, seed=5)
-        assert dataset_fingerprint(ds_a) == dataset_fingerprint(ds_b)
-        qs = range_queries(ds_a, 2, seed=23)
-        cache = PlanCache()
-        cache.put(dataset_fingerprint(ds_a), qs, FS, ["sentinel"])
-        ds_b.x1[0] += 1.0  # a single moved vertex must invalidate
-        assert dataset_fingerprint(ds_a) != dataset_fingerprint(ds_b)
-        assert cache.get(dataset_fingerprint(ds_b), qs, FS) is None
-
-    def test_workload_order_matters(self, grid_env):
-        qs = range_queries(grid_env.dataset, 3, seed=24)
-        assert workload_key(qs) != workload_key(list(reversed(qs)))
-
-    def test_lru_eviction(self):
-        cache = PlanCache(max_entries=2)
-        for i in range(3):
-            cache.put(f"fp{i}", [], FS, [i])
-        assert len(cache) == 2
-        assert cache.get("fp0", [], FS) is None  # evicted
-        assert cache.get("fp2", [], FS) == [2]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
 
 
 class TestRunLedger:

@@ -132,14 +132,12 @@ def run_table(
 def run_ledger_shape(records: Sequence[dict]) -> List[dict]:
     """Ledger events minus their non-deterministic fields.
 
-    Drops wall-clock timings (``t``, ``seconds``) and cache-statistics
-    fields that depend on how often an engine consults the plan cache;
-    keeps everything that must be identical across planner twins —
-    event types, schemes, planner/engine labels, workload sizes, and the
-    ``run`` events' full numeric payload.
+    Drops wall-clock timings (``t``, ``seconds``) and the planner/engine
+    labels; keeps everything that must be identical across planner twins —
+    event types, schemes, workload sizes, and the ``run`` events' full
+    numeric payload.
     """
-    volatile = {"t", "seconds", "cache_hit", "cache_hits", "cache_misses",
-                "cache_hit_rate", "planner", "engine"}
+    volatile = {"t", "seconds", "planner", "engine"}
     return [
         {k: v for k, v in rec.items() if k not in volatile}
         for rec in records

@@ -9,7 +9,7 @@ import pytest
 from repro.api import Engine
 from repro.constants import MBPS
 from repro.core.executor import Policy
-from repro.core.gridrun import PlanCache, RunLedger
+from repro.core.gridrun import RunLedger
 from repro.core.queries import NNQuery
 from repro.core.schemes import Scheme, SchemeConfig
 from repro.data.workloads import ClientProfile, QueryRequest, range_queries
@@ -44,8 +44,6 @@ class TestConstruction:
 
     def test_shared_engine_rejects_cache_and_ledger(self, env_small):
         core = Engine(env_small)
-        with pytest.raises(TypeError, match="configured on the shared"):
-            QueryService(core, plan_cache=PlanCache())
         with pytest.raises(TypeError, match="configured on the shared"):
             QueryService(core, ledger=RunLedger())
 

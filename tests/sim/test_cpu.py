@@ -91,6 +91,20 @@ class TestCompute:
         assert cost.dcache_accesses > 0
         assert cost.cycles > 0
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), -0.5, 3.0, True, "0.1"]
+    )
+    def test_bad_fallback_miss_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="fallback_miss_rate"):
+            ClientCPU(use_cache_sim=False, fallback_miss_rate=rate)
+
+    def test_fallback_miss_rate_bounds_accepted(self):
+        for rate in (0, 0.0, 1.0):
+            cost = ClientCPU(use_cache_sim=False, fallback_miss_rate=rate).compute(
+                _range_counter()
+            )
+            assert cost.dcache_misses == (0 if rate == 0 else cost.dcache_accesses)
+
     def test_energy_positive_and_composed(self):
         cpu = ClientCPU()
         cost = cpu.compute(_range_counter())

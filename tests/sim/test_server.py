@@ -56,6 +56,13 @@ class TestServerCycles:
         cost = ServerCPU().compute(_range_counter(trace=False))
         assert cost.l1_accesses > 0
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("-inf"), -0.5, 3.0, False, None]
+    )
+    def test_bad_fallback_miss_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="fallback_miss_rate"):
+            ServerCPU(use_cache_sim=False, fallback_miss_rate=rate)
+
 
 class TestServerCostAlgebra:
     def test_add_and_zero(self):
