@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = [
     "MBPS",
@@ -57,6 +57,29 @@ DISTANCES_M = (100.0, 1000.0)
 
 #: Client memory buffers for the insufficient-memory scenario (bytes).
 BUFFER_SIZES_BYTES = (1 * 1024 * 1024, 2 * 1024 * 1024)
+
+
+def _check_fields(config, positive=(), fractions=()) -> None:
+    """Raise ValueError unless every field of ``config`` is a finite number
+    >= 0: an int (not a bool) where the field is declared ``int``, above 0
+    for the ``positive`` fields, in [0, 1] for the ``fractions``.  Every
+    check is written so that NaN fails it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            kind, what = numbers.Integral, "an int"
+        else:
+            kind, what = numbers.Real, "a number"
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if f.name in fractions:
+            ok, rule = 0 <= value <= 1, "in [0, 1]"
+        elif f.name in positive:
+            ok, rule = 0 < value < math.inf, "finite and > 0"
+        else:
+            ok, rule = 0 <= value < math.inf, "finite and >= 0"
+        if not ok:
+            raise ValueError(f"{f.name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -111,6 +134,12 @@ class ClientConfig:
     floating-point geometry is software-emulated, which is why refinement is so
     much more expensive per operation on the client than on the server (and why
     offloading refinement pays off for range queries).
+
+    Construction is validated: every field must be a finite number (ints
+    where declared, never bools), the clock, voltage and sizes positive,
+    powers and latencies non-negative and ``lowpower_fraction`` in [0, 1],
+    so a malformed configuration fails here rather than as NaN or infinite
+    joules deep inside a pricing walk.
     """
 
     #: Client clock in Hz. Default MhzS/8 = 125 MHz, matching the figures.
@@ -145,6 +174,14 @@ class ClientConfig:
     #: savings from this mode in communication-heavy runs.
     lowpower_fraction: float = 0.12
 
+    def __post_init__(self) -> None:
+        _check_fields(
+            self,
+            positive=("clock_hz", "icache_bytes", "dcache_bytes", "cache_assoc",
+                      "cache_line_bytes", "memory_bytes", "supply_voltage"),
+            fractions=("lowpower_fraction",),
+        )
+
     def power_at(self, clock_hz: float | None = None) -> float:
         """Dynamic client power (W) at ``clock_hz`` (defaults to own clock)."""
         hz = self.clock_hz if clock_hz is None else clock_hz
@@ -163,6 +200,9 @@ class ServerConfig:
     its energy is not accounted); we model it as a 4-issue superscalar with
     native floating-point units and a deep cache hierarchy summarized by an
     effective instructions-per-cycle figure.
+
+    Construction is validated like :class:`ClientConfig`'s: every field
+    must be a finite positive number (ints where declared, never bools).
     """
 
     #: Server clock in Hz (1 GHz).
@@ -175,6 +215,12 @@ class ServerConfig:
     effective_ipc: float = 1.8
     #: Server memory (bytes): 128 MB — always adequate in this study.
     memory_bytes: int = 128 * 1024 * 1024
+
+    def __post_init__(self) -> None:
+        _check_fields(
+            self,
+            positive=("clock_hz", "issue_width", "effective_ipc", "memory_bytes"),
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -290,6 +336,10 @@ class CostModel:
     design in the style of the SimplePower technology files: they are chosen so
     that the aggregate client power lands at
     :attr:`ClientConfig.nominal_power_w` for a typical instruction mix.
+
+    Construction is validated: every cost must be a finite number >= 0
+    (ints where declared, never bools), and the record and object-id sizes,
+    which lay out the synthetic address map, must be positive.
     """
 
     # ------------------------------------------------------------------
@@ -358,6 +408,9 @@ class CostModel:
     #: Bytes per query request message payload (query struct, session and
     #: display state, authentication).
     request_bytes: int = 256
+
+    def __post_init__(self) -> None:
+        _check_fields(self, positive=("segment_record_bytes", "object_id_bytes"))
 
     def client_cycles_for_fp(self, fp_ops: float) -> float:
         """Client cycles to execute ``fp_ops`` software-emulated FP operations."""

@@ -20,9 +20,10 @@ vectorized stages:
    tallies exactly; its visit/refine logs land in the same trace form.
 2. **Cache replay and assembly** (:func:`_replay_workload`, the one
    replay builder, shared with :class:`repro.serve.QueryService`): each
-   side's phase traces are concatenated into named access streams (exactly
-   the line sequence the scalar path would feed ``CacheSim``) and
-   simulated together by :class:`repro.sim.cache.BatchedLRU`.  A sweep
+   side's phase traces are laid out at :mod:`repro.sim.cpu`'s region
+   addresses and concatenated into named streams of byte accesses (exactly
+   the ``CacheSim.access`` calls of the scalar path), all replayed in one
+   call of :class:`repro.sim.cache.BatchedLRU`.  A sweep
    gives each configuration its own cold streams, and identical cold
    streams (e.g. the server's work under both FULLY_SERVER placements)
    are simulated once; warm planning chains every configuration on one
@@ -47,7 +48,7 @@ queries within one) are traversed once and shared across the scheme grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +70,8 @@ from repro.core.messages import (
 )
 from repro.core.queries import Query, QueryKind, RangeQuery, query_key
 from repro.core.schemes import Scheme, SchemeConfig
-from repro.sim.cache import BatchedLRU
-from repro.sim.cpu import _INDEX_STRIDE, _REGION_BASE
+from repro.sim.cache import BatchedLRU, CacheSim
+from repro.sim.cpu import REGION_BASES, region_strides
 from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
 from repro.spatial import vecgeom
 from repro.spatial.batchtraverse import batch_filter, batch_nearest
@@ -79,7 +80,6 @@ __all__ = [
     "PhaseTrace",
     "QueryPhases",
     "PhaseDataCache",
-    "CacheGeometry",
     "compute_query_phases",
     "plan_workload_batched",
     "plans_equal",
@@ -95,78 +95,13 @@ class PhaseTrace:
 
     The array triplet ``(regions, ids, nbytes)`` is the exact sequence of
     :class:`~repro.sim.trace.Access` records the scalar phase appends to its
-    counter.  ``_lines`` keeps its line-granular cache addresses per cache
-    geometry key, filled by the replay builder (the client and server see
-    the same touches through different line sizes).
+    counter.
     """
 
     counter: OpCounter
     regions: np.ndarray
     ids: np.ndarray
     nbytes: np.ndarray
-    _lines: dict = field(default_factory=dict, repr=False)
-
-
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Address layout + cache shape of one side's data cache.
-
-    Mirrors ``ClientCPU._address_of`` / ``ServerCPU._address_of`` and the
-    line decomposition of :meth:`repro.sim.cache.CacheSim.access`.
-    """
-
-    line_bytes: int
-    n_sets: int
-    assoc: int
-    data_stride: int
-    result_stride: int
-
-    @classmethod
-    def of(cls, sim, costs) -> "CacheGeometry":
-        """Geometry of one :class:`~repro.sim.cache.CacheSim` + cost model."""
-        return cls(
-            line_bytes=sim.line_bytes,
-            n_sets=sim.n_sets,
-            assoc=sim.assoc,
-            data_stride=costs.segment_record_bytes,
-            result_stride=costs.object_id_bytes,
-        )
-
-    @property
-    def key(self) -> tuple:
-        """Identity of the address expansion (shared line caches hinge on it)."""
-        return (self.line_bytes, self.data_stride, self.result_stride)
-
-    def lines_and_counts(
-        self, regions: np.ndarray, ids: np.ndarray, nbytes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Line sequence plus the per-access line counts (for splitting)."""
-        bases = np.array(
-            [
-                _REGION_BASE[REGION_INDEX],
-                _REGION_BASE[REGION_DATA],
-                _REGION_BASE[REGION_RESULT],
-            ],
-            dtype=np.int64,
-        )
-        strides = np.array(
-            [_INDEX_STRIDE, self.data_stride, self.result_stride], dtype=np.int64
-        )
-        addr = bases[regions] + ids * strides[regions]
-        lb = self.line_bytes
-        if lb & (lb - 1) == 0:
-            sh = lb.bit_length() - 1
-            first = addr >> sh
-            last = (addr + nbytes - 1) >> sh
-        else:
-            first = addr // lb
-            last = (addr + nbytes - 1) // lb
-        counts = np.where(nbytes > 0, last - first + 1, 0)
-        total = int(counts.sum())
-        run_starts = np.cumsum(counts) - counts
-        lines = np.repeat(first - run_starts, counts)
-        lines += np.arange(total, dtype=np.int64)
-        return lines, counts
 
 
 class QueryPhases:
@@ -560,74 +495,80 @@ def _query_phase_slots(
 
 
 class _Stream:
-    """One replay stream: its phase boundaries, then what the replay left.
+    """One replay stream: its handle, then what the replay left.
 
     After :meth:`finish`, ``hm`` holds each phase's ``(hits, misses)`` in
     stream order, ``hits_total``/``misses_total`` their sums, and ``ways``
     the final cache state (a :meth:`BatchedLRU.final_ways` matrix).
     """
 
-    __slots__ = (
-        "handle", "starts", "ends", "hm", "hits_total", "misses_total", "ways"
-    )
+    __slots__ = ("handle", "hm", "hits_total", "misses_total", "ways")
 
-    def __init__(self, handle: int, starts: np.ndarray, ends: np.ndarray) -> None:
+    def __init__(self, handle: int) -> None:
         self.handle = handle
-        self.starts = starts
-        self.ends = ends
         self.hm: List[Tuple[int, int]] = []
         self.hits_total = 0
         self.misses_total = 0
         self.ways: Optional[np.ndarray] = None
 
     def finish(self, batch: BatchedLRU) -> None:
-        hits = batch.hits_of(self.handle)
-        h = np.zeros(self.starts.size, dtype=np.int64)
-        full = self.ends > self.starts
-        if full.any():
-            # The non-empty phases tile the stream, so each reduceat
-            # segment runs exactly to the next non-empty phase's start.
-            h[full] = np.add.reduceat(hits, self.starts[full], dtype=np.int64)
-        self.hm = list(zip(h.tolist(), (self.ends - self.starts - h).tolist()))
-        self.hits_total = int(h.sum())
-        self.misses_total = int(hits.size) - self.hits_total
+        hits, lines = batch.phases_of(self.handle)
+        misses = lines - hits
+        self.hm = list(zip(hits.tolist(), misses.tolist()))
+        self.hits_total = int(hits.sum())
+        self.misses_total = int(misses.sum())
         self.ways = batch.final_ways(self.handle)
 
 
-def _make_stream(
+def _add_streams(
     batch: BatchedLRU,
-    traces: Sequence[PhaseTrace],
-    geom: CacheGeometry,
-    seed: Optional[np.ndarray],
-) -> _Stream:
-    """Add the concatenated line sequence of ``traces`` to ``batch``.
+    named: Dict[Hashable, List[PhaseTrace]],
+    seeds: Dict[Hashable, np.ndarray],
+    sim: CacheSim,
+    costs,
+) -> Dict[Hashable, _Stream]:
+    """Add one side's named streams to ``batch``; the streams by name.
 
-    The traces not yet expanded under ``geom`` are expanded together: on a
-    short trace (an NN visit log, a display phase) per-call NumPy overhead
-    would cost more than the work, so their access arrays are concatenated,
-    expanded once and split back per trace.
+    Each stream is its traces' accesses end to end, one phase per trace, at
+    the byte addresses of :mod:`repro.sim.cpu`'s region layout, computed in
+    one step for the whole side.  Unseeded streams with identical trace
+    sequences replay identically from cold, so they share one stream.
     """
-    key = geom.key
-    missing = list({id(t): t for t in traces if key not in t._lines}.values())
-    if missing:
-        acc_counts = np.array([t.regions.size for t in missing], dtype=np.int64)
-        expanded, per_access = geom.lines_and_counts(
-            np.concatenate([t.regions for t in missing]),
-            np.concatenate([t.ids for t in missing]),
-            np.concatenate([t.nbytes for t in missing]),
+    specs: List[Tuple[List[PhaseTrace], Optional[np.ndarray]]] = []
+    spec_of: Dict[Hashable, int] = {}
+    cold: Dict[tuple, int] = {}
+    for name, traces in named.items():
+        if not traces:
+            continue
+        seed = seeds.get(name)
+        if seed is None:
+            k = cold.setdefault(tuple(map(id, traces)), len(specs))
+        else:
+            k = len(specs)
+        if k == len(specs):
+            specs.append((traces, seed))
+        spec_of[name] = k
+    traces = [t for ts, _ in specs for t in ts]
+    if not traces:
+        return {}
+    regions = np.concatenate([t.regions for t in traces])
+    addrs = np.concatenate([t.ids for t in traces]).astype(np.int64, copy=False)
+    addrs *= np.array(region_strides(costs), dtype=np.int64)[regions]
+    addrs += np.array(REGION_BASES, dtype=np.int64)[regions]
+    nbytes = np.concatenate([t.nbytes for t in traces])
+    ends = np.cumsum([t.regions.size for t in traces], dtype=np.int64)
+    streams: List[_Stream] = []
+    a = p = 0
+    for ts, seed in specs:
+        phase_ends = ends[p : p + len(ts)]
+        b = int(phase_ends[-1])
+        handle = batch.add_stream(
+            addrs[a:b], nbytes[a:b], phase_ends - a,
+            sim.line_bytes, sim.n_sets, sim.assoc, seed_ways=seed,
         )
-        cum = np.zeros(per_access.size + 1, dtype=np.int64)
-        np.cumsum(per_access, out=cum[1:])
-        acc_ends = np.cumsum(acc_counts)
-        starts = cum[acc_ends - acc_counts].tolist()
-        for t, a, b in zip(missing, starts, cum[acc_ends].tolist()):
-            t._lines[key] = expanded[a:b]
-    parts = [t._lines[key] for t in traces]
-    lens = np.array([p.size for p in parts], dtype=np.int64)
-    lines = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    handle = batch.add_stream(lines, geom.n_sets, geom.assoc, seed_ways=seed)
-    ends = np.cumsum(lens)
-    return _Stream(handle, ends - lens, ends)
+        streams.append(_Stream(handle))
+        a, p = b, p + len(ts)
+    return {name: streams[k] for name, k in spec_of.items()}
 
 
 def _result_payload(n: int, costs, data_at_client: bool):
@@ -733,32 +674,14 @@ def _replay_workload(
 
     batch = BatchedLRU()
     streams: Dict[Hashable, _Stream] = {}
-    made: List[_Stream] = []
-    cold: Dict[tuple, _Stream] = {}
     for side, cpu, sim in (
         ("client", client, client.dcache),
         ("server", server, server.l1),
     ):
-        if not cpu.use_cache_sim:
-            continue
-        geom = CacheGeometry.of(sim, cpu.costs)
-        for name, traces in named[side].items():
-            if not traces:
-                continue
-            seed = seeds.get(name)
-            if seed is None:
-                # Identical trace sequences replay identically from cold.
-                sig = (side, tuple(map(id, traces)))
-                stream = cold.get(sig)
-                if stream is None:
-                    stream = cold[sig] = _make_stream(batch, traces, geom, None)
-                    made.append(stream)
-            else:
-                stream = _make_stream(batch, traces, geom, seed)
-                made.append(stream)
-            streams[name] = stream
+        if cpu.use_cache_sim:
+            streams.update(_add_streams(batch, named[side], seeds, sim, cpu.costs))
     batch.run()
-    for stream in made:
+    for stream in {id(s): s for s in streams.values()}.values():
         stream.finish(batch)
 
     # Walk the groups again: price each phase from its stream's next

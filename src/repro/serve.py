@@ -49,7 +49,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api import Engine
-from repro.core.batchplan import _replay_workload, compute_query_phases
+# The replay builder is looked up through its module at call time, so a
+# wrapper rebound there (perfbench's tracer) sees serve's replays too.
+from repro.core import batchplan
+from repro.core.batchplan import compute_query_phases
 from repro.core.executor import (
     Environment,
     QueryPlan,
@@ -488,7 +491,7 @@ class QueryService:
         ]
         seeds = {r.client_id: states[r.client_id].ways for r in batch_reqs}
         seeds["server"] = server_ways
-        plans, streams = _replay_workload(env, groups, seeds)
+        plans, streams = batchplan._replay_workload(env, groups, seeds)
         for name, stream in streams.items():
             # Client ids are ints, so no client stream is named "server".
             ways = server_ways if name == "server" else states[name].ways

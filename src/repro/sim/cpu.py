@@ -49,16 +49,37 @@ from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
 
 __all__ = ["ComputeCost", "ClientCPU", "instruction_counts"]
 
-#: Synthetic address-space bases per trace region (far apart so regions
-#: never alias within the DRAM address map).
-_REGION_BASE = {
-    REGION_INDEX: 0x0000_0000,
-    REGION_DATA: 0x1000_0000,
-    REGION_RESULT: 0x2000_0000,
-}
+#: Synthetic address-space base of each trace region, indexed by region (far
+#: apart so regions never alias within the DRAM address map).
+REGION_BASES = (0x0000_0000, 0x1000_0000, 0x2000_0000)
 #: Stride between consecutive index-node addresses (node size rounded up to
 #: a power-of-two block, as an allocator would).
-_INDEX_STRIDE = 512
+INDEX_STRIDE = 512
+
+
+def region_strides(costs: CostModel) -> Tuple[int, int, int]:
+    """Bytes between consecutive objects of each trace region, indexed by
+    region: index nodes, data records at their stored size, result ids."""
+    return (INDEX_STRIDE, costs.segment_record_bytes, costs.object_id_bytes)
+
+
+def _address_of(region: int, object_id: int, strides: Tuple[int, int, int]) -> int:
+    """The byte address of ``object_id`` in trace ``region``."""
+    if region not in (REGION_INDEX, REGION_DATA, REGION_RESULT):
+        raise ValueError(f"unknown trace region {region!r}")
+    return REGION_BASES[region] + object_id * strides[region]
+
+
+def replay_trace(
+    cache: CacheSim, counter: OpCounter, costs: CostModel
+) -> Tuple[int, int]:
+    """Replay the counter's access trace through ``cache``, laid out at the
+    region addresses; returns the ``(hits, misses)`` it caused."""
+    strides = region_strides(costs)
+    h0, m0 = cache.hits, cache.misses
+    for acc in counter.iter_trace():
+        cache.access(_address_of(acc.region, acc.object_id, strides), acc.nbytes)
+    return (cache.hits - h0, cache.misses - m0)
 
 
 def instruction_counts(counter: OpCounter, costs: CostModel) -> Tuple[float, float]:
@@ -168,24 +189,6 @@ class ClientCPU:
         """Cold-start the D-cache (workload boundary)."""
         self.dcache.reset()
 
-    # ------------------------------------------------------------------
-    def _address_of(self, region: int, object_id: int) -> int:
-        base = _REGION_BASE.get(region)
-        if base is None:
-            raise ValueError(f"unknown trace region {region!r}")
-        if region == REGION_INDEX:
-            return base + object_id * _INDEX_STRIDE
-        if region == REGION_DATA:
-            return base + object_id * self.costs.segment_record_bytes
-        return base + object_id * self.costs.object_id_bytes
-
-    def _replay_trace(self, counter: OpCounter) -> Tuple[int, int]:
-        """Replay the counter's trace through the D-cache."""
-        h0, m0 = self.dcache.hits, self.dcache.misses
-        for acc in counter.iter_trace():
-            self.dcache.access(self._address_of(acc.region, acc.object_id), acc.nbytes)
-        return (self.dcache.hits - h0, self.dcache.misses - m0)
-
     def _price(
         self, instructions: float, accesses: int, misses: int
     ) -> ComputeCost:
@@ -213,41 +216,42 @@ class ClientCPU:
     # ------------------------------------------------------------------
     # Query-phase and protocol pricing
     # ------------------------------------------------------------------
+    def _instructions(self, counter: OpCounter) -> float:
+        """Instructions of a phase, software FP emulation included."""
+        int_instr, fp_ops = instruction_counts(counter, self.costs)
+        return int_instr + fp_ops * self.costs.client_fp_emulation_cycles
+
     def compute(self, counter: OpCounter) -> ComputeCost:
         """Price one query phase's operation counts (and replay its trace)."""
-        int_instr, fp_ops = instruction_counts(counter, self.costs)
-        instructions = int_instr + fp_ops * self.costs.client_fp_emulation_cycles
         if self.use_cache_sim and counter.record_trace:
-            accesses, misses = self._replay_trace(counter)
-        else:
-            # No trace: estimate line touches from the byte volume implied
-            # by the counters and apply the fallback miss rate.
-            touched_bytes = (
-                counter.nodes_visited
-                * (
-                    self.costs.index_node_header_bytes
-                    + self.costs.index_entry_bytes * 12  # ~half-full scan
-                )
-                + counter.candidates_refined * self.costs.segment_record_bytes
+            hits, misses = replay_trace(self.dcache, counter, self.costs)
+            return self.compute_replayed(counter, hits, misses)
+        # No trace: estimate line touches from the byte volume implied by
+        # the counters and apply the fallback miss rate.
+        touched_bytes = (
+            counter.nodes_visited
+            * (
+                self.costs.index_node_header_bytes
+                + self.costs.index_entry_bytes * 12  # ~half-full scan
             )
-            accesses = int(touched_bytes // self.config.cache_line_bytes) + 1
-            misses = int(accesses * self.fallback_miss_rate)
-        return self._price(instructions, accesses, misses)
+            + counter.candidates_refined * self.costs.segment_record_bytes
+        )
+        accesses = int(touched_bytes // self.config.cache_line_bytes) + 1
+        misses = int(accesses * self.fallback_miss_rate)
+        return self._price(self._instructions(counter), accesses, misses)
 
     def compute_replayed(
         self, counter: OpCounter, hits: int, misses: int
     ) -> ComputeCost:
-        """Price a phase whose trace was already replayed externally.
+        """Price a phase whose trace replayed to ``hits`` and ``misses``.
 
-        The batched planner simulates the D-cache trace with
-        :class:`repro.sim.cache.BatchedLRU` and hands over this phase's
-        hit/miss slice; the arithmetic here must stay the mirror image of the
-        replay branch of :meth:`compute` (note ``accesses`` = hits only,
-        matching what :meth:`_replay_trace` returns there).
+        :meth:`compute` replays through the D-cache and lands here; the
+        batched planner replays through :class:`repro.sim.cache.BatchedLRU`
+        and calls it directly.
         """
-        int_instr, fp_ops = instruction_counts(counter, self.costs)
-        instructions = int_instr + fp_ops * self.costs.client_fp_emulation_cycles
-        return self._price(instructions, hits, misses)
+        # Known defect, kept so both engines agree: the D-cache is charged
+        # for the hits only, not for every line touched.
+        return self._price(self._instructions(counter), hits, misses)
 
     def protocol(self, msg: WireMessage) -> ComputeCost:
         """Price the protocol processing for one message (send or receive).
@@ -299,11 +303,3 @@ class ClientCPU:
         if not busy_wait:
             power *= self.config.lowpower_fraction
         return power * seconds
-
-    def active_rest_energy_j(self, seconds: float) -> float:
-        """Non-NIC platform energy while the CPU computes is already counted
-        per event by :meth:`compute`; this hook exists for symmetric
-        accounting of any *additional* always-on platform draw and currently
-        returns zero — kept explicit so the executor's energy ledger shows
-        where such a term would go."""
-        return 0.0

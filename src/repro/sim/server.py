@@ -23,17 +23,10 @@ from dataclasses import dataclass
 
 from repro.constants import DEFAULT_COSTS, DEFAULT_SERVER, CostModel, ServerConfig
 from repro.sim.cache import CacheSim
-from repro.sim.cpu import check_miss_rate, instruction_counts
-from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
+from repro.sim.cpu import check_miss_rate, instruction_counts, replay_trace
+from repro.sim.trace import OpCounter
 
 __all__ = ["ServerCost", "ServerCPU"]
-
-_REGION_BASE = {
-    REGION_INDEX: 0x0000_0000,
-    REGION_DATA: 0x1000_0000,
-    REGION_RESULT: 0x2000_0000,
-}
-_INDEX_STRIDE = 512
 
 #: L1 miss penalty (cycles) — an L2 hit; L2 misses are neglected because the
 #: paper assumes server-side data stays cached in its ample memory.
@@ -94,33 +87,13 @@ class ServerCPU:
         """Cold-start the L1 (workload boundary)."""
         self.l1.reset()
 
-    def _address_of(self, region: int, object_id: int) -> int:
-        base = _REGION_BASE.get(region)
-        if base is None:
-            raise ValueError(f"unknown trace region {region!r}")
-        if region == REGION_INDEX:
-            return base + object_id * _INDEX_STRIDE
-        if region == REGION_DATA:
-            return base + object_id * self.costs.segment_record_bytes
-        return base + object_id * self.costs.object_id_bytes
-
-    def compute(self, counter: OpCounter) -> ServerCost:
-        """Price one query phase's operation counts at the server."""
+    def _instructions(self, counter: OpCounter) -> float:
+        """Instructions of a phase, native FP included."""
         int_instr, fp_ops = instruction_counts(counter, self.costs)
-        instructions = int_instr + fp_ops * self.costs.server_fp_cycles
-        if self.use_cache_sim and counter.record_trace:
-            h0, m0 = self.l1.hits, self.l1.misses
-            for acc in counter.iter_trace():
-                self.l1.access(self._address_of(acc.region, acc.object_id), acc.nbytes)
-            accesses = (self.l1.hits - h0) + (self.l1.misses - m0)
-            misses = self.l1.misses - m0
-        else:
-            touched_bytes = (
-                counter.nodes_visited * 256
-                + counter.candidates_refined * self.costs.segment_record_bytes
-            )
-            accesses = int(touched_bytes // 64) + 1
-            misses = int(accesses * self.fallback_miss_rate)
+        return int_instr + fp_ops * self.costs.server_fp_cycles
+
+    def _price(self, instructions: float, accesses: int, misses: int) -> ServerCost:
+        """Cycles of ``instructions`` with their L1 accesses and misses."""
         cycles = instructions / self.config.effective_ipc + misses * _L1_MISS_PENALTY
         return ServerCost(
             instructions=instructions,
@@ -128,22 +101,27 @@ class ServerCPU:
             l1_accesses=accesses,
             l1_misses=misses,
         )
+
+    def compute(self, counter: OpCounter) -> ServerCost:
+        """Price one query phase's operation counts at the server."""
+        if self.use_cache_sim and counter.record_trace:
+            hits, misses = replay_trace(self.l1, counter, self.costs)
+            return self.compute_replayed(counter, hits, misses)
+        touched_bytes = (
+            counter.nodes_visited * 256
+            + counter.candidates_refined * self.costs.segment_record_bytes
+        )
+        accesses = int(touched_bytes // 64) + 1
+        misses = int(accesses * self.fallback_miss_rate)
+        return self._price(self._instructions(counter), accesses, misses)
 
     def compute_replayed(
         self, counter: OpCounter, hits: int, misses: int
     ) -> ServerCost:
-        """Price a phase whose trace was already replayed externally.
+        """Price a phase whose trace replayed to ``hits`` and ``misses``.
 
-        Mirror of :meth:`compute`'s replay branch for the batched planner
-        (note ``accesses`` = hits + misses here, unlike the client model).
+        :meth:`compute` replays through the L1 and lands here; the batched
+        planner replays through :class:`repro.sim.cache.BatchedLRU` and
+        calls it directly.
         """
-        int_instr, fp_ops = instruction_counts(counter, self.costs)
-        instructions = int_instr + fp_ops * self.costs.server_fp_cycles
-        accesses = hits + misses
-        cycles = instructions / self.config.effective_ipc + misses * _L1_MISS_PENALTY
-        return ServerCost(
-            instructions=instructions,
-            cycles=cycles,
-            l1_accesses=accesses,
-            l1_misses=misses,
-        )
+        return self._price(self._instructions(counter), hits + misses, misses)

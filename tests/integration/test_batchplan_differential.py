@@ -15,6 +15,8 @@ windows over a random dataset.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -35,6 +37,7 @@ from repro.data.workloads import (
     range_queries,
 )
 from repro.serve import QueryService
+from repro.sim import cache
 from repro.sim.cpu import ClientCPU
 from repro.sim.server import ServerCPU
 from repro.spatial.mbr import MBR
@@ -281,6 +284,23 @@ def test_no_cache_sim_fallback(env, off):
         service.serve(reqs, fleet, planner="batched"),
         service.serve(reqs, fleet, planner="serial"),
     )
+
+
+def test_replay_without_a_compiler(env, monkeypatch, tmp_path):
+    """Without a C compiler the replay warns once and runs through
+    CacheSim: the plans and cache states are still the scalar path's."""
+    monkeypatch.setenv("HOME", str(tmp_path))  # no cached library
+    monkeypatch.setattr(cache, "_kernel_fn", None)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    ds = env.dataset
+    with pytest.warns(RuntimeWarning, match="CacheSim") as record:
+        _assert_differential(
+            env, range_queries(ds, 8, seed=71), ADEQUATE_MEMORY_CONFIGS
+        )
+        _assert_differential(
+            env, nn_queries(ds, 4, seed=72) + knn_queries(ds, 4, seed=73), NN_CONFIGS
+        )
+    assert sum("lru.c" in str(w.message) for w in record) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """BatchedLRU vs the scalar CacheSim — bit-for-bit differential tests.
 
 The batched planner's cache verdicts come from
-:class:`repro.sim.cache.BatchedLRU`, which runs :meth:`CacheSim.access_line`'s
-own algorithm as a compiled loop (``repro/sim/lru.c``) over each stream, or
-CacheSim itself when no C compiler is available.  Either way it must
-reproduce the scalar simulator's hit/miss verdicts AND final cache state
-exactly, including under warm-start seeding.  Warm state crosses the
-replay boundary as an MRU-first ``(n_sets, assoc)`` tag matrix (``-1`` =
-empty way), the format of :meth:`CacheSim.ways`.
+:class:`repro.sim.cache.BatchedLRU`, which runs :meth:`CacheSim.access`'s
+own algorithm as a compiled loop (``repro/sim/lru.c``) over every stream in
+one call, or CacheSim itself when no C compiler is available.  Either way
+it must reproduce the scalar simulator's per-line hit/miss verdicts,
+per-phase counts AND final cache state exactly, including under warm-start
+seeding.  Warm state crosses the replay boundary as an MRU-first
+``(n_sets, assoc)`` tag matrix (``-1`` = empty way), the format of
+:meth:`CacheSim.ways`.  The line-level tests feed each line as a 1-byte
+access on 1-byte lines, so access ``i`` is line ``lines[i]``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from hypothesis import strategies as st
 from repro import native
 from repro.sim import cache
 from repro.sim.cache import BatchedLRU, CacheSim
+
+
+def _add_lines(batch, lines, n_sets, assoc, seed_ways=None):
+    """Add a line trace as one phase of 1-byte accesses on 1-byte lines."""
+    n = len(lines)
+    return batch.add_stream(
+        lines, np.ones(n, dtype=np.int64), [n], 1, n_sets, assoc,
+        seed_ways=seed_ways,
+    )
 
 
 def _as_ways(sets, assoc):
@@ -81,7 +92,7 @@ def test_cold_start_matches_scalar(n_sets, assoc):
     batch = BatchedLRU()
     traces = [_random_trace(rng, rng.integers(1, 2000), n_sets * assoc * 2)
               for _ in range(5)]
-    handles = [batch.add_stream(t, n_sets, assoc) for t in traces]
+    handles = [_add_lines(batch, t, n_sets, assoc) for t in traces]
     batch.run()
     for h, t in zip(handles, traces):
         ref_hits, ref_sets = _scalar_reference(t, n_sets, assoc)
@@ -97,7 +108,7 @@ def test_warm_seed_matches_scalar(n_sets, assoc):
     _, seed = _scalar_reference(warm, n_sets, assoc)
 
     batch = BatchedLRU()
-    h = batch.add_stream(work, n_sets, assoc, seed_ways=_as_ways(seed, assoc))
+    h = _add_lines(batch, work, n_sets, assoc, seed_ways=_as_ways(seed, assoc))
     batch.run()
     ref_hits, ref_sets = _scalar_reference(work, n_sets, assoc, seed_sets=seed)
     assert np.array_equal(batch.hits_of(h), ref_hits)
@@ -112,7 +123,7 @@ def test_matches_cachesim_class(n_sets=64, assoc=4, line_bytes=32):
     scalar_hits = np.array([sim.access_line(int(l)) for l in lines])
 
     batch = BatchedLRU()
-    h = batch.add_stream(lines, n_sets, assoc)
+    h = _add_lines(batch, lines, n_sets, assoc)
     batch.run()
     assert np.array_equal(batch.hits_of(h), scalar_hits)
     assert np.array_equal(batch.final_ways(h), _as_ways(sim._sets, assoc))
@@ -126,7 +137,7 @@ def test_mixed_geometries_one_batch():
     traces = []
     for n_sets, assoc in specs:
         t = _random_trace(rng, 1200, n_sets * assoc * 2)
-        traces.append((batch.add_stream(t, n_sets, assoc), t, n_sets, assoc))
+        traces.append((_add_lines(batch, t, n_sets, assoc), t, n_sets, assoc))
     batch.run()
     for h, t, n_sets, assoc in traces:
         ref_hits, ref_sets = _scalar_reference(t, n_sets, assoc)
@@ -140,7 +151,7 @@ def test_repeat_heavy_trace_dup_collapse():
     base = _random_trace(rng, 200, 64)
     lines = np.repeat(base, rng.integers(1, 6, size=len(base)))
     batch = BatchedLRU()
-    h = batch.add_stream(lines, 16, 2)
+    h = _add_lines(batch, lines, 16, 2)
     batch.run()
     ref_hits, ref_sets = _scalar_reference(lines, 16, 2)
     assert np.array_equal(batch.hits_of(h), ref_hits)
@@ -149,9 +160,9 @@ def test_repeat_heavy_trace_dup_collapse():
 
 def test_empty_and_tiny_traces():
     batch = BatchedLRU()
-    h0 = batch.add_stream(np.empty(0, dtype=np.int64), 16, 2)
-    h1 = batch.add_stream(np.array([7]), 16, 2)
-    h2 = batch.add_stream(np.array([7, 7]), 16, 2)
+    h0 = _add_lines(batch, np.empty(0, dtype=np.int64), 16, 2)
+    h1 = _add_lines(batch, np.array([7]), 16, 2)
+    h2 = _add_lines(batch, np.array([7, 7]), 16, 2)
     batch.run()
     assert batch.hits_of(h0).size == 0
     assert np.array_equal(batch.hits_of(h1), [False])
@@ -176,20 +187,20 @@ _MALFORMED_SEEDS = [
 
 def test_api_misuse_raises():
     batch = BatchedLRU()
-    batch.add_stream(np.array([1, 2, 3]), 16, 2)
+    _add_lines(batch, np.array([1, 2, 3]), 16, 2)
     batch.run()
     with pytest.raises(RuntimeError):
         batch.run()
     with pytest.raises(RuntimeError):
-        batch.add_stream(np.array([1]), 16, 2)
+        _add_lines(batch, np.array([1]), 16, 2)
     with pytest.raises(ValueError):
-        BatchedLRU().add_stream(np.array([1]), 0, 2)
+        _add_lines(BatchedLRU(), np.array([1]), 0, 2)
     with pytest.raises(RuntimeError):
         BatchedLRU().final_ways(0)
     with pytest.raises(ValueError):
-        BatchedLRU().add_stream(np.array([1]), True, 2)  # bool is an int
+        _add_lines(BatchedLRU(), np.array([1]), True, 2)  # bool is an int
     with pytest.raises(ValueError):
-        BatchedLRU().add_stream(np.array([1]), 16, True)
+        _add_lines(BatchedLRU(), np.array([1]), 16, True)
     # Negative lines would alias tag -1; past 2**63 they wrap in int64.
     for lines in (
         np.array([3, -1, 5]),
@@ -198,7 +209,7 @@ def test_api_misuse_raises():
         np.array([1, 2**64 - 1], dtype=np.uint64),
     ):
         with pytest.raises(ValueError, match="non-negative"):
-            BatchedLRU().add_stream(lines, 16, 2)
+            _add_lines(BatchedLRU(), lines, 16, 2)
     # Floats would be truncated to lines and bools read as lines 0/1.
     for lines in (
         np.array([0.5, 1.7, 0.2]),
@@ -206,14 +217,14 @@ def test_api_misuse_raises():
         np.array([[1, 2], [3, 4]]),
     ):
         with pytest.raises(ValueError, match="1-D integer"):
-            BatchedLRU().add_stream(lines, 16, 2)
+            _add_lines(BatchedLRU(), lines, 16, 2)
     top = np.array([2**63 - 1], dtype=np.uint64)  # the largest valid line
-    BatchedLRU().add_stream(top, 16, 2)
+    _add_lines(BatchedLRU(), top, 16, 2)
     lines = np.array([1, 2, 3])
-    BatchedLRU().add_stream(lines, 4, 2, seed_ways=_ok_seed())  # well-formed
+    _add_lines(BatchedLRU(), lines, 4, 2, seed_ways=_ok_seed())  # well-formed
     for seed in _MALFORMED_SEEDS:
         with pytest.raises(ValueError):
-            BatchedLRU().add_stream(lines, 4, 2, seed_ways=seed)
+            _add_lines(BatchedLRU(), lines, 4, 2, seed_ways=seed)
         with pytest.raises(ValueError):
             CacheSim(4 * 2 * 8, 2, 8).load_ways(seed)
 
@@ -221,7 +232,7 @@ def test_api_misuse_raises():
 def test_seed_ways_not_mutated():
     seed = _ok_seed()
     batch = BatchedLRU()
-    h = batch.add_stream(np.array([1, 9, 2, 13, 4]), 4, 2, seed_ways=seed)
+    h = _add_lines(batch, np.array([1, 9, 2, 13, 4]), 4, 2, seed_ways=seed)
     batch.run()
     assert np.array_equal(seed, _ok_seed())
     out = batch.final_ways(h)
@@ -238,7 +249,7 @@ def test_window_widening_final_state():
     A, B, C, D, E, F = range(10, 16)
     lines = np.array([A, B, C, D] + [E, F] * 20)
     batch = BatchedLRU()
-    h = batch.add_stream(lines, 1, 4)
+    h = _add_lines(batch, lines, 1, 4)
     batch.run()
     assert batch.final_ways(h).tolist() == [[F, E, D, C]]
     ref_hits, ref_sets = _scalar_reference(lines, 1, 4)
@@ -294,7 +305,7 @@ def _warm_batch(rng):
 def _replay(specs):
     batch = BatchedLRU()
     handles = [
-        batch.add_stream(lines, n_sets, assoc, seed_ways=seed)
+        _add_lines(batch, lines, n_sets, assoc, seed_ways=seed)
         for lines, n_sets, assoc, seed, _, _ in specs
     ]
     batch.run()
@@ -392,8 +403,8 @@ def test_property_way_matrix_boundary(specs):
             for line in prefix:
                 sim.access_line(line)
             seed = sim.ways()
-        h = batch.add_stream(
-            np.array(lines, dtype=np.int64), n_sets, assoc, seed_ways=seed
+        h = _add_lines(
+            batch, np.array(lines, dtype=np.int64), n_sets, assoc, seed_ways=seed
         )
         verdicts = np.array([sim.access_line(x) for x in lines], dtype=bool)
         expected.append((h, verdicts, sim.ways()))
@@ -401,3 +412,147 @@ def test_property_way_matrix_boundary(specs):
     for h, verdicts, ways in expected:
         assert np.array_equal(batch.hits_of(h), verdicts)
         assert np.array_equal(batch.final_ways(h), ways)
+
+
+# ----------------------------------------------------------------------
+# Byte accesses: the kernel against CacheSim.access itself.
+
+#: Line sizes for the access property test, one not a power of two.
+_LINE_SIZES = [1, 8, 12, 32, 64]
+
+
+@st.composite
+def _access_streams(draw):
+    """Stream specs ``(line_bytes, n_sets, assoc, seed prefix, phases)``.
+
+    Each phase is a list of ``(addr, nbytes)`` accesses: unaligned starts,
+    sizes spanning several lines, zero and negative sizes, and empty
+    phases.  A prefix of accesses (or None, for a cold stream) warms the
+    CacheSim whose ways seed the stream.
+    """
+    specs = []
+    for _ in range(draw(st.integers(1, 5))):
+        line_bytes = draw(st.sampled_from(_LINE_SIZES))
+        n_sets = draw(st.sampled_from(_SET_COUNTS))
+        assoc = draw(st.integers(1, 6))
+        span = n_sets * assoc * line_bytes * 3
+        access = st.tuples(
+            st.integers(0, span), st.integers(-2 * line_bytes, 4 * line_bytes)
+        )
+        prefix = draw(st.none() | st.lists(access, max_size=40))
+        phases = draw(st.lists(st.lists(access, max_size=30), max_size=6))
+        specs.append((line_bytes, n_sets, assoc, prefix, phases))
+    return specs
+
+
+def _through_cachesim(sim, accesses):
+    """Per-line verdicts and ``(hits, lines)`` of ``accesses`` through
+    :meth:`CacheSim.access`."""
+    verdicts = []
+    real = sim.access_line
+    sim.access_line = lambda line: verdicts.append(real(line)) or verdicts[-1]
+    hits = lines = 0
+    for addr, nbytes in accesses:
+        h, m = sim.access(addr, nbytes)
+        hits, lines = hits + h, lines + h + m
+    del sim.access_line
+    return verdicts, (hits, lines)
+
+
+@given(_access_streams())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_property_access_kernel_is_cachesim_access(specs):
+    batch = BatchedLRU()
+    expected = []
+    for line_bytes, n_sets, assoc, prefix, phases in specs:
+        sim = CacheSim(n_sets * assoc * line_bytes, assoc, line_bytes)
+        seed = None
+        if prefix is not None:
+            sim.run_trace(prefix)
+            seed = sim.ways()
+        accesses = [a for phase in phases for a in phase]
+        h = batch.add_stream(
+            np.array([a for a, _ in accesses], dtype=np.int64),
+            np.array([n for _, n in accesses], dtype=np.int64),
+            np.cumsum([len(phase) for phase in phases], dtype=np.int64),
+            line_bytes, n_sets, assoc, seed_ways=seed,
+        )
+        verdicts, counts = [], []
+        for phase in phases:
+            v, hl = _through_cachesim(sim, phase)
+            verdicts += v
+            counts.append(hl)
+        expected.append((h, verdicts, counts, sim.ways()))
+    batch.run()
+    for h, verdicts, counts, ways in expected:
+        assert batch.hits_of(h).tolist() == verdicts
+        hits, lines = batch.phases_of(h)
+        assert list(zip(hits.tolist(), lines.tolist())) == counts
+        assert np.array_equal(batch.final_ways(h), ways)
+
+
+@pytest.mark.parametrize("replay", ["compiled", "cachesim"])
+def test_one_run_is_one_kernel_call(monkeypatch, replay):
+    kernel = cache._kernel() if replay == "compiled" else None
+    if replay == "compiled" and kernel is None:
+        pytest.skip("no C compiler on PATH")
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        return (kernel or real_fallback)(*args)
+
+    real_fallback = cache._cachesim_run
+    if kernel is None:
+        monkeypatch.setattr(cache, "_kernel_fn", False)
+        monkeypatch.setattr(cache, "_cachesim_run", counted)
+    else:
+        monkeypatch.setattr(cache, "_kernel_fn", counted)
+    batch = BatchedLRU()
+    handles = [
+        batch.add_stream([0, 70, 5], [40, 8, -1], [1, 1, 3], 32, 4, 2),
+        batch.add_stream([3, 3], [1, 1], [2], 1, 16, 1),
+        batch.add_stream([], [], [], 64, 256, 2),
+    ]
+    batch.run()
+    assert len(calls) == 1
+    assert [batch.phases_of(h)[1].tolist() for h in handles] == [
+        [2, 0, 1], [2], []
+    ]
+    assert batch.hits_of(1).tolist() == [False, True]
+
+
+def test_access_input_checks():
+    def add(addrs, nbytes, ends, line_bytes=8):
+        return BatchedLRU().add_stream(addrs, nbytes, ends, line_bytes, 4, 2)
+
+    add([0, 9], [8, 8], [0, 2, 2])  # empty phases are phases
+    add([], [], [])  # an empty stream needs no phase
+    add([], [], [0, 0])
+    add([5], [0], [1])  # zero bytes: a no-op, still a checked access
+    add([2**63 - 8], [8], [1])  # the last byte below 2**63
+    add([2**63 - 1], [-3], [1])  # a no-op never runs past 2**63
+    add([0], [2**32], [1], line_bytes=2**16)
+    with pytest.raises(ValueError, match="one size per access"):
+        add([0, 8], [8], [2])
+    for nbytes in ([8.0], [True], [[8]]):
+        with pytest.raises(ValueError, match="nbytes must be a 1-D integer"):
+            add([0], nbytes, [1])
+    with pytest.raises(ValueError, match="at most"):
+        add([0], [2**32 + 1], [1])
+    with pytest.raises(ValueError, match="non-negative"):
+        add([-8], [0], [1])  # even a no-op needs a valid address
+    with pytest.raises(ValueError, match="below address 2"):
+        add([0, 2**63 - 8], [8, 9], [2])
+    for ends in ([1], [3], [2, 1, 2], [-1, 2], [], [0, 3, 2]):
+        with pytest.raises(ValueError, match="phase_ends"):
+            add([0, 8], [8, 8], ends)
+    for ends in ([2.0], [True, True]):
+        with pytest.raises(ValueError, match="phase_ends must be a 1-D integer"):
+            add([0, 8], [8, 8], ends)
+    with pytest.raises(ValueError, match="positive"):
+        BatchedLRU().add_stream([0], [8], [1], 0, 4, 2)
+    with pytest.raises(RuntimeError):
+        BatchedLRU().phases_of(0)
+    BatchedLRU().run()  # no stream at all

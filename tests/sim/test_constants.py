@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import constants as C
@@ -46,6 +48,30 @@ class TestClientConfig:
         assert 0 < C.DEFAULT_CLIENT.lowpower_fraction < 1
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("clock_hz", 0),
+            ("clock_hz", math.nan),
+            ("clock_hz", math.inf),
+            ("clock_hz", True),
+            ("supply_voltage", math.nan),
+            ("supply_voltage", 0.0),
+            ("nominal_power_w", -0.07),
+            ("lowpower_fraction", -0.12),
+            ("lowpower_fraction", 1.5),
+            ("lowpower_fraction", math.nan),
+            ("memory_latency_cycles", -100),
+            ("memory_latency_cycles", 100.0),
+            ("cache_assoc", True),
+            ("cache_line_bytes", 0),
+        ],
+    )
+    def test_rejects_unphysical_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            C.ClientConfig(**{field: value})
+
+
 class TestServerConfig:
     def test_table4_values(self):
         s = C.DEFAULT_SERVER
@@ -56,6 +82,24 @@ class TestServerConfig:
 
     def test_client_server_clock_ratio_default(self):
         assert C.DEFAULT_SERVER.clock_hz / C.DEFAULT_CLIENT.clock_hz == 8.0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("clock_hz", 0),
+            ("clock_hz", math.nan),
+            ("clock_hz", -1e9),
+            ("effective_ipc", math.nan),
+            ("effective_ipc", 0.0),
+            ("effective_ipc", math.inf),
+            ("issue_width", 4.0),
+            ("issue_width", True),
+            ("memory_bytes", -1),
+        ],
+    )
+    def test_rejects_unphysical_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            C.ServerConfig(**{field: value})
 
 
 class TestCostModel:
@@ -92,6 +136,29 @@ class TestCostModel:
         m = C.DEFAULT_COSTS
         assert m.client_cycles_for_fp(10) == 10 * m.client_fp_emulation_cycles
         assert m.server_cycles_for_fp(10) == 10 * m.server_fp_cycles
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("segment_record_bytes", 0),
+            ("object_id_bytes", 0),
+            ("object_id_bytes", -16),
+            ("instr_per_node_visit", -40),
+            ("instr_per_node_visit", 40.5),
+            ("client_fp_emulation_cycles", True),
+            ("server_fp_cycles", math.nan),
+            ("energy_per_cycle_j", -0.35e-9),
+            ("energy_per_memory_access_j", math.inf),
+            ("energy_per_dcache_access_j", math.nan),
+            ("request_bytes", -1),
+        ],
+    )
+    def test_rejects_unphysical_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            C.CostModel(**{field: value})
+
+    def test_zero_costs_are_allowed(self):
+        assert C.CostModel(fp_per_mbr_test=0, energy_per_cycle_j=0.0).fp_per_mbr_test == 0
 
 
 class TestNetworkConfig:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.constants import DEFAULT_SERVER
-from repro.sim.cpu import ClientCPU
+from repro.sim.cpu import ClientCPU, replay_trace
 from repro.sim.server import ServerCost, ServerCPU
 from repro.sim.trace import OpCounter
 
@@ -73,3 +73,28 @@ class TestServerCostAlgebra:
 
     def test_seconds(self):
         assert ServerCPU().seconds(1e9) == pytest.approx(1.0)
+
+
+def _cache_of(cpu):
+    return cpu.dcache if isinstance(cpu, ClientCPU) else cpu.l1
+
+
+class TestSharedReplay:
+    """Both CPU models replay through one address map and price the replay
+    through their own ``compute_replayed``."""
+
+    @pytest.mark.parametrize("make", [ClientCPU, ServerCPU])
+    def test_compute_is_replay_then_compute_replayed(self, make):
+        counter = _range_counter()
+        cost = make().compute(counter)
+        twin = make()
+        hits, misses = replay_trace(_cache_of(twin), counter, twin.costs)
+        assert twin.compute_replayed(counter, hits, misses) == cost
+
+    @pytest.mark.parametrize("make", [ClientCPU, ServerCPU])
+    @pytest.mark.parametrize("region", [3, -1])
+    def test_unknown_trace_region_rejected(self, make, region):
+        counter = OpCounter()
+        counter.touch(region, 0, 8)
+        with pytest.raises(ValueError, match="unknown trace region"):
+            make().compute(counter)
