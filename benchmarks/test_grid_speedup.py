@@ -7,7 +7,7 @@ must run at least 10x faster wall-clock than the per-step scalar walk,
 with both engines agreeing to 1e-9.
 
 Both sides price the same plans, planned once up front, through
-``Engine.price`` (the grid plus its per-policy workload sums, or
+``Session.price`` (the grid plus its per-policy workload sums, or
 ``price_plan`` per cell plus ``RunResult.combine``).  A round times
 back-to-back passes of one side until
 :data:`repro.bench.planbench.MIN_REGION_S` has passed

@@ -33,7 +33,7 @@ Quickstart::
         print(row.bandwidth_mbps, "Mbps:", row.energy_j, "J,", row.cycles, "cycles")
 """
 
-from repro.api import Engine, RunRow, RunTable, Session
+from repro.api import RunRow, RunTable, Session
 from repro.constants import (
     BANDWIDTHS_MBPS,
     DEFAULT_CLIENT,
@@ -66,7 +66,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "Session",
-    "Engine",
     "RunTable",
     "RunRow",
     "QueryService",

@@ -1,4 +1,4 @@
-"""The front door: ``Engine`` cores, ``Session`` facades, run tables.
+"""The front door: one :class:`Session` per dataset, and its run tables.
 
 The seed grew four scattered entry points in ``repro.core.experiment``
 (``plan_workload``, ``price_workload``, ``bandwidth_sweep``,
@@ -17,20 +17,18 @@ deprecation cycle; this module is the one facade::
     for row in table:
         print(row.scheme, row.bandwidth_mbps, row.energy_j)
 
-Since the service arc, the machinery behind the facade lives in
-:class:`Engine`: one environment plus everything the batched runtime needs
-between calls — the phase-data cache (each distinct query is traversed
-once, whatever schemes and calls reuse it) and an optional
+A :class:`Session` owns one environment plus everything the batched
+runtime keeps between calls: the phase-data cache (each distinct query is
+traversed once, whatever schemes and calls reuse it) and an optional
 :class:`~repro.core.gridrun.RunLedger` that every phase reports into.
-Plans themselves are never cached: every call computes them.
-:class:`Session` is a thin single-user wrapper over an :class:`Engine`;
-:class:`repro.serve.QueryService` shares the same core for multi-tenant
-serving.  Construct an :class:`Engine` once and hand it to both when a
-session and a service should share the phase cache and ledger::
+Plans themselves are never cached: every call computes them, through the
+batched planner and grid pricer by default, or through the scalar oracle
+(``planner="scalar"``, ``engine="scalar"``).  Hand a session to
+:class:`repro.serve.QueryService` when single-user runs and multi-tenant
+serving should share the phase cache and ledger::
 
-    engine = Engine(dataset)
-    session = Session(engine)
-    service = QueryService(engine, max_queue=256)
+    session = Session(dataset)
+    service = QueryService(session, max_queue=256)
 """
 
 from __future__ import annotations
@@ -57,11 +55,9 @@ from repro.data.model import SegmentDataset
 from repro.sim.metrics import NICDwell
 
 __all__ = [
-    "Engine",
     "Session",
     "RunTable",
     "RunRow",
-    "SweepCell",
     "ENGINES",
     "PLANNERS",
 ]
@@ -75,26 +71,6 @@ ENGINES = ("batched", "scalar")
 #: walks one query at a time through ``plan_query``.  Both produce
 #: bit-identical plans; the differential suite holds them to that.
 PLANNERS = ("batched", "scalar")
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One (scheme, policy) point of a sweep: the summed workload result."""
-
-    config_label: str
-    bandwidth_mbps: float
-    distance_m: float
-    result: RunResult
-
-    @property
-    def energy_j(self) -> float:
-        """Total client energy over the workload."""
-        return self.result.energy.total()
-
-    @property
-    def cycles(self) -> float:
-        """Total end-to-end client cycles over the workload."""
-        return self.result.cycles.total()
 
 
 @dataclass(frozen=True)
@@ -136,15 +112,6 @@ class RunRow:
     def loss_rate(self) -> float:
         """The policy's frame-loss rate (0 = the paper's ideal channel)."""
         return self.policy.network.loss_rate
-
-    def cell(self) -> SweepCell:
-        """This row as the legacy sweep record."""
-        return SweepCell(
-            config_label=self.scheme,
-            bandwidth_mbps=self.bandwidth_mbps,
-            distance_m=self.distance_m,
-            result=self.result,
-        )
 
     def to_record(self) -> dict:
         """This row as a flat dict (ledger ``run`` events use the same)."""
@@ -204,13 +171,6 @@ class RunTable:
             out.setdefault(row.scheme, []).append(row)
         return out
 
-    def cells(self) -> Dict[str, List[SweepCell]]:
-        """The legacy ``bandwidth_sweep`` shape (renderers consume this)."""
-        return {
-            label: [r.cell() for r in rows]
-            for label, rows in self.by_scheme().items()
-        }
-
     def to_records(self) -> List[dict]:
         """Every row as a flat dict (for ledgers and ad-hoc analysis)."""
         return [r.to_record() for r in self.rows]
@@ -222,20 +182,46 @@ class RunTable:
         return min(self.rows, key=lambda r: getattr(r, metric))
 
 
-class Engine:
-    """The reusable plan/price/ledger core behind every front end.
+def _as_queries(workload) -> List[Query]:
+    if isinstance(workload, Query):
+        return [workload]
+    return list(workload)
+
+
+def _as_policies(policies) -> List[Policy]:
+    if policies is None:
+        return Policy.sweep()
+    if isinstance(policies, Policy):
+        return [policies]
+    return list(policies)
+
+
+def _as_schemes(schemes) -> List[SchemeConfig]:
+    if isinstance(schemes, SchemeConfig):
+        return [schemes]
+    out = list(schemes)
+    if not out:
+        raise ValueError("run() requires at least one scheme")
+    return out
+
+
+def _check_choice(kind: str, value: str, choices: Tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {kind} {value!r}; choose from {choices}")
+
+
+class Session:
+    """Plan, price and record experiment grids over one dataset.
 
     ``source`` is a :class:`~repro.data.model.SegmentDataset` (an
     environment is created for it) or a ready
     :class:`~repro.core.executor.Environment` (for custom CPU models, as in
     the Figure 8 clock-ratio experiment).
 
-    The engine carries a :class:`~repro.core.batchplan.PhaseDataCache` so
+    The session carries a :class:`~repro.core.batchplan.PhaseDataCache` so
     identical queries share one traversal, and optionally a
-    :class:`~repro.core.gridrun.RunLedger` every phase reports into.  Both
-    :class:`Session` (single user) and :class:`repro.serve.QueryService`
-    (multi-tenant) are thin wrappers over an engine; sharing one engine
-    shares its phase cache and ledger.
+    :class:`~repro.core.gridrun.RunLedger` every phase reports into.
+    :class:`repro.serve.QueryService` takes a session to share both.
     """
 
     def __init__(
@@ -250,8 +236,8 @@ class Engine:
             self.env = Environment.create(source)
         else:
             raise TypeError(
-                f"{type(self).__name__}() takes a SegmentDataset or an "
-                f"Environment, got {type(source).__name__}"
+                "expected a SegmentDataset or an Environment, got "
+                f"{type(source).__name__}"
             )
         if ledger is not None and not isinstance(ledger, RunLedger):
             raise TypeError(
@@ -276,33 +262,9 @@ class Engine:
         return self._phase_cache
 
     def record(self, event: str, **fields) -> None:
-        """Record a ledger event, if this engine has a ledger."""
+        """Record a ledger event, if this session has a ledger."""
         if self.ledger is not None:
             self.ledger.record(event, **fields)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_queries(workload) -> List[Query]:
-        if isinstance(workload, Query):
-            return [workload]
-        return list(workload)
-
-    @staticmethod
-    def _as_policies(policies) -> List[Policy]:
-        if policies is None:
-            return Policy.sweep()
-        if isinstance(policies, Policy):
-            return [policies]
-        return list(policies)
-
-    @staticmethod
-    def _as_schemes(schemes) -> List[SchemeConfig]:
-        if isinstance(schemes, SchemeConfig):
-            return [schemes]
-        out = list(schemes)
-        if not out:
-            raise ValueError("run() requires at least one scheme")
-        return out
 
     # ------------------------------------------------------------------
     def plan(
@@ -341,12 +303,9 @@ class Engine:
         scheme's plans from them.  Returns one plan list per scheme, in
         scheme order, and records one ledger ``plan`` event per scheme.
         """
-        queries = self._as_queries(workload)
-        configs = self._as_schemes(schemes)
-        if planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {planner!r}; choose from {PLANNERS}"
-            )
+        queries = _as_queries(workload)
+        configs = _as_schemes(schemes)
+        _check_choice("planner", planner, PLANNERS)
         start = time.perf_counter()
         if planner == "batched":
             planned = plan_workload_batched(
@@ -386,7 +345,7 @@ class Engine:
         :class:`~repro.core.gridrun.GridResult`, whose per-cell
         ``result(i, j)`` the service's per-query outcomes are built from.
         """
-        return price_grid(list(plans), self._as_policies(policies), self.env)
+        return price_grid(list(plans), _as_policies(policies), self.env)
 
     def price(
         self,
@@ -401,120 +360,43 @@ class Engine:
         ``"scalar"`` walks every (plan, policy) pair through the oracle
         (bit-identical to the seed's ``price_workload``).
         """
-        plans = list(plans)
-        pols = self._as_policies(policies)
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
+        return [
+            result
+            for result, _ in self._price(list(plans), _as_policies(policies), engine)
+        ]
+
+    def _price(
+        self,
+        plans: List[QueryPlan],
+        policies: List[Policy],
+        engine: str,
+        **fields,
+    ) -> List[Tuple[RunResult, Optional[NICDwell]]]:
+        """Each policy's workload-summed result and NIC dwell (batched
+        engine only), recorded as one ledger ``price`` event carrying
+        ``fields``."""
+        _check_choice("engine", engine, ENGINES)
         start = time.perf_counter()
         if engine == "batched":
-            grid = self.price_grid(plans, pols)
-            results = [grid.combine_policy(j) for j in range(len(pols))]
+            grid = self.price_grid(plans, policies)
+            priced = [
+                (grid.combine_policy(j), grid.dwell(j))
+                for j in range(len(policies))
+            ]
         else:
-            results = [
-                RunResult.combine([price_plan(p, self.env, pol) for p in plans])
-                for pol in pols
+            priced = [
+                (RunResult.combine([price_plan(p, self.env, pol) for p in plans]), None)
+                for pol in policies
             ]
         self.record(
             "price",
             engine=engine,
+            **fields,
             n_plans=len(plans),
-            n_policies=len(pols),
+            n_policies=len(policies),
             seconds=time.perf_counter() - start,
         )
-        return results
-
-
-class Session:
-    """Plan, price and record experiment grids over one dataset.
-
-    ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
-    :class:`~repro.core.executor.Environment`, or an :class:`Engine` to
-    share (its phase cache and ledger are adopted; the ``ledger`` keyword
-    then must stay unset).  The session itself is a thin single-user
-    wrapper: all caching and ledger machinery lives on :attr:`engine`.
-    """
-
-    def __init__(
-        self,
-        source: Union[SegmentDataset, Environment, Engine],
-        *,
-        ledger: Optional[RunLedger] = None,
-    ) -> None:
-        if isinstance(source, Engine):
-            if ledger is not None:
-                raise TypeError(
-                    "the ledger is configured on the shared Engine; do not "
-                    "pass it again"
-                )
-            self.engine = source
-        elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(source, ledger=ledger)
-        else:
-            raise TypeError(
-                "Session() takes a SegmentDataset or an Environment (or a "
-                f"shared Engine), got {type(source).__name__}"
-            )
-
-    # ------------------------------------------------------------------
-    # Engine delegation: the session's state *is* the engine's state.
-    @property
-    def env(self) -> Environment:
-        """The engine's environment."""
-        return self.engine.env
-
-    @property
-    def dataset(self) -> SegmentDataset:
-        """The engine's dataset."""
-        return self.engine.dataset
-
-    @property
-    def ledger(self) -> Optional[RunLedger]:
-        """The engine's ledger (``None`` when not recording)."""
-        return self.engine.ledger
-
-    @property
-    def phase_cache(self) -> PhaseDataCache:
-        """The engine's phase-data cache."""
-        return self.engine.phase_cache
-
-    # ------------------------------------------------------------------
-    def plan(
-        self,
-        workload: Union[Query, Sequence[Query]],
-        scheme: SchemeConfig,
-        *,
-        reset_caches: bool = True,
-        planner: str = "batched",
-    ) -> List[QueryPlan]:
-        """Plan a workload under one scheme (see :meth:`Engine.plan`)."""
-        return self.engine.plan(
-            workload, scheme, reset_caches=reset_caches, planner=planner
-        )
-
-    def plan_grid(
-        self,
-        workload: Union[Query, Sequence[Query]],
-        schemes: Union[SchemeConfig, Sequence[SchemeConfig]],
-        *,
-        reset_caches: bool = True,
-        planner: str = "batched",
-    ) -> List[List[QueryPlan]]:
-        """Plan a scheme grid (see :meth:`Engine.plan_grid`)."""
-        return self.engine.plan_grid(
-            workload, schemes, reset_caches=reset_caches, planner=planner
-        )
-
-    def price(
-        self,
-        plans: Sequence[QueryPlan],
-        policies: Union[Policy, Sequence[Policy], None] = None,
-        *,
-        engine: str = "batched",
-    ) -> List[RunResult]:
-        """Workload-summed results per policy (see :meth:`Engine.price`)."""
-        return self.engine.price(plans, policies, engine=engine)
+        return priced
 
     def run(
         self,
@@ -529,65 +411,31 @@ class Session:
         """Plan and price the full schemes x policies grid.
 
         ``policies=None`` prices the paper's standard bandwidth sweep
-        (:meth:`Policy.sweep`).  Planning goes through
-        :meth:`Engine.plan_grid`, so the whole scheme grid shares one
-        batched traversal of the workload.  Returns a :class:`RunTable`,
-        scheme-major.
+        (:meth:`Policy.sweep`).  Planning goes through :meth:`plan_grid`,
+        so the whole scheme grid shares one batched traversal of the
+        workload.  Returns a :class:`RunTable`, scheme-major.
         """
-        core = self.engine
-        queries = core._as_queries(workload)
-        configs = core._as_schemes(schemes)
-        pols = core._as_policies(policies)
+        queries = _as_queries(workload)
+        configs = _as_schemes(schemes)
+        pols = _as_policies(policies)
         if not queries:
             raise ValueError("run() requires at least one query")
         if not pols:
             raise ValueError("run() requires at least one policy")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
-        grid_plans = core.plan_grid(
+        _check_choice("engine", engine, ENGINES)
+        grid_plans = self.plan_grid(
             queries, configs, reset_caches=reset_caches, planner=planner
         )
         rows: List[RunRow] = []
         for config, plans in zip(configs, grid_plans):
-            if engine == "batched":
-                start = time.perf_counter()
-                grid = core.price_grid(plans, pols)
-                priced = time.perf_counter() - start
-                scheme_rows = [
-                    RunRow(
-                        scheme=config.label,
-                        policy=pol,
-                        result=grid.combine_policy(j),
-                        dwell=grid.dwell(j),
-                    )
-                    for j, pol in enumerate(pols)
-                ]
-            else:
-                start = time.perf_counter()
-                scheme_rows = [
-                    RunRow(
-                        scheme=config.label,
-                        policy=pol,
-                        result=RunResult.combine(
-                            [price_plan(p, core.env, pol) for p in plans]
-                        ),
-                    )
-                    for pol in pols
-                ]
-                priced = time.perf_counter() - start
-            if core.ledger is not None:
-                core.record(
-                    "price",
-                    engine=engine,
-                    scheme=config.label,
-                    n_plans=len(plans),
-                    n_policies=len(pols),
-                    seconds=priced,
-                )
+            priced = self._price(plans, pols, engine, scheme=config.label)
+            scheme_rows = [
+                RunRow(scheme=config.label, policy=pol, result=result, dwell=dwell)
+                for pol, (result, dwell) in zip(pols, priced)
+            ]
+            if self.ledger is not None:
                 for row in scheme_rows:
-                    core.record("run", **row.to_record())
+                    self.record("run", **row.to_record())
             rows.extend(scheme_rows)
         return RunTable(rows=tuple(rows))
 
@@ -604,16 +452,15 @@ class Session:
         :class:`~repro.core.clientcache.ClientCacheSession` (whose hit/miss
         statistics the Figure 10 bench reports).
         """
-        core = self.engine
-        queries = core._as_queries(workload)
+        queries = _as_queries(workload)
         start = time.perf_counter()
         if reset_caches:
-            core.env.reset_caches()
-        cache_session = ClientCacheSession(core.env, budget_bytes)
+            self.env.reset_caches()
+        cache_session = ClientCacheSession(self.env, budget_bytes)
         plans = cache_session.plan_sequence(list(queries))
-        core.record(
+        self.record(
             "plan",
-            dataset=core.dataset.name,
+            dataset=self.dataset.name,
             scheme=f"cached-client:{budget_bytes}B",
             planner="scalar",
             n_queries=len(queries),

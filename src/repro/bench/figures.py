@@ -2,7 +2,8 @@
 
 Every function runs the corresponding experiment — the same workloads, the
 same schemes, the same parameter grid as the paper — and returns the sweep
-structure (``{scheme label: [SweepCell, ...]}`` or figure-specific rows)
+structure (:meth:`repro.api.RunTable.by_scheme`, ``{scheme label:
+[RunRow, ...]}``, or figure-specific rows)
 that :mod:`repro.bench.report` renders as the paper-shaped table.
 
 All sweeps route through :class:`repro.api.Session` and its batched grid
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Union
 
-from repro.api import Session, SweepCell
+from repro.api import RunRow, Session
 from repro.constants import BANDWIDTHS_MBPS, DEFAULT_CLIENT, MBPS, MHZ
 from repro.core.executor import Environment, Policy
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
@@ -37,6 +38,7 @@ from repro.sim.cpu import ClientCPU
 
 __all__ = [
     "POINT_NN_CONFIGS",
+    "NN_CONFIGS",
     "fig4_point_queries",
     "fig5_range_queries",
     "fig6_nn_queries",
@@ -45,7 +47,6 @@ __all__ = [
     "fig10_insufficient_memory",
     "fig_loss_sweep",
     "Fig10Row",
-    "LossCell",
     "LOSS_RATES",
 ]
 
@@ -57,6 +58,14 @@ POINT_NN_CONFIGS: tuple = (
     SchemeConfig(Scheme.FULLY_SERVER, data_at_client=False),
     SchemeConfig(Scheme.FILTER_CLIENT_REFINE_SERVER, data_at_client=False),
     SchemeConfig(Scheme.FILTER_SERVER_REFINE_CLIENT, data_at_client=True),
+)
+
+#: Configurations for NN/k-NN queries (Figure 6): best-first search has no
+#: filter/refine split, so only fully-at-client and fully-at-server (data
+#: at the client) apply.
+NN_CONFIGS: tuple = (
+    SchemeConfig(Scheme.FULLY_CLIENT),
+    SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
 )
 
 
@@ -71,29 +80,17 @@ def _sweep(
     configs: Sequence[SchemeConfig],
     base_policy: Policy,
     bandwidths_mbps: Sequence[float] = BANDWIDTHS_MBPS,
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """The evaluation section's standard grid, via the batched engine."""
     policies = [base_policy.with_bandwidth(bw * MBPS) for bw in bandwidths_mbps]
-    table = session.run(queries, schemes=configs, policies=policies)
-    return {
-        label: [
-            SweepCell(
-                config_label=label,
-                bandwidth_mbps=bw,
-                distance_m=row.policy.network.distance_m,
-                result=row.result,
-            )
-            for bw, row in zip(bandwidths_mbps, rows)
-        ]
-        for label, rows in table.by_scheme().items()
-    }
+    return session.run(queries, schemes=configs, policies=policies).by_scheme()
 
 
 def fig4_point_queries(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     base_policy: Policy = Policy(),
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """Figure 4: point queries, PA, schemes x bandwidths at C/S=1/8, 1 km."""
     session = _session(env)
     qs = point_queries(session.dataset, n_runs)
@@ -104,7 +101,7 @@ def fig5_range_queries(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     base_policy: Policy = Policy(),
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """Figure 5 (PA) / Figure 7 (NYC): range queries, all six Table 1
     configurations x bandwidths."""
     session = _session(env)
@@ -116,15 +113,11 @@ def fig6_nn_queries(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     base_policy: Policy = Policy(),
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """Figure 6: NN queries — only the two 'fully at' schemes apply."""
     session = _session(env)
     qs = nn_queries(session.dataset, n_runs)
-    configs = (
-        SchemeConfig(Scheme.FULLY_CLIENT),
-        SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
-    )
-    return _sweep(session, qs, configs, base_policy)
+    return _sweep(session, qs, NN_CONFIGS, base_policy)
 
 
 def fig8_client_speed(
@@ -132,7 +125,7 @@ def fig8_client_speed(
     n_runs: int = DEFAULT_RUNS,
     clock_ratio: float = 0.5,
     base_policy: Policy = Policy(),
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """Figure 8: the Figure 5 experiment with MhzC = clock_ratio * MhzS."""
     server_mhz = 1000.0
     client = ClientCPU(
@@ -148,7 +141,7 @@ def fig9_distance(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
     distance_m: float = 100.0,
-) -> Dict[str, List[SweepCell]]:
+) -> Dict[str, List[RunRow]]:
     """Figure 9: the Figure 5 energy experiment at 100 m transmit range."""
     return fig5_range_queries(
         env, n_runs, base_policy=Policy().with_distance(distance_m)
@@ -161,27 +154,6 @@ def fig9_distance(
 LOSS_RATES: tuple = (0.0, 0.01, 0.02, 0.05, 0.1)
 
 
-@dataclass(frozen=True)
-class LossCell:
-    """One (scheme, loss rate) point of the loss-sweep companion figure."""
-
-    config_label: str
-    loss_rate: float
-    bandwidth_mbps: float
-    distance_m: float
-    result: object  # RunResult
-
-    @property
-    def energy_j(self) -> float:
-        """Total client energy over the workload."""
-        return self.result.energy.total()
-
-    @property
-    def cycles(self) -> float:
-        """Total end-to-end client cycles over the workload."""
-        return self.result.cycles.total()
-
-
 def fig_loss_sweep(
     env: Union[Environment, Session],
     n_runs: int = DEFAULT_RUNS,
@@ -189,7 +161,7 @@ def fig_loss_sweep(
     bandwidth_mbps: float = 2.0,
     burst_frames: Union[float, None] = None,
     base_policy: Policy = Policy(),
-) -> Dict[str, List[LossCell]]:
+) -> Dict[str, List[RunRow]]:
     """Loss-sweep companion to Figure 5: range queries, fixed bandwidth,
     frame-loss rate on the x-axis.
 
@@ -209,20 +181,7 @@ def fig_loss_sweep(
         )
         for rate in loss_rates
     ]
-    table = session.run(qs, schemes=ADEQUATE_MEMORY_CONFIGS, policies=policies)
-    return {
-        label: [
-            LossCell(
-                config_label=label,
-                loss_rate=rate,
-                bandwidth_mbps=bandwidth_mbps,
-                distance_m=row.policy.network.distance_m,
-                result=row.result,
-            )
-            for rate, row in zip(loss_rates, rows)
-        ]
-        for label, rows in table.by_scheme().items()
-    }
+    return session.run(qs, schemes=ADEQUATE_MEMORY_CONFIGS, policies=policies).by_scheme()
 
 
 @dataclass(frozen=True)

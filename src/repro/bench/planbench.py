@@ -21,10 +21,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.api import Session
+from repro.bench.figures import NN_CONFIGS, POINT_NN_CONFIGS
 from repro.core.batchplan import plan_workload_batched, plans_equal
-from repro.core.executor import Environment, QueryPlan, plan_query
+from repro.core.executor import Environment, QueryPlan
 from repro.core.queries import Query
-from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
+from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, SchemeConfig
 
 __all__ = [
     "MIN_REGION_S",
@@ -36,13 +38,6 @@ __all__ = [
     "render_plan_speedup_kinds",
     "time_regions",
 ]
-
-#: The two schemes NN/k-NN queries admit (no filter/refine split exists for
-#: best-first search, so the FILTER_* schemes are rejected by validate_for).
-NN_CONFIGS: tuple = (
-    SchemeConfig(Scheme.FULLY_CLIENT),
-    SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
-)
 
 #: Query kinds the per-kind planbench can time (the ``--kinds`` selector).
 PLAN_KINDS: tuple = ("point", "range", "nn", "knn")
@@ -109,12 +104,10 @@ def measure_plan_speedup(
     queries = list(queries)
     configs = list(configs)
 
+    session = Session(env)
+
     def scalar_once() -> List[List[QueryPlan]]:
-        grid: List[List[QueryPlan]] = []
-        for cfg in configs:
-            env.reset_caches()
-            grid.append([plan_query(q, cfg, env) for q in queries])
-        return grid
+        return session.plan_grid(queries, configs, planner="scalar")
 
     def batched_once() -> List[List[QueryPlan]]:
         return plan_workload_batched(env, queries, configs)
@@ -150,7 +143,6 @@ def measure_plan_speedup(
 
 def _kind_workload(env: Environment, kind: str, runs: int):
     """The (queries, configs) pair one ``--kinds`` entry times."""
-    from repro.bench.figures import POINT_NN_CONFIGS
     from repro.data.workloads import (
         knn_queries, nn_queries, point_queries, range_queries,
     )
@@ -205,7 +197,7 @@ def measure_plan_speedup_kinds(
 def render_plan_speedup(record: Dict[str, object]) -> str:
     """One human-readable block for a :func:`measure_plan_speedup` record."""
     lines = [
-        "plan_speedup: batched multi-query planner vs scalar plan_query loop",
+        "plan_speedup: batched multi-query planner vs the scalar planner",
         f"  dataset      : {record['dataset']}"
         f"  ({record['n_queries']} queries x {record['n_configs']} configs,"
         f" min of {record['repeats']})",

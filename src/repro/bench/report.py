@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Union
 
-from repro.api import SweepCell
-from repro.bench.figures import Fig10Row, LossCell
+from repro.api import RunRow
+from repro.bench.figures import Fig10Row
 from repro.core.gridrun import read_ledger
 
 __all__ = [
@@ -72,7 +72,7 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def _fmt_energy(cell: SweepCell) -> str:
+def _fmt_energy(cell: RunRow) -> str:
     e = cell.result.energy
     return (
         f"{e.total():8.3f} (p{e.processor:7.3f} t{e.nic_tx:7.3f} "
@@ -80,7 +80,7 @@ def _fmt_energy(cell: SweepCell) -> str:
     )
 
 
-def _fmt_cycles(cell: SweepCell) -> str:
+def _fmt_cycles(cell: RunRow) -> str:
     c = cell.result.cycles
     return (
         f"{c.total():9.3e} (p{c.processor:8.2e} t{c.nic_tx:8.2e} "
@@ -89,7 +89,7 @@ def _fmt_cycles(cell: SweepCell) -> str:
 
 
 def render_sweep(
-    sweep: Dict[str, List[SweepCell]],
+    sweep: Dict[str, List[RunRow]],
     title: str,
     metric: str = "both",
 ) -> str:
@@ -120,7 +120,7 @@ def render_sweep(
 
 
 def render_loss_sweep(
-    sweep: Dict[str, List[LossCell]],
+    sweep: Dict[str, List[RunRow]],
     title: str,
 ) -> str:
     """Render a schemes x loss-rates sweep with the retransmission ledger.

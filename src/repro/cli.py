@@ -32,6 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro.api import Session
+from repro.bench.figures import NN_CONFIGS
 from repro.constants import MBPS
 from repro.core.executor import Environment, Policy
 from repro.core.queries import NNQuery, PointQuery, RangeQuery
@@ -105,10 +106,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         i = args.anchor if args.anchor is not None else ds.size // 2
         q = NNQuery(float(ds.x1[i]), float(ds.y1[i]))
-        configs = [
-            SchemeConfig(Scheme.FULLY_CLIENT),
-            SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
-        ]
+        configs = NN_CONFIGS
     policy = _policy(args)
     print(
         f"{args.kind} query on {ds.name} x{args.scale:g} at "
@@ -183,27 +181,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.report import summarize_ledger
     from repro.core.gridrun import RunLedger
-    from repro.data.workloads import nn_queries, point_queries, range_queries
 
     env = _load_env(args.dataset, args.scale)
-    workloads = {
-        "fig4": (point_queries, None),
-        "fig5": (range_queries, ADEQUATE_MEMORY_CONFIGS),
-        "fig6": (nn_queries, None),
-    }
-    gen, configs = workloads[args.sweep]
-    if configs is None:
-        from repro.bench.figures import POINT_NN_CONFIGS
-
-        configs = (
-            POINT_NN_CONFIGS
-            if args.sweep == "fig4"
-            else (
-                SchemeConfig(Scheme.FULLY_CLIENT),
-                SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True),
-            )
-        )
-    qs = gen(env.dataset, args.runs)
+    qs, configs = _sweep_workload(env, args.sweep, args.runs)
     if args.loss > 0.0:
         policies = Policy.sweep(
             loss_rates=(args.loss,), loss_burst_frames=args.burst_frames
@@ -302,18 +282,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The query kind of each figure sweep that ``bench`` and ``planbench``
+#: time (:func:`repro.bench.planbench._kind_workload` builds its workload).
+_SWEEP_KINDS = {"fig4": "point", "fig5": "range", "fig6": "nn"}
+
+
 def _sweep_workload(env: Environment, sweep: str, runs: int):
-    """The (queries, configs) pair a planbench ``--sweep`` entry times."""
-    from repro.bench.planbench import NN_CONFIGS
-    from repro.data.workloads import nn_queries, point_queries, range_queries
+    """The (queries, configs) pair a ``--sweep`` entry runs."""
+    from repro.bench.planbench import _kind_workload
 
-    if sweep == "fig5":
-        return range_queries(env.dataset, runs), list(ADEQUATE_MEMORY_CONFIGS)
-    if sweep == "fig4":
-        from repro.bench.figures import POINT_NN_CONFIGS
-
-        return point_queries(env.dataset, runs), list(POINT_NN_CONFIGS)
-    return nn_queries(env.dataset, runs), list(NN_CONFIGS)
+    return _kind_workload(env, _SWEEP_KINDS[sweep], runs)
 
 
 def cmd_planbench(args: argparse.Namespace) -> int:

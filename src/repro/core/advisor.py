@@ -13,8 +13,9 @@ small planner that
    use — *without* re-running the workload, by pricing each scheme's plans
    at the requested point.
 
-Because the advisor prices real plans rather than the closed-form model, its
-verdicts coincide with the figure benches by construction; the analytic
+Because the advisor plans and prices real plans, through the same batched
+planner and grid pricer as the figure benches, rather than the closed-form
+model, its verdicts coincide with the benches by construction; the analytic
 model remains available for back-of-envelope explanations
 (:mod:`repro.core.analytic`).  Tests check the advisor returns the measured
 winner across the evaluation grid.
@@ -25,17 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.executor import (
-    Environment,
-    Policy,
-    QueryPlan,
-    plan_query,
-    price_plan,
-)
+from repro.core.batchplan import plan_workload_batched
+from repro.core.executor import Environment, Policy, QueryPlan
+from repro.core.gridrun import price_grid
 from repro.core.queries import Query, QueryKind
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 
 __all__ = ["Objective", "WorkloadProfile", "SchemeAdvisor"]
+
+#: The schemes that split at the filter/refine boundary, which NN/k-NN
+#: queries (best-first search, no such boundary) cannot run.
+_FILTER_SPLIT = (Scheme.FILTER_CLIENT_REFINE_SERVER, Scheme.FILTER_SERVER_REFINE_CLIENT)
 
 
 @dataclass(frozen=True)
@@ -106,43 +107,41 @@ class SchemeAdvisor:
                 f"too); got {sorted(k.value for k in kinds)}"
             )
         kind = next(iter(kinds))
-        plans: Dict[str, Tuple[SchemeConfig, List[QueryPlan]]] = {}
-        for cfg in self.configs:
-            if kind is QueryKind.NEAREST_NEIGHBOR and cfg.scheme in (
-                Scheme.FILTER_CLIENT_REFINE_SERVER,
-                Scheme.FILTER_SERVER_REFINE_CLIENT,
-            ):
-                continue
-            self.env.reset_caches()
-            plans[cfg.label] = (
-                cfg,
-                [plan_query(q, cfg, self.env) for q in queries],
-            )
-        return WorkloadProfile(kind=kind, plans=plans)
+        configs = [
+            cfg
+            for cfg in self.configs
+            if not (kind is QueryKind.NEAREST_NEIGHBOR and cfg.scheme in _FILTER_SPLIT)
+        ]
+        planned = plan_workload_batched(self.env, queries, configs)
+        return WorkloadProfile(
+            kind=kind,
+            plans={cfg.label: (cfg, plans) for cfg, plans in zip(configs, planned)},
+        )
 
     # ------------------------------------------------------------------
+    def _scores(
+        self, profile: WorkloadProfile, policies: List[Policy]
+    ) -> List[Dict[str, Tuple[float, float]]]:
+        """:meth:`score` at each of ``policies``: one grid call per scheme."""
+        out: List[Dict[str, Tuple[float, float]]] = [{} for _ in policies]
+        if not out:
+            return out
+        for label, (_, plans) in profile.plans.items():
+            grid = price_grid(plans, policies, self.env)
+            for j, scores in enumerate(out):
+                r = grid.combine_policy(j)
+                scores[label] = (r.energy.total(), r.wall_seconds)
+        return out
+
     def score(
         self, profile: WorkloadProfile, policy: Policy
     ) -> Dict[str, Tuple[float, float]]:
         """``{scheme label: (energy_J, wall_seconds)}`` at ``policy``."""
-        out: Dict[str, Tuple[float, float]] = {}
-        for label, (cfg, plans) in profile.plans.items():
-            e = t = 0.0
-            for p in plans:
-                r = price_plan(p, self.env, policy)
-                e += r.energy.total()
-                t += r.wall_seconds
-            out[label] = (e, t)
-        return out
+        return self._scores(profile, [policy])[0]
 
-    def advise(
-        self,
-        profile: WorkloadProfile,
-        policy: Policy,
-        objective: Objective = Objective.battery(),
-    ) -> SchemeConfig:
-        """The best configuration at ``policy`` for ``objective``."""
-        scores = self.score(profile, policy)
+    @staticmethod
+    def _pick(scores: Dict[str, Tuple[float, float]], objective: Objective) -> str:
+        """The label minimizing ``objective``'s blend of relative regrets."""
         best_e = min(e for e, _ in scores.values())
         best_t = min(t for _, t in scores.values())
         w = objective.energy_weight
@@ -151,8 +150,16 @@ class SchemeAdvisor:
             e, t = scores[label]
             return w * (e / best_e) + (1 - w) * (t / best_t)
 
-        best_label = min(scores, key=blended)
-        return profile.plans[best_label][0]
+        return min(scores, key=blended)
+
+    def advise(
+        self,
+        profile: WorkloadProfile,
+        policy: Policy,
+        objective: Objective = Objective.battery(),
+    ) -> SchemeConfig:
+        """The best configuration at ``policy`` for ``objective``."""
+        return profile.plans[self._pick(self.score(profile, policy), objective)][0]
 
     def advise_table(
         self,
@@ -171,7 +178,8 @@ class SchemeAdvisor:
         ideal channel and the pre-loss row shape — loss shifts the verdict
         because retransmissions tax chatty schemes more than quiet ones,
         and the advisor sees that through the same pricing path the
-        benches use.
+        benches use.  Each scheme's plans are priced over the whole grid
+        in one call.
         """
         base = base_policy if base_policy is not None else Policy()
         if loss_rates is None:
@@ -181,21 +189,25 @@ class SchemeAdvisor:
                 (rate, base.with_loss(rate, burst_frames=loss_burst_frames))
                 for rate in loss_rates
             ]
+        points = [
+            (d, rate, b, lbase.with_bandwidth(b).with_distance(d))
+            for d in distances_m
+            for rate, lbase in lossy
+            for b in bandwidths_bps
+        ]
+        all_scores = self._scores(profile, [policy for *_, policy in points])
         rows: List[dict] = []
-        for d in distances_m:
-            for rate, lbase in lossy:
-                for b in bandwidths_bps:
-                    policy = lbase.with_bandwidth(b).with_distance(d)
-                    pick = self.advise(profile, policy, objective)
-                    e, t = self.score(profile, policy)[pick.label]
-                    row = {
-                        "distance_m": d,
-                        "bandwidth_bps": b,
-                        "pick": pick.label,
-                        "energy_J": e,
-                        "seconds": t,
-                    }
-                    if rate is not None:
-                        row["loss_rate"] = rate
-                    rows.append(row)
+        for (d, rate, b, _), scores in zip(points, all_scores):
+            pick = self._pick(scores, objective)
+            e, t = scores[pick]
+            row = {
+                "distance_m": d,
+                "bandwidth_bps": b,
+                "pick": pick,
+                "energy_J": e,
+                "seconds": t,
+            }
+            if rate is not None:
+                row["loss_rate"] = rate
+            rows.append(row)
         return rows

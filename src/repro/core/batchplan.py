@@ -175,7 +175,7 @@ class PhaseDataCache:
 
     Keys are :func:`~repro.core.queries.query_key` tuples.  Phase data
     belongs to the dataset it was computed against, so a cache serves one
-    environment only (each :class:`repro.api.Engine` owns one).  Bounded
+    environment only (each :class:`repro.api.Session` owns one).  Bounded
     FIFO to keep long sweeps from accumulating unbounded trace arrays.
     """
 

@@ -231,6 +231,12 @@ class Policy:
             if not isinstance(getattr(self, flag), bool):
                 raise TypeError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
 
+    @property
+    def cpu_busy_while_blocked(self) -> bool:
+        """Whether the client CPU draws full power while blocked: it
+        busy-waits, or its low-power halt is switched off."""
+        return self.busy_wait or not self.cpu_lowpower
+
     def with_bandwidth(self, bandwidth_bps: float) -> "Policy":
         """A copy at a different effective bandwidth."""
         return replace(self, network=replace(self.network, bandwidth_bps=bandwidth_bps))
@@ -531,8 +537,9 @@ def price_plan(
 
     def blocked(seconds: float) -> float:
         """Client CPU energy while blocked for ``seconds``."""
-        busy = policy.busy_wait or not policy.cpu_lowpower
-        return client.blocked_energy_j(seconds, busy_wait=busy)
+        return client.blocked_energy_j(
+            seconds, busy_wait=policy.cpu_busy_while_blocked
+        )
 
     def lossy_tail(msg, uplink: bool) -> float:
         """Expected retransmission cost of one message; returns elapsed s.

@@ -292,8 +292,6 @@ class _PolicyColumns:
 
     @classmethod
     def build(cls, policies: Sequence[Policy], env: Environment) -> "_PolicyColumns":
-        nominal = env.client_cpu.config.power_at()
-        lp = env.client_cpu.config.lowpower_fraction
         bw, txp, rxw, idw, slw, lat, blk, var = [], [], [], [], [], [], [], []
         rpf, bpf = [], []
         for p in policies:
@@ -307,8 +305,7 @@ class _PolicyColumns:
             idw.append(p.nic_power.idle_w)
             slw.append(p.nic_power.sleep_w)
             lat.append(p.nic_power.sleep_exit_latency_s)
-            busy = p.busy_wait or not p.cpu_lowpower
-            blk.append(nominal if busy else nominal * lp)
+            blk.append(env.client_cpu.blocked_power_w(p.cpu_busy_while_blocked))
             retx = expected_retx(p.network)
             rpf.append(retx.retx_per_frame)
             bpf.append(retx.backoff_per_frame_s)

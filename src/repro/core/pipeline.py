@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.core.batchplan import plan_workload_batched
 from repro.core.executor import (
     ClientComputeStep,
     Environment,
@@ -43,18 +42,13 @@ from repro.core.executor import (
     SendStep,
     ServerComputeStep,
     WaitStep,
-    plan_query,
     price_plan,
 )
 from repro.sim.metrics import CycleBreakdown, EnergyBreakdown
 from repro.sim.nic import NIC, NICState
 from repro.sim.protocol import packetize
 
-__all__ = [
-    "PipelinedResult",
-    "plan_and_price_pipelined",
-    "price_pipelined_workload",
-]
+__all__ = ["PipelinedResult", "price_pipelined_workload"]
 
 
 @dataclass(frozen=True)
@@ -193,13 +187,14 @@ def price_pipelined_workload(
     active = bucket_seconds["tx"] + bucket_seconds["rx"]
     idle_s = max(0.0, nic_busy_end - active)
     sleep_s = max(0.0, makespan - nic_busy_end)
-    busy = policy.busy_wait or not policy.cpu_lowpower
     blocked_s = max(0.0, makespan - cpu_busy)
     energy = EnergyBreakdown(
         processor=(
             bucket_energy["compute"]
             + bucket_energy["proto"]
-            + env.client_cpu.blocked_energy_j(blocked_s, busy_wait=busy)
+            + env.client_cpu.blocked_energy_j(
+                blocked_s, busy_wait=policy.cpu_busy_while_blocked
+            )
         ),
         nic_tx=bucket_energy["tx"],
         nic_rx=bucket_energy["rx"],
@@ -228,30 +223,3 @@ def price_pipelined_workload(
         sequential_wall_seconds=sequential_wall,
     )
 
-
-def plan_and_price_pipelined(
-    env: Environment,
-    queries,
-    config,
-    policy: Policy = Policy(),
-    *,
-    planner: str = "batched",
-) -> PipelinedResult:
-    """Plan ``queries`` under one scheme ``config`` and price them pipelined.
-
-    Convenience composition for the streaming-session use case: by default
-    the workload is planned through the batched multi-query planner
-    (:func:`repro.core.batchplan.plan_workload_batched`), which produces
-    plans bit-identical to the scalar path, then priced with cross-query
-    overlap.  Pass ``planner="scalar"`` to fall back to per-query planning
-    (mainly useful for differential testing).
-    """
-    if planner not in ("batched", "scalar"):
-        raise ValueError(f"unknown planner {planner!r}")
-    queries = list(queries)
-    if planner == "batched":
-        plans = plan_workload_batched(env, queries, [config])[0]
-    else:
-        env.reset_caches()
-        plans = [plan_query(q, config, env) for q in queries]
-    return price_pipelined_workload(plans, env, policy)

@@ -23,7 +23,7 @@ of :class:`~repro.data.workloads.QueryRequest` arrivals, and the service
 
 Every request yields one typed :class:`QueryOutcome` (admission verdict,
 latency, energy, contention), collected in a :class:`ServiceReport` and,
-when the engine has a :class:`~repro.core.gridrun.RunLedger`, recorded as
+when the session has a :class:`~repro.core.gridrun.RunLedger`, recorded as
 ``outcome`` / ``serve_batch`` / ``serve`` events.
 
 **Semantics.** Each client is its own physical device: it sees a private
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api import Engine
+from repro.api import Session
 # The replay builder is looked up through its module at call time, so a
 # wrapper rebound there (perfbench's tracer) sees serve's replays too.
 from repro.core import batchplan
@@ -248,25 +248,19 @@ class _ClientState:
 
 
 def _blocked_power_w(policy, env: Environment) -> float:
-    """Watts a client burns while blocked waiting (NIC idle + wait-policy CPU).
-
-    The same rates ``gridrun._PolicyColumns`` charges for a plan's own wait
-    steps, applied here to service queueing delay.
-    """
-    nominal = env.client_cpu.config.power_at()
-    busy = policy.busy_wait or not policy.cpu_lowpower
-    cpu_w = nominal if busy else nominal * env.client_cpu.config.lowpower_fraction
-    return policy.nic_power.idle_w + cpu_w
+    """Watts a client burns while blocked waiting (NIC idle + wait-policy CPU)."""
+    return policy.nic_power.idle_w + env.client_cpu.blocked_power_w(
+        policy.cpu_busy_while_blocked
+    )
 
 
 class QueryService:
-    """Serve a client fleet's query stream over one shared :class:`Engine`.
+    """Serve a client fleet's query stream over one :class:`~repro.api.Session`.
 
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
-    :class:`~repro.core.executor.Environment`, or an
-    :class:`~repro.api.Engine` to share with a
-    :class:`~repro.api.Session` (the phase cache and ledger are then
-    common; the ``ledger`` keyword must stay unset).
+    :class:`~repro.core.executor.Environment`, or a
+    :class:`~repro.api.Session` to share (its phase cache and ledger are
+    then common; the ``ledger`` keyword must stay unset).
 
     ``max_queue`` bounds the arrival queue (arrivals beyond it are
     rejected), ``max_batch`` caps micro-batch size, and ``batch_window_s``
@@ -277,27 +271,22 @@ class QueryService:
 
     def __init__(
         self,
-        source: Union[SegmentDataset, Environment, Engine],
+        source: Union[SegmentDataset, Environment, Session],
         *,
         max_queue: int = 256,
         max_batch: int = 64,
         batch_window_s: float = 0.05,
         ledger: Optional[RunLedger] = None,
     ) -> None:
-        if isinstance(source, Engine):
+        if isinstance(source, Session):
             if ledger is not None:
                 raise TypeError(
-                    "the ledger is configured on the shared Engine; do not "
+                    "the ledger is configured on the shared Session; do not "
                     "pass it again"
                 )
-            self.engine = source
-        elif isinstance(source, (SegmentDataset, Environment)):
-            self.engine = Engine(source, ledger=ledger)
+            self.session = source
         else:
-            raise TypeError(
-                "QueryService() takes a SegmentDataset or an Environment "
-                f"(or a shared Engine), got {type(source).__name__}"
-            )
+            self.session = Session(source, ledger=ledger)
         for name, value in (("max_queue", max_queue), ("max_batch", max_batch)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
@@ -351,7 +340,7 @@ class QueryService:
                 )
             prof.scheme.validate_for(r.query)
 
-        env = self.engine.env
+        env = self.session.env
         states = {cid: _ClientState(p, env) for cid, p in profiles.items()}
         server_ways = _cold_ways(env.server_cpu.l1)
         outcomes: List[Optional[QueryOutcome]] = [None] * len(reqs)
@@ -434,7 +423,7 @@ class QueryService:
                     result=result,
                 )
             t_free = t_start + cursor
-            self.engine.record(
+            self.session.record(
                 "serve_batch",
                 planner=planner,
                 batch=n_batches - 1,
@@ -455,10 +444,10 @@ class QueryService:
             wall_seconds=wall,
             makespan_s=makespan,
         )
-        if self.engine.ledger is not None:
+        if self.session.ledger is not None:
             for o in report.outcomes:
-                self.engine.record("outcome", **o.to_record())
-            self.engine.record("serve", **report.summary())
+                self.session.record("outcome", **o.to_record())
+            self.session.record("serve", **report.summary())
         return report
 
     # ------------------------------------------------------------------
@@ -471,7 +460,7 @@ class QueryService:
         """Plan one micro-batch through the batched machinery.
 
         One phase computation covers every distinct query in the batch
-        (cross-client dedup through the engine's phase cache).  The replay
+        (cross-client dedup through the session's phase cache).  The replay
         builder then gets one group per request, in dispatch order: each
         client's phases run on that client's private D-cache stream and
         every server phase on the one shared server-L1 stream, each
@@ -481,9 +470,9 @@ class QueryService:
         ``server_ways`` are advanced in place.  Returns one plan per
         request.
         """
-        env = self.engine.env
+        env = self.session.env
         phases = compute_query_phases(
-            env, [r.query for r in batch_reqs], self.engine.phase_cache
+            env, [r.query for r in batch_reqs], self.session.phase_cache
         )
         groups = [
             ([r.query], [qp], states[r.client_id].profile.scheme, r.client_id, "server")
@@ -516,7 +505,7 @@ class QueryService:
             column.setdefault(states[r.client_id].profile.policy, len(column))
             for r in batch_reqs
         ]
-        grid = self.engine.price_grid(plans, list(column))
+        grid = self.session.price_grid(plans, list(column))
         return [grid.result(k, j) for k, j in enumerate(cols)]
 
     def _serve_serial(
@@ -531,7 +520,7 @@ class QueryService:
         :class:`~repro.sim.cache.CacheSim` and stores it back after
         planning; the shared server L1 converts once per batch.
         """
-        env = self.engine.env
+        env = self.session.env
         client, server = env.client_cpu, env.server_cpu
         saved = (client.dcache, server.l1)
         client_sim = _cold_clone(client.dcache)

@@ -299,7 +299,11 @@ class ClientCPU:
         """
         if seconds < 0:
             raise ValueError(f"negative duration {seconds!r}")
+        return self.blocked_power_w(busy_wait) * seconds
+
+    def blocked_power_w(self, busy_wait: bool = False) -> float:
+        """CPU watts while blocked (see :meth:`blocked_energy_j`)."""
         power = self.config.power_at()
         if not busy_wait:
             power *= self.config.lowpower_fraction
-        return power * seconds
+        return power

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.figures import Fig10Row
-from repro.bench.report import ascii_chart, render_fig10, render_rows, render_sweep
+from repro.bench.report import (
+    ascii_chart,
+    render_fig10,
+    render_loss_sweep,
+    render_rows,
+    render_sweep,
+)
 from repro.api import Session
 from repro.core.executor import Policy
 from repro.core.schemes import Scheme, SchemeConfig
@@ -36,7 +42,7 @@ class TestRenderSweep:
             qs,
             schemes=[SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)],
             policies=Policy.sweep(bandwidths_mbps=(2, 11)),
-        ).cells()
+        ).by_scheme()
 
     def test_contains_schemes_and_bandwidths(self, sweep):
         out = render_sweep(sweep, "T")
@@ -52,6 +58,29 @@ class TestRenderSweep:
     def test_invalid_metric_raises(self, sweep):
         with pytest.raises(ValueError):
             render_sweep(sweep, "T", metric="watts")
+
+
+class TestRenderLossSweep:
+    def test_one_line_per_rate_with_retransmissions(self, env_small, pa_small):
+        qs = range_queries(pa_small, 3, seed=104)
+        fs = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)
+        fc = SchemeConfig(Scheme.FULLY_CLIENT)
+        policies = Policy.sweep(bandwidths_mbps=(2,), loss_rates=(0.0, 0.05))
+        sweep = Session(env_small).run(qs, schemes=[fc, fs], policies=policies)
+        lines = render_loss_sweep(sweep.by_scheme(), "T").splitlines()
+        assert lines[:2] == [
+            "== T ==",
+            "   fixed 2 Mbps, 1000 m; loss rate sweeps down the rows",
+        ]
+        assert lines[2] == f"-- {fc.label}" and lines[5] == f"-- {fs.label}"
+        assert [line.split()[0] for line in lines[3:5] + lines[6:]] == [
+            "p=0.000", "p=0.050", "p=0.000", "p=0.050",
+        ]
+        # The fully-client scheme sends nothing; the server scheme
+        # retransmits only on the lossy row.
+        assert lines[4].endswith("retx tx=   0.00 rx=   0.00  backoff=  0.000s")
+        assert lines[6].endswith("retx tx=   0.00 rx=   0.00  backoff=  0.000s")
+        assert "rx=   0.00" not in lines[7]
 
 
 class TestRenderFig10:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.constants import MBPS
 from repro.core.advisor import Objective, SchemeAdvisor
-from repro.core.executor import Policy
+from repro.core.batchplan import plans_equal
+from repro.core.executor import Policy, plan_query
 from repro.core.queries import KNNQuery
 from repro.core.schemes import Scheme
 from repro.data.workloads import nn_queries, point_queries, range_queries
@@ -100,3 +102,41 @@ class TestAdvice:
         )
         assert len(rows) == 4
         assert all("pick" in r and r["energy_J"] > 0 for r in rows)
+        assert advisor.advise_table(prof, [], [100.0]) == []
+
+
+class TestSameEngineAsSession:
+    """The advisor plans and prices through the engine Session.run uses."""
+
+    def test_profile_equals_scalar_plan_loop(self, advisor, env_small, pa_small):
+        qs = range_queries(pa_small, 6, seed=117)
+        prof = advisor.profile(qs)
+        assert len(prof.plans) == 6
+        for cfg, plans in prof.plans.values():
+            env_small.reset_caches()
+            scalar = [plan_query(q, cfg, env_small) for q in qs]
+            assert plans_equal(plans, scalar), cfg.label
+
+    @pytest.mark.parametrize(
+        "objective,metric",
+        [(Objective.battery(), "energy_j"), (Objective.latency(), "wall_seconds")],
+    )
+    def test_table_picks_are_session_run_argmins(
+        self, advisor, env_small, pa_small, objective, metric
+    ):
+        qs = range_queries(pa_small, 6, seed=117)
+        prof = advisor.profile(qs)
+        bandwidths, distances = [2 * MBPS, 6 * MBPS, 11 * MBPS], [100.0, 1000.0]
+        rows = advisor.advise_table(prof, bandwidths, distances, objective)
+        policies = [
+            Policy().with_bandwidth(b).with_distance(d)
+            for d in distances
+            for b in bandwidths
+        ]
+        table = Session(env_small).run(qs, schemes=prof.schemes, policies=policies)
+        assert len(rows) == len(policies)
+        for j, row in enumerate(rows):
+            best = min(table.rows[j :: len(policies)], key=lambda r: getattr(r, metric))
+            assert row["pick"] == best.scheme
+            assert row["energy_J"] == best.energy_j
+            assert row["seconds"] == best.wall_seconds

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import RunRow, RunTable, Session, SweepCell
+from repro.api import RunRow, RunTable, Session
 from repro.constants import (
     BANDWIDTHS_MBPS,
     MBPS,
@@ -62,7 +62,7 @@ class TestEngineEquivalence:
         ]
         session = Session(env_small)
         table = session.run(qs, schemes=configs, policies=policies)
-        cells = table.cells()
+        cells = table.by_scheme()
         assert set(cells) == {cfg.label for cfg in configs}
         for cfg in configs:
             plans = session.plan(qs, cfg)
@@ -200,7 +200,7 @@ class TestSessionRun:
         assert len(table) == 1
         assert table[0].energy_j > 0
         assert table[0].dwell is not None
-        assert isinstance(table[0].cell(), SweepCell)
+        assert table.by_scheme() == {FS.label: [table[0]]}
 
     def test_best_row(self, env_small, pa_small):
         qs = range_queries(pa_small, 2, seed=35)

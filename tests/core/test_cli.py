@@ -60,6 +60,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "buffer" in out
 
+    def test_figure_loss(self, capsys):
+        argv = ["--scale", "0.02", "figure", "loss", "--runs", "5", "--bandwidth", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "fixed 4 Mbps, 1000 m" in out
+        for rate in ("0.000", "0.010", "0.020", "0.050", "0.100"):
+            assert f"p={rate}" in out
+        assert "Fully at the Client" in out and "retx tx=" in out
+
     def test_figure_unknown_exits(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])

@@ -6,10 +6,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.executor import Policy, price_plan
-from repro.core.pipeline import (
-    plan_and_price_pipelined,
-    price_pipelined_workload,
-)
+from repro.core.pipeline import price_pipelined_workload
 from repro.core.schemes import Scheme, SchemeConfig
 from repro.data.workloads import knn_queries, range_queries
 
@@ -101,15 +98,12 @@ class TestNNPipeline:
 
     def test_knn_batched_matches_scalar_planner(self, env_small, pa_small):
         qs = knn_queries(pa_small, 6, seed=77)
-        batched = plan_and_price_pipelined(env_small, qs, FS_PRESENT)
-        scalar = plan_and_price_pipelined(
-            env_small, qs, FS_PRESENT, planner="scalar"
+        session = Session(env_small)
+        batched = price_pipelined_workload(
+            session.plan(qs, FS_PRESENT), env_small, Policy()
+        )
+        scalar = price_pipelined_workload(
+            session.plan(qs, FS_PRESENT, planner="scalar"), env_small, Policy()
         )
         assert batched.wall_seconds == scalar.wall_seconds
         assert batched.energy.total() == scalar.energy.total()
-
-    def test_unknown_planner_raises(self, env_small, pa_small):
-        with pytest.raises(ValueError, match="unknown planner"):
-            plan_and_price_pipelined(
-                env_small, range_queries(pa_small, 2), FC, planner="nope"
-            )

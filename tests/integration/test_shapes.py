@@ -39,7 +39,7 @@ def range_sweep_pa(pa_full_env, pa_full):
     qs = range_queries(pa_full, 100)
     return Session(pa_full_env).run(
         qs, schemes=ADEQUATE_MEMORY_CONFIGS
-    ).cells()
+    ).by_scheme()
 
 
 class TestFig4PointQueries:
@@ -49,7 +49,7 @@ class TestFig4PointQueries:
     def sweep(self, pa_full_env, pa_full):
         qs = point_queries(pa_full, 100)
         configs = [FC, FS_ABSENT, FC_RS_ABSENT, FS_RC]
-        return Session(pa_full_env).run(qs, schemes=configs).cells()
+        return Session(pa_full_env).run(qs, schemes=configs).by_scheme()
 
     def test_fully_client_wins_energy_everywhere(self, sweep):
         fc = sweep[FC.label][0].energy_j
@@ -153,7 +153,7 @@ class TestFig6NNQueries:
     @pytest.fixture(scope="class")
     def sweep(self, pa_full_env, pa_full):
         qs = nn_queries(pa_full, 100)
-        return Session(pa_full_env).run(qs, schemes=[FC, FS_PRESENT]).cells()
+        return Session(pa_full_env).run(qs, schemes=[FC, FS_PRESENT]).by_scheme()
 
     def test_fully_client_wins_both_metrics(self, sweep):
         fc = sweep[FC.label][0]
@@ -169,7 +169,7 @@ class TestFig7NYCSensitivity:
     def sweeps(self, pa_full, nyc_full, range_sweep_pa):
         nyc_env = Environment.create(nyc_full)
         qs = range_queries(nyc_full, 100)
-        nyc = Session(nyc_env).run(qs, schemes=ADEQUATE_MEMORY_CONFIGS).cells()
+        nyc = Session(nyc_env).run(qs, schemes=ADEQUATE_MEMORY_CONFIGS).by_scheme()
         return range_sweep_pa, nyc
 
     def test_nyc_selectivity_below_pa(self, sweeps):

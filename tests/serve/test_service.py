@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.api import Engine
+from repro.api import Session
 from repro.constants import MBPS
 from repro.core.executor import Policy
 from repro.core.gridrun import RunLedger
@@ -34,18 +34,27 @@ def _requests(qs, cid=0, spacing_s=1.0, t0=0.0):
 
 class TestConstruction:
     def test_from_dataset_and_environment(self, pa_small, env_small):
-        assert QueryService(pa_small).engine.dataset is pa_small
-        assert QueryService(env_small).engine.env is env_small
+        assert QueryService(pa_small).session.dataset is pa_small
+        assert QueryService(env_small).session.env is env_small
 
-    def test_from_shared_engine(self, env_small):
-        core = Engine(env_small)
-        service = QueryService(core)
-        assert service.engine is core
+    def test_from_shared_engine(self, env_small, pa_small):
+        """A shared Session lends the service its phase cache and ledger."""
+        ledger = RunLedger()
+        session = Session(env_small, ledger=ledger)
+        service = QueryService(session)
+        assert service.session is session
+        qs = range_queries(pa_small, 3, seed=14)
+        session.plan(qs, FS)
+        hits = session.phase_cache.hits
+        service.serve(_requests(qs), [_profile(0)])
+        assert session.phase_cache.hits == hits + len(qs)
+        events = [r["event"] for r in ledger.records]
+        assert events[0] == "plan" and events[-1] == "serve"
 
     def test_shared_engine_rejects_cache_and_ledger(self, env_small):
-        core = Engine(env_small)
+        session = Session(env_small)
         with pytest.raises(TypeError, match="configured on the shared"):
-            QueryService(core, ledger=RunLedger())
+            QueryService(session, ledger=RunLedger())
 
     def test_bad_source_type(self):
         with pytest.raises(TypeError, match="SegmentDataset or an Environment"):
@@ -162,9 +171,9 @@ class TestSingleClientDegeneration:
         assert report.n_served == len(qs)
         assert report.n_batches > 1  # the stream really did split into batches
 
-        core = Engine(env_small)
-        plans = core.plan(qs, FS)
-        grid = core.price_grid(plans, [POLICY])
+        session = Session(env_small)
+        plans = session.plan(qs, FS)
+        grid = session.price_grid(plans, [POLICY])
         for i, o in enumerate(report.outcomes):
             ref = grid.result(i, 0)
             assert o.answer_ids == tuple(int(a) for a in plans[i].answer_ids)
