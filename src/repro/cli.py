@@ -192,11 +192,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         policies = Policy.sweep()
     with RunLedger(path=args.ledger) as ledger:
         session = Session(env, ledger=ledger)
-        # Plan once so both engines price identical cached plans, then time
-        # each engine's pricing pass (the ledger's price events carry the
-        # same figures).
-        for cfg in configs:
-            session.plan(qs, cfg)
         table = session.run(qs, schemes=configs, policies=policies)
         scalar = session.run(
             qs, schemes=configs, policies=policies, engine="scalar"

@@ -494,45 +494,24 @@ def _query_phase_slots(
     raise ValueError(f"unhandled scheme {scheme!r}")  # pragma: no cover
 
 
-class _Stream:
-    """One replay stream: its handle, then what the replay left.
-
-    After :meth:`finish`, ``hm`` holds each phase's ``(hits, misses)`` in
-    stream order, ``hits_total``/``misses_total`` their sums, and ``ways``
-    the final cache state (a :meth:`BatchedLRU.final_ways` matrix).
-    """
-
-    __slots__ = ("handle", "hm", "hits_total", "misses_total", "ways")
-
-    def __init__(self, handle: int) -> None:
-        self.handle = handle
-        self.hm: List[Tuple[int, int]] = []
-        self.hits_total = 0
-        self.misses_total = 0
-        self.ways: Optional[np.ndarray] = None
-
-    def finish(self, batch: BatchedLRU) -> None:
-        hits, lines = batch.phases_of(self.handle)
-        misses = lines - hits
-        self.hm = list(zip(hits.tolist(), misses.tolist()))
-        self.hits_total = int(hits.sum())
-        self.misses_total = int(misses.sum())
-        self.ways = batch.final_ways(self.handle)
-
-
 def _add_streams(
     batch: BatchedLRU,
     named: Dict[Hashable, List[PhaseTrace]],
     seeds: Dict[Hashable, np.ndarray],
     sim: CacheSim,
     costs,
-) -> Dict[Hashable, _Stream]:
-    """Add one side's named streams to ``batch``; the streams by name.
+    handles: Dict[Hashable, int],
+    at: Dict[Hashable, int],
+) -> range:
+    """Add one side's named streams to ``batch`` as one block; returns the
+    block's handles.
 
     Each stream is its traces' accesses end to end, one phase per trace, at
     the byte addresses of :mod:`repro.sim.cpu`'s region layout, computed in
     one step for the whole side.  Unseeded streams with identical trace
-    sequences replay identically from cold, so they share one stream.
+    sequences replay identically from cold, so they share one stream.  Each
+    name's stream handle goes into ``handles`` and its first phase within
+    the block into ``at``.
     """
     specs: List[Tuple[List[PhaseTrace], Optional[np.ndarray]]] = []
     spec_of: Dict[Hashable, int] = {}
@@ -550,25 +529,25 @@ def _add_streams(
         spec_of[name] = k
     traces = [t for ts, _ in specs for t in ts]
     if not traces:
-        return {}
+        return range(0)
     regions = np.concatenate([t.regions for t in traces])
     addrs = np.concatenate([t.ids for t in traces]).astype(np.int64, copy=False)
     addrs *= np.array(region_strides(costs), dtype=np.int64)[regions]
     addrs += np.array(REGION_BASES, dtype=np.int64)[regions]
     nbytes = np.concatenate([t.nbytes for t in traces])
-    ends = np.cumsum([t.regions.size for t in traces], dtype=np.int64)
-    streams: List[_Stream] = []
-    a = p = 0
-    for ts, seed in specs:
-        phase_ends = ends[p : p + len(ts)]
-        b = int(phase_ends[-1])
-        handle = batch.add_stream(
-            addrs[a:b], nbytes[a:b], phase_ends - a,
-            sim.line_bytes, sim.n_sets, sim.assoc, seed_ways=seed,
-        )
-        streams.append(_Stream(handle))
-        a, p = b, p + len(ts)
-    return {name: streams[k] for name, k in spec_of.items()}
+    phase_ends = np.cumsum([t.regions.size for t in traces], dtype=np.int64)
+    starts = np.cumsum([0] + [len(ts) for ts, _ in specs]).tolist()
+    seed_ways = None
+    if any(seed is not None for _, seed in specs):
+        cold_ways = np.full((sim.n_sets, sim.assoc), -1, dtype=np.int64)
+        seed_ways = np.stack([cold_ways if w is None else w for _, w in specs])
+    block = batch.add_streams(
+        addrs, nbytes, phase_ends, starts[1:],
+        sim.line_bytes, sim.n_sets, sim.assoc, seed_ways,
+    )
+    for name, k in spec_of.items():
+        handles[name], at[name] = block[k], starts[k]
+    return block
 
 
 def _result_payload(n: int, costs, data_at_client: bool):
@@ -639,7 +618,7 @@ def _replay_workload(
     env: Environment,
     groups: Sequence[_Group],
     seeds: Dict[Hashable, np.ndarray],
-) -> Tuple[List[List[QueryPlan]], Dict[Hashable, _Stream]]:
+) -> Tuple[List[List[QueryPlan]], BatchedLRU, Dict[Hashable, int]]:
     """Replay every group's data-cache streams and assemble its plans.
 
     The one replay builder, behind :func:`plan_workload_batched` and
@@ -650,12 +629,13 @@ def _replay_workload(
     (a name is a client name or a server name, never both).
     ``seeds`` warm-starts streams by name with a way matrix
     (:meth:`repro.sim.cache.CacheSim.ways`); other streams start cold, and
-    cold streams with identical trace sequences are simulated once.  A side
-    whose CPU model does not simulate its cache gets no stream and prices
-    each phase with the scalar path's fallback estimate.
+    cold streams with identical trace sequences are simulated once.  Each
+    side's streams are one :meth:`~repro.sim.cache.BatchedLRU.add_streams`
+    block.
 
-    Returns each group's plans, in group order, and the finished streams by
-    name, from which callers write the final cache states back.
+    Returns each group's plans, in group order, the finished replay, and
+    each named stream's handle in it (a name with no phases has none), from
+    which callers read the final cache states.
     """
     client = env.client_cpu
     server = env.server_cpu
@@ -672,25 +652,27 @@ def _replay_workload(
             for side, trace in _query_phase_slots(qp, scheme, costs):
                 lists[side].append(trace)
 
+    # One block per side.  ``at`` points each name at its stream's next
+    # phase in its side's per-phase hits and misses.
     batch = BatchedLRU()
-    streams: Dict[Hashable, _Stream] = {}
-    for side, cpu, sim in (
-        ("client", client, client.dcache),
-        ("server", server, server.l1),
-    ):
-        if cpu.use_cache_sim:
-            streams.update(_add_streams(batch, named[side], seeds, sim, cpu.costs))
+    handles: Dict[Hashable, int] = {}
+    at: Dict[Hashable, int] = {}
+    client_block = _add_streams(
+        batch, named["client"], seeds, client.dcache, costs, handles, at
+    )
+    server_block = _add_streams(
+        batch, named["server"], seeds, server.l1, costs, handles, at
+    )
     batch.run()
-    for stream in {id(s): s for s in streams.values()}.values():
-        stream.finish(batch)
+    hits, lines = batch.phases_of(client_block)
+    client_hits, client_misses = hits.tolist(), (lines - hits).tolist()
+    hits, lines = batch.phases_of(server_block)
+    server_hits, server_misses = hits.tolist(), (lines - hits).tolist()
 
     # Walk the groups again: price each phase from its stream's next
-    # (hits, misses) slice, and assemble each plan once its costs exist.
-    at: Dict[Hashable, int] = {}
+    # (hits, misses), and assemble each plan once its costs exist.
     plans_per_group: List[List[QueryPlan]] = []
     for queries, phases, scheme, client_name, server_name in groups:
-        client_hm = streams[client_name].hm if client_name in streams else None
-        server_hm = streams[server_name].hm if server_name in streams else None
         ci = at.get(client_name, 0)
         si = at.get(server_name, 0)
         plans: List[QueryPlan] = []
@@ -698,26 +680,18 @@ def _replay_workload(
             slot_costs = []
             for side, trace in _query_phase_slots(qp, scheme, costs):
                 if side == "client":
-                    if client_hm is None:
-                        # No cache simulation on this side: the scalar
-                        # path's fallback estimate uses only the counts.
-                        slot_costs.append(client.compute(trace.counter))
-                    else:
-                        h, m = client_hm[ci]
-                        slot_costs.append(client.compute_replayed(trace.counter, h, m))
+                    h, m = client_hits[ci], client_misses[ci]
+                    slot_costs.append(client.compute_replayed(trace.counter, h, m))
                     ci += 1
                 else:
-                    if server_hm is None:
-                        slot_costs.append(server.compute(trace.counter))
-                    else:
-                        h, m = server_hm[si]
-                        slot_costs.append(server.compute_replayed(trace.counter, h, m))
+                    h, m = server_hits[si], server_misses[si]
+                    slot_costs.append(server.compute_replayed(trace.counter, h, m))
                     si += 1
             plans.append(_assemble_plan(query, scheme, qp, costs, slot_costs))
         at[client_name] = ci
         at[server_name] = si
         plans_per_group.append(plans)
-    return plans_per_group, streams
+    return plans_per_group, batch, handles
 
 
 def plan_workload_batched(
@@ -762,17 +736,17 @@ def plan_workload_batched(
     else:
         groups = [(queries, phases, config, "client", "server") for config in configs]
         seeds = {"client": sims[0].ways(), "server": sims[1].ways()}
-    plans, streams = _replay_workload(env, groups, seeds)
+    plans, batch, handles = _replay_workload(env, groups, seeds)
 
     # Leave the environment's caches exactly as the scalar loop would.
     if reset_caches:
         env.reset_caches()
     for sim, name in zip(sims, groups[-1][3:]):
-        stream = streams.get(name)
-        if stream is not None:
-            sim.load_ways(stream.ways)
-            sim.hits += stream.hits_total
-            sim.misses += stream.misses_total
+        if name in handles:
+            hits, lines = batch.phases_of(handles[name])
+            sim.load_ways(batch.final_ways(handles[name]))
+            sim.hits += int(hits.sum())
+            sim.misses += int((lines - hits).sum())
     return plans
 
 

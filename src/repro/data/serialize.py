@@ -24,9 +24,6 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.constants import CostModel
 from repro.data.model import SegmentDataset
 from repro.data.tiger import street_name
 from repro.spatial.mbr import MBR

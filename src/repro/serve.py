@@ -480,11 +480,11 @@ class QueryService:
         ]
         seeds = {r.client_id: states[r.client_id].ways for r in batch_reqs}
         seeds["server"] = server_ways
-        plans, streams = batchplan._replay_workload(env, groups, seeds)
-        for name, stream in streams.items():
+        plans, replay, handles = batchplan._replay_workload(env, groups, seeds)
+        for name, h in handles.items():
             # Client ids are ints, so no client stream is named "server".
             ways = server_ways if name == "server" else states[name].ways
-            ways[...] = stream.ways
+            ways[...] = replay.final_ways(h)
         return [group_plans[0] for group_plans in plans]
 
     def _price_batch(

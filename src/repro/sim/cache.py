@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -142,29 +142,29 @@ class CacheSim:
         return self.misses / total if total else 0.0
 
 
-def _check_ways(ways, n_sets: int, assoc: int) -> np.ndarray:
-    """``ways`` as int64 after checking it is a well-formed tag matrix.
+def _check_ways(ways, *shape: int) -> np.ndarray:
+    """``ways`` as int64 after checking it is a well-formed tag array.
 
-    Well-formed means shape ``(n_sets, assoc)``, tags >= 0 with ``-1`` only
-    as empty ways after every valid way of the row, and no tag twice in a
-    row: the state some sequence of line accesses can leave behind.
+    Well-formed means shape ``shape`` (an ``(n_sets, assoc)`` matrix, or a
+    block of them), tags >= 0 with ``-1`` only as empty ways after every
+    valid way of the row, and no tag twice in a row: the state some
+    sequence of line accesses can leave behind.
     """
     ways = np.asarray(ways)
-    if ways.shape != (n_sets, assoc) or ways.dtype.kind != "i":
+    if ways.shape != shape or ways.dtype.kind != "i":
         raise ValueError(
-            f"ways must be an ({n_sets}, {assoc}) integer matrix, got "
-            f"{ways.dtype} {ways.shape}"
+            f"ways must be a {shape} integer array, got {ways.dtype} {ways.shape}"
         )
     ways = ways.astype(np.int64, copy=False)
     if ways.size and int(ways.min()) < -1:
         raise ValueError("ways tags must be >= 0, or -1 for an empty way")
-    if assoc > 1:
+    if shape[-1] > 1:
         empty = ways == -1
-        if (empty[:, :-1] > empty[:, 1:]).any():
+        if (empty[..., :-1] > empty[..., 1:]).any():
             raise ValueError("ways has an empty way before a valid way")
         # Sorted, a row is its -1 fillers then strictly increasing tags.
-        s = np.sort(ways, axis=1)
-        if ((s[:, 1:] == s[:, :-1]) & (s[:, 1:] != -1)).any():
+        s = np.sort(ways, axis=-1)
+        if ((s[..., 1:] == s[..., :-1]) & (s[..., 1:] != -1)).any():
             raise ValueError("ways repeats a tag within a set")
     return ways
 
@@ -172,7 +172,7 @@ def _check_ways(ways, n_sets: int, assoc: int) -> np.ndarray:
 _SOURCE = Path(__file__).with_name("lru.c")
 #: The loaded ``lru_run`` kernel; False once the CacheSim fallback has warned.
 _kernel_fn = None
-#: Largest access :meth:`BatchedLRU.add_stream` takes, in bytes.
+#: Largest access :meth:`BatchedLRU.add_streams` takes, in bytes.
 _MAX_ACCESS_BYTES = 2**32
 
 
@@ -194,28 +194,42 @@ def _kernel():
     return _kernel_fn or None
 
 
-def _cachesim_run(streams: List[dict], hits, phase_hits, phase_lines) -> None:
-    """``lru_run``'s contract (see ``lru.c``) met by :class:`CacheSim` itself:
-    the replay without a C compiler."""
+def _kernel_rows(line_bytes, addrs, nbytes, bounds, streams, ways) -> np.ndarray:
+    """``lru.c``'s table rows for one block's streams (see ``lru.c``)."""
+    k, n_sets, assoc = ways.shape
+    rows = np.empty((k, 8), dtype=np.int64)
+    rows[:, 0] = np.diff(streams)
+    rows[:, 1:4] = line_bytes, n_sets, assoc
+    rows[:, 4] = bounds.ctypes.data + 8 * streams[:-1]
+    rows[:, 5:7] = addrs.ctypes.data, nbytes.ctypes.data
+    rows[:, 7] = ways.ctypes.data + 8 * n_sets * assoc * np.arange(k)
+    return rows
+
+
+def _cachesim_run(blocks: List[tuple], hits, phase_hits, phase_lines) -> None:
+    """``lru_run``'s contract (see ``lru.c``) met by :class:`CacheSim`
+    itself, stream by stream: the replay without a C compiler."""
     out = p = 0
-    for s in streams:
-        n_phases, line_bytes, n_sets, assoc = s["geometry"]
-        sim = CacheSim(n_sets * assoc * line_bytes, assoc, line_bytes)
-        sim.load_ways(s["ways"])
-        addr, nbytes, i = s["addrs"].tolist(), s["nbytes"].tolist(), 0
-        for end in s["ends"].tolist():
-            verdicts = [
-                sim.access_line(line)
-                for a, n in zip(addr[i:end], nbytes[i:end])
-                for line in sim.span(a, n)
-            ]
-            hits[out : out + len(verdicts)] = verdicts
-            phase_hits[p] = sum(verdicts)
-            phase_lines[p] = len(verdicts)
-            out += len(verdicts)
-            i = end
-            p += 1
-        s["ways"][...] = sim.ways()
+    for line_bytes, addrs, nbytes, bounds, streams, ways in blocks:
+        _, n_sets, assoc = ways.shape
+        addr, size = addrs.tolist(), nbytes.tolist()
+        bounds, streams = bounds.tolist(), streams.tolist()
+        for s in range(len(ways)):
+            sim = CacheSim(n_sets * assoc * line_bytes, assoc, line_bytes)
+            sim.load_ways(ways[s])
+            for q in range(streams[s], streams[s + 1]):
+                i, end = bounds[q], bounds[q + 1]
+                verdicts = [
+                    sim.access_line(line)
+                    for a, n in zip(addr[i:end], size[i:end])
+                    for line in sim.span(a, n)
+                ]
+                hits[out : out + len(verdicts)] = verdicts
+                phase_hits[p] = sum(verdicts)
+                phase_lines[p] = len(verdicts)
+                out += len(verdicts)
+                p += 1
+            ways[s] = sim.ways()
 
 
 def _int_array(name: str, values) -> np.ndarray:
@@ -228,6 +242,18 @@ def _int_array(name: str, values) -> np.ndarray:
             f"{values.shape}"
         )
     return values
+
+
+def _bounds(name: str, ends, total: int, of: str) -> np.ndarray:
+    """``[0, *ends]`` as int64, after checking that ``ends`` cuts ``total``
+    items into runs: never decreasing, from >= 0 up to ``total``."""
+    bounds = np.r_[0, _int_array(name, ends).astype(np.int64)]
+    if bounds[-1] != total or np.any(bounds[1:] < bounds[:-1]):
+        raise ValueError(
+            f"{name} must be non-decreasing, non-negative and end at "
+            f"len({of}) = {total}"
+        )
+    return bounds
 
 
 class BatchedLRU:
@@ -243,59 +269,70 @@ class BatchedLRU:
     construction.  Without a C compiler every stream replays through
     :class:`CacheSim` itself, after one ``RuntimeWarning``.
 
-    Usage: :meth:`add_stream` each stream (its byte accesses, their phases,
-    its cache geometry and optional warm-start state), then :meth:`run`
-    once, then read :meth:`phases_of` / :meth:`hits_of` /
-    :meth:`final_ways` per stream.  Streams never share state; each models
-    its own freshly-seeded :class:`CacheSim`.
+    Usage: :meth:`add_streams` each block of streams that share a cache
+    geometry (their byte accesses end to end, where phases and streams
+    end, and optional warm-start states), then :meth:`run` once, then read
+    :meth:`phases_of` / :meth:`hits_of` / :meth:`final_ways` per stream
+    (or :meth:`phases_of` per block).  Streams never share state; each
+    models its own freshly-seeded :class:`CacheSim`.
 
     Warm state crosses this boundary in one format only: the MRU-first
     ``(n_sets, assoc)`` int64 tag matrix the kernel itself keeps, ``-1``
     marking an empty way (:meth:`CacheSim.ways` / :meth:`CacheSim.load_ways`
-    convert at the scalar edge).  A :meth:`final_ways` matrix is directly the
-    ``seed_ways`` of the next replay, so callers that chain replays (the
-    serve tier's per-client caches) never touch per-set Python lists.
+    convert at the scalar edge).  A :meth:`final_ways` matrix is directly a
+    stream's ``seed_ways`` row in the next replay, so callers that chain
+    replays (the serve tier's per-client caches) never touch per-set
+    Python lists.
     """
 
     def __init__(self) -> None:
-        self._streams: List[dict] = []
+        #: Where each stream's phases end, counted across all blocks: one
+        #: entry per stream, in handle order.
+        self._streams = np.empty(0, dtype=np.int64)
+        #: Per block: ``(line_bytes, addrs, nbytes, phase bounds, stream
+        #: bounds, ways)``, the arrays the kernel reads in place.
+        self._blocks: List[tuple] = []
+        #: Room for every block's per-line verdicts.
+        self._capacity = 0
         self._ran = False
         self._hits: Optional[np.ndarray] = None
         self._phase_hits: Optional[np.ndarray] = None
         self._phase_lines: Optional[np.ndarray] = None
+        #: After run(): where each stream's phases, and each phase's lines,
+        #: start (with the end of the last).
+        self._phase_at: Optional[np.ndarray] = None
+        self._line_at: Optional[np.ndarray] = None
 
-    def add_stream(
+    def add_streams(
         self,
         addrs: np.ndarray,
         nbytes: np.ndarray,
         phase_ends: np.ndarray,
+        stream_ends: np.ndarray,
         line_bytes: int,
         n_sets: int,
         assoc: int,
         seed_ways: Optional[np.ndarray] = None,
-    ) -> int:
-        """Register one stream: its accesses, their phases, its cache.
+    ) -> range:
+        """Register one block of streams; returns their handles, a range.
 
         Access ``i`` touches the ``nbytes[i]`` bytes from byte address
         ``addrs[i]``, as :meth:`CacheSim.access` does (no line at all when
         ``nbytes[i] <= 0``), in order.  ``phase_ends`` cuts the accesses
         into phases: phase ``j`` ends before access ``phase_ends[j]``, so
-        the ends never decrease and the last is ``len(addrs)`` (an empty
-        stream may have no phases).  The cache has ``n_sets`` sets of
+        the ends never decrease and the last is ``len(addrs)``.
+        ``stream_ends`` cuts the phases into streams the same way (a stream
+        may have no phase).  Each stream's cache has ``n_sets`` sets of
         ``assoc`` ways of ``line_bytes``-byte lines.  ``seed_ways``
-        warm-starts it: an ``(n_sets, assoc)`` MRU-first tag matrix, ``-1``
-        for empty ways (the :meth:`final_ways` layout), read at :meth:`run`
-        and never written.  Returns the stream's handle.
+        warm-starts them with one :meth:`final_ways` matrix per stream (all
+        ``-1`` for a cold one), copied and never written; None starts every
+        stream cold.
         """
         if self._ran:
-            raise RuntimeError("add_stream after run()")
+            raise RuntimeError("add_streams after run()")
         _check_geometry(line_bytes=line_bytes, n_sets=n_sets, assoc=assoc)
-        if seed_ways is not None:
-            # The kernel trusts the seed: it must be a reachable state.
-            seed_ways = _check_ways(seed_ways, n_sets, assoc)
         addrs = _int_array("addrs", addrs)
         nbytes = _int_array("nbytes", nbytes)
-        ends = _int_array("phase_ends", phase_ends)
         if nbytes.size != addrs.size:
             raise ValueError(
                 f"{addrs.size} addrs but {nbytes.size} nbytes: one size per access"
@@ -315,85 +352,79 @@ class BatchedLRU:
         if addrs.size and int(addrs.max()) + int(nbytes.max()) > 2**63:
             if np.any((nbytes > 0) & (addrs - 1 > 2**63 - 1 - np.maximum(nbytes, 1))):
                 raise ValueError("every accessed byte must lie below address 2**63")
-        if (int(ends[-1]) if ends.size else 0) != addrs.size or (
-            ends.size and (int(ends[0]) < 0 or bool(np.any(ends[1:] < ends[:-1])))
-        ):
-            raise ValueError(
-                "phase_ends must be non-decreasing, non-negative and end at "
-                f"len(addrs) = {addrs.size}"
-            )
-        self._streams.append(
-            {
-                "addrs": addrs,
-                "nbytes": nbytes,
-                "ends": np.ascontiguousarray(ends, dtype=np.int64),
-                "geometry": (ends.size, int(line_bytes), int(n_sets), int(assoc)),
-                "seed": seed_ways,
-                # An access of n > 0 bytes spans at most n // line_bytes + 2
-                # lines: room for the stream's verdicts.
-                "capacity": int(np.maximum(nbytes, 0).sum()) // line_bytes
-                + 2 * nbytes.size,
-            }
+        bounds = _bounds("phase_ends", phase_ends, addrs.size, "addrs")
+        streams = _bounds("stream_ends", stream_ends, bounds.size - 1, "phase_ends")
+        k = streams.size - 1
+        if seed_ways is None:
+            ways = np.full((k, n_sets, assoc), -1, dtype=np.int64)
+        else:
+            # The kernel trusts the seeds: each must be a reachable state.
+            ways = np.array(_check_ways(seed_ways, k, n_sets, assoc), order="C")
+        first = len(self._streams)
+        self._streams = np.r_[
+            self._streams, streams[1:] + (self._streams[-1] if first else 0)
+        ]
+        self._blocks.append((int(line_bytes), addrs, nbytes, bounds, streams, ways))
+        # An access of n > 0 bytes spans at most n // line_bytes + 2 lines.
+        # (Summed in place: a block-sized temporary raises peak RSS.)
+        self._capacity += (
+            int(nbytes.sum(where=nbytes > 0)) // line_bytes + 2 * nbytes.size
         )
-        return len(self._streams) - 1
+        return range(first, first + k)
 
     def run(self) -> None:
         """Replay every registered stream in one kernel call."""
         if self._ran:
             raise RuntimeError("run() called twice")
         self._ran = True
-        streams = self._streams
-        for s in streams:
-            _, _, n_sets, assoc = s["geometry"]
-            s["ways"] = (
-                np.full((n_sets, assoc), -1, dtype=np.int64)
-                if s["seed"] is None
-                else np.array(s["seed"], dtype=np.int64, order="C")
-            )
-        n_phases = [s["geometry"][0] for s in streams]
-        hits = np.empty(sum(s["capacity"] for s in streams), dtype=bool)
-        phase_hits = np.empty(sum(n_phases), dtype=np.int64)
-        phase_lines = np.empty(sum(n_phases), dtype=np.int64)
+        self._phase_at = np.r_[0, self._streams]
+        hits = np.empty(self._capacity, dtype=bool)
+        phase_hits = np.empty(self._phase_at[-1], dtype=np.int64)
+        phase_lines = np.empty(self._phase_at[-1], dtype=np.int64)
         kernel = _kernel()
         if kernel is None:
-            _cachesim_run(streams, hits, phase_hits, phase_lines)
+            _cachesim_run(self._blocks, hits, phase_hits, phase_lines)
         else:
-            # Each stream's geometry, then where its arrays live (lru.c).
-            arrays = ("ends", "addrs", "nbytes", "ways")
-            table = np.array(
-                [s["geometry"] + tuple(s[k].ctypes.data for k in arrays) for s in streams],
-                dtype=np.int64,
+            table = np.concatenate(
+                [np.empty((0, 8), np.int64)] + [_kernel_rows(*b) for b in self._blocks]
             )
-            kernel(len(streams), table.reshape(-1, 8), hits, phase_hits, phase_lines)
-        phase_at = np.cumsum([0] + n_phases).tolist()
-        line_at = np.cumsum(np.r_[0, phase_lines]).tolist()
-        for s, p0, p1 in zip(streams, phase_at, phase_at[1:]):
-            s["phases"] = slice(p0, p1)
-            s["lines"] = slice(line_at[p0], line_at[p1])
+            kernel(len(table), table, hits, phase_hits, phase_lines)
         self._hits = hits
         self._phase_hits = phase_hits
         self._phase_lines = phase_lines
+        self._line_at = np.r_[0, np.cumsum(phase_lines)]
 
-    def _stream(self, stream: int) -> dict:
+    def _phases(self, streams: Union[int, range]) -> slice:
+        """The phases of a stream handle, or of a range of handles (an
+        :meth:`add_streams` block) end to end."""
         if not self._ran:
             raise RuntimeError("run() not called")
-        return self._streams[stream]
+        r = streams if isinstance(streams, range) else range(streams, streams + 1)
+        if r.step != 1 or not 0 <= r.start <= r.stop <= len(self._streams):
+            raise IndexError(f"no stream handles {streams!r}")
+        return slice(int(self._phase_at[r.start]), int(self._phase_at[r.stop]))
 
     def hits_of(self, stream: int) -> np.ndarray:
         """Per-line hit verdicts for one stream (True = hit), in order."""
-        return self._hits[self._stream(stream)["lines"]]
+        p = self._phases(stream)
+        return self._hits[self._line_at[p.start] : self._line_at[p.stop]]
 
-    def phases_of(self, stream: int) -> Tuple[np.ndarray, np.ndarray]:
+    def phases_of(self, streams: Union[int, range]) -> Tuple[np.ndarray, np.ndarray]:
         """Per-phase ``(hits, lines)`` int64 arrays for one stream, in phase
-        order; a phase's misses are its lines minus its hits."""
-        phases = self._stream(stream)["phases"]
-        return self._phase_hits[phases], self._phase_lines[phases]
+        order, or for a range of handles (an :meth:`add_streams` block) end
+        to end; a phase's misses are its lines minus its hits."""
+        p = self._phases(streams)
+        return self._phase_hits[p], self._phase_lines[p]
 
     def final_ways(self, stream: int) -> np.ndarray:
         """Final cache state for one stream: a fresh ``(n_sets, assoc)``
         MRU-first int64 tag matrix, ``-1`` for empty ways.
 
-        Pass it as the next replay's ``seed_ways`` to continue a warm
-        simulation, or to :meth:`CacheSim.load_ways`.
+        Pass it as the stream's ``seed_ways`` row in the next replay to
+        continue a warm simulation, or to :meth:`CacheSim.load_ways`.
         """
-        return self._stream(stream)["ways"].copy()
+        self._phases(stream)  # raises unless run() ran and ``stream`` exists
+        for *_, ways in self._blocks:
+            if stream < len(ways):
+                return ways[stream].copy()
+            stream -= len(ways)

@@ -157,14 +157,12 @@ class ClientCPU:
         config: ClientConfig = DEFAULT_CLIENT,
         costs: CostModel = DEFAULT_COSTS,
         network: NetworkConfig = DEFAULT_NETWORK,
-        use_cache_sim: bool = True,
         #: Assumed miss rate when the trace is not recorded/replayed.
         fallback_miss_rate: float = 0.05,
     ) -> None:
         self.config = config
         self.costs = costs
         self.network = network
-        self.use_cache_sim = use_cache_sim
         self.fallback_miss_rate = check_miss_rate(fallback_miss_rate)
         self.dcache = CacheSim(
             config.dcache_bytes, config.cache_assoc, config.cache_line_bytes
@@ -180,10 +178,6 @@ class ClientCPU:
         """Wall-clock duration of ``cycles`` (a float or an array) at the
         client clock."""
         return cycles / self.config.clock_hz
-
-    def cycles_in(self, seconds: float) -> float:
-        """Client cycles elapsing over ``seconds``."""
-        return seconds * self.config.clock_hz
 
     def reset_cache(self) -> None:
         """Cold-start the D-cache (workload boundary)."""
@@ -223,7 +217,7 @@ class ClientCPU:
 
     def compute(self, counter: OpCounter) -> ComputeCost:
         """Price one query phase's operation counts (and replay its trace)."""
-        if self.use_cache_sim and counter.record_trace:
+        if counter.record_trace:
             hits, misses = replay_trace(self.dcache, counter, self.costs)
             return self.compute_replayed(counter, hits, misses)
         # No trace: estimate line touches from the byte volume implied by

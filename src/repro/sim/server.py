@@ -63,12 +63,10 @@ class ServerCPU:
         self,
         config: ServerConfig = DEFAULT_SERVER,
         costs: CostModel = DEFAULT_COSTS,
-        use_cache_sim: bool = True,
         fallback_miss_rate: float = 0.02,
     ) -> None:
         self.config = config
         self.costs = costs
-        self.use_cache_sim = use_cache_sim
         self.fallback_miss_rate = check_miss_rate(fallback_miss_rate)
         # Table 4: 32 KB L1 D-cache, 2-way, 64 B lines.
         self.l1 = CacheSim(32 * 1024, 2, 64)
@@ -104,7 +102,7 @@ class ServerCPU:
 
     def compute(self, counter: OpCounter) -> ServerCost:
         """Price one query phase's operation counts at the server."""
-        if self.use_cache_sim and counter.record_trace:
+        if counter.record_trace:
             hits, misses = replay_trace(self.l1, counter, self.costs)
             return self.compute_replayed(counter, hits, misses)
         touched_bytes = (

@@ -99,6 +99,8 @@ class TestBenchCommand:
         records = read_ledger(path)
         events = {r["event"] for r in records}
         assert {"plan", "price", "run", "speedup"} <= events
+        # One plan event per configuration and engine run: 6 x 2.
+        assert sum(r["event"] == "plan" for r in records) == 12
         speedup = [r for r in records if r["event"] == "speedup"][-1]
         assert speedup["batched_s"] > 0 and speedup["scalar_s"] > 0
         assert speedup["max_rel_err"] < 1e-9

@@ -9,8 +9,7 @@ plans the same workload both ways and asserts
 
 Covers the fig4 (point), fig5 (range) and fig6 (NN) workload shapes, all
 query kinds mixed in one workload, empty-result and degenerate windows,
-CPU models that do not simulate their caches, and hypothesis-generated
-windows over a random dataset.
+and hypothesis-generated windows over a random dataset.
 """
 
 from __future__ import annotations
@@ -28,20 +27,9 @@ from repro.core.queries import KNNQuery, NNQuery, PointQuery, RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 from repro.data import tiger
 from repro.data.model import SegmentDataset
-from repro.data.workloads import (
-    client_fleet,
-    fleet_query_stream,
-    knn_queries,
-    nn_queries,
-    point_queries,
-    range_queries,
-)
-from repro.serve import QueryService
+from repro.data.workloads import knn_queries, nn_queries, point_queries, range_queries
 from repro.sim import cache
-from repro.sim.cpu import ClientCPU
-from repro.sim.server import ServerCPU
 from repro.spatial.mbr import MBR
-from tests.serve.test_differential import _compare
 
 NN_CONFIGS = (
     SchemeConfig(Scheme.FULLY_CLIENT),
@@ -254,36 +242,6 @@ def test_warm_cache_parity(env):
 
     assert plans_equal(batched, scalar)
     assert batched_state == scalar_state
-
-
-@pytest.mark.parametrize("off", ["client", "server", "both"])
-def test_no_cache_sim_fallback(env, off):
-    """A side whose CPU model does not simulate its cache prices every phase
-    with the fallback estimate, on both planners and both serve paths."""
-    fallback_env = Environment.create(
-        env.dataset,
-        tree=env.tree,
-        client_cpu=ClientCPU(use_cache_sim=off == "server"),
-        server_cpu=ServerCPU(use_cache_sim=off == "client"),
-    )
-    ds = env.dataset
-    _assert_differential(
-        fallback_env,
-        point_queries(ds, 5, seed=61) + range_queries(ds, 5, seed=62),
-        ADEQUATE_MEMORY_CONFIGS,
-    )
-    _assert_differential(
-        fallback_env,
-        nn_queries(ds, 4, seed=63) + knn_queries(ds, 4, seed=64),
-        NN_CONFIGS,
-    )
-    fleet = client_fleet(6, seed=11)
-    reqs = fleet_query_stream(ds, fleet, duration_s=3.0, seed=7, hot_fraction=0.5)
-    service = QueryService(fallback_env, max_batch=8, batch_window_s=0.5)
-    _compare(
-        service.serve(reqs, fleet, planner="batched"),
-        service.serve(reqs, fleet, planner="serial"),
-    )
 
 
 def test_replay_without_a_compiler(env, monkeypatch, tmp_path):

@@ -28,12 +28,14 @@ from repro.sim.cache import BatchedLRU, CacheSim
 
 
 def _add_lines(batch, lines, n_sets, assoc, seed_ways=None):
-    """Add a line trace as one phase of 1-byte accesses on 1-byte lines."""
+    """Add a line trace as a block of one stream: one phase of 1-byte
+    accesses on 1-byte lines.  Returns the stream's handle."""
     n = len(lines)
-    return batch.add_stream(
-        lines, np.ones(n, dtype=np.int64), [n], 1, n_sets, assoc,
-        seed_ways=seed_ways,
+    [handle] = batch.add_streams(
+        lines, np.ones(n, dtype=np.int64), [n], [1], 1, n_sets, assoc,
+        seed_ways=None if seed_ways is None else np.asarray(seed_ways)[None],
     )
+    return handle
 
 
 def _as_ways(sets, assoc):
@@ -191,6 +193,11 @@ def test_api_misuse_raises():
     batch.run()
     with pytest.raises(RuntimeError):
         batch.run()
+    for handles in (1, -1, range(0, 2)):  # one stream: handle 0 only
+        with pytest.raises(IndexError):
+            batch.phases_of(handles)
+    with pytest.raises(IndexError):
+        batch.final_ways(1)
     with pytest.raises(RuntimeError):
         _add_lines(batch, np.array([1]), 16, 2)
     with pytest.raises(ValueError):
@@ -227,6 +234,24 @@ def test_api_misuse_raises():
             _add_lines(BatchedLRU(), lines, 4, 2, seed_ways=seed)
         with pytest.raises(ValueError):
             CacheSim(4 * 2 * 8, 2, 8).load_ways(seed)
+
+    def add3(seed_ways):
+        """Three one-line streams on a 4-set 2-way cache, one block."""
+        return BatchedLRU().add_streams(
+            lines, [1, 1, 1], [1, 2, 3], [1, 2, 3], 1, 4, 2, seed_ways=seed_ways
+        )
+
+    cold = np.full((4, 2), -1, dtype=np.int64)
+    add3(np.stack([_ok_seed(), cold, _ok_seed()]))  # cold rows are all -1
+    # A seed block is (streams, n_sets, assoc), one row per stream.
+    for block in (np.full((2, 4, 2), -1), np.full((3, 2, 4), -1), _ok_seed()):
+        with pytest.raises(ValueError, match="ways must be"):
+            add3(block)
+    # Every row is checked: an unreachable seed mid-block is rejected.
+    for seed in _MALFORMED_SEEDS:
+        if seed.shape == cold.shape:
+            with pytest.raises(ValueError, match="ways"):
+                add3(np.stack([_ok_seed(), seed, cold]))
 
 
 def test_seed_ways_not_mutated():
@@ -422,16 +447,18 @@ _LINE_SIZES = [1, 8, 12, 32, 64]
 
 
 @st.composite
-def _access_streams(draw):
-    """Stream specs ``(line_bytes, n_sets, assoc, seed prefix, phases)``.
+def _access_blocks(draw):
+    """Block specs ``(line_bytes, n_sets, assoc, streams)``, each stream a
+    ``(seed prefix, phases)`` pair.
 
     Each phase is a list of ``(addr, nbytes)`` accesses: unaligned starts,
     sizes spanning several lines, zero and negative sizes, and empty
-    phases.  A prefix of accesses (or None, for a cold stream) warms the
-    CacheSim whose ways seed the stream.
+    phases; a stream may have no phase at all.  A prefix of accesses (or
+    None, for a cold stream) warms the CacheSim whose ways seed the
+    stream, so one block mixes cold and seeded streams.
     """
     specs = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 4))):
         line_bytes = draw(st.sampled_from(_LINE_SIZES))
         n_sets = draw(st.sampled_from(_SET_COUNTS))
         assoc = draw(st.integers(1, 6))
@@ -439,9 +466,12 @@ def _access_streams(draw):
         access = st.tuples(
             st.integers(0, span), st.integers(-2 * line_bytes, 4 * line_bytes)
         )
-        prefix = draw(st.none() | st.lists(access, max_size=40))
-        phases = draw(st.lists(st.lists(access, max_size=30), max_size=6))
-        specs.append((line_bytes, n_sets, assoc, prefix, phases))
+        stream = st.tuples(
+            st.none() | st.lists(access, max_size=40),
+            st.lists(st.lists(access, max_size=30), max_size=6),
+        )
+        streams = draw(st.lists(stream, min_size=1, max_size=4))
+        specs.append((line_bytes, n_sets, assoc, streams))
     return specs
 
 
@@ -459,32 +489,44 @@ def _through_cachesim(sim, accesses):
     return verdicts, (hits, lines)
 
 
-@given(_access_streams())
+@given(_access_blocks())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_property_access_kernel_is_cachesim_access(specs):
     batch = BatchedLRU()
-    expected = []
-    for line_bytes, n_sets, assoc, prefix, phases in specs:
-        sim = CacheSim(n_sets * assoc * line_bytes, assoc, line_bytes)
-        seed = None
-        if prefix is not None:
-            sim.run_trace(prefix)
-            seed = sim.ways()
-        accesses = [a for phase in phases for a in phase]
-        h = batch.add_stream(
+    expected, blocks = [], []
+    for line_bytes, n_sets, assoc, streams in specs:
+        accesses, phase_ends, stream_ends, seeds, block = [], [], [], [], []
+        for prefix, phases in streams:
+            sim = CacheSim(n_sets * assoc * line_bytes, assoc, line_bytes)
+            if prefix is not None:
+                sim.run_trace(prefix)
+            seeds.append(sim.ways())  # all -1 for a cold stream
+            for phase in phases:
+                accesses += phase
+                phase_ends.append(len(accesses))
+            stream_ends.append(len(phase_ends))
+            verdicts, counts = [], []
+            for phase in phases:
+                v, hl = _through_cachesim(sim, phase)
+                verdicts += v
+                counts.append(hl)
+            block.append((verdicts, counts, sim.ways()))
+        handles = batch.add_streams(
             np.array([a for a, _ in accesses], dtype=np.int64),
             np.array([n for _, n in accesses], dtype=np.int64),
-            np.cumsum([len(phase) for phase in phases], dtype=np.int64),
-            line_bytes, n_sets, assoc, seed_ways=seed,
+            phase_ends, stream_ends, line_bytes, n_sets, assoc,
+            seed_ways=(
+                None if all(p is None for p, _ in streams) else np.stack(seeds)
+            ),
         )
-        verdicts, counts = [], []
-        for phase in phases:
-            v, hl = _through_cachesim(sim, phase)
-            verdicts += v
-            counts.append(hl)
-        expected.append((h, verdicts, counts, sim.ways()))
+        expected += [(h, *e) for h, e in zip(handles, block)]
+        blocks.append(handles)
     batch.run()
+    for handles in blocks:  # a block's phases are its streams', end to end
+        got = [a.tolist() for a in batch.phases_of(handles)]
+        each = [batch.phases_of(h) for h in handles]
+        assert got == [sum((ph[i].tolist() for ph in each), []) for i in (0, 1)]
     for h, verdicts, counts, ways in expected:
         assert batch.hits_of(h).tolist() == verdicts
         hits, lines = batch.phases_of(h)
@@ -511,9 +553,9 @@ def test_one_run_is_one_kernel_call(monkeypatch, replay):
         monkeypatch.setattr(cache, "_kernel_fn", counted)
     batch = BatchedLRU()
     handles = [
-        batch.add_stream([0, 70, 5], [40, 8, -1], [1, 1, 3], 32, 4, 2),
-        batch.add_stream([3, 3], [1, 1], [2], 1, 16, 1),
-        batch.add_stream([], [], [], 64, 256, 2),
+        batch.add_streams([0, 70, 5], [40, 8, -1], [1, 1, 3], [3], 32, 4, 2)[0],
+        batch.add_streams([3, 3], [1, 1], [2], [1], 1, 16, 1)[0],
+        batch.add_streams([], [], [], [0], 64, 256, 2)[0],
     ]
     batch.run()
     assert len(calls) == 1
@@ -525,7 +567,9 @@ def test_one_run_is_one_kernel_call(monkeypatch, replay):
 
 def test_access_input_checks():
     def add(addrs, nbytes, ends, line_bytes=8):
-        return BatchedLRU().add_stream(addrs, nbytes, ends, line_bytes, 4, 2)
+        return BatchedLRU().add_streams(
+            addrs, nbytes, ends, [len(ends)], line_bytes, 4, 2
+        )
 
     add([0, 9], [8, 8], [0, 2, 2])  # empty phases are phases
     add([], [], [])  # an empty stream needs no phase
@@ -552,7 +596,22 @@ def test_access_input_checks():
         with pytest.raises(ValueError, match="phase_ends must be a 1-D integer"):
             add([0, 8], [8, 8], ends)
     with pytest.raises(ValueError, match="positive"):
-        BatchedLRU().add_stream([0], [8], [1], 0, 4, 2)
+        BatchedLRU().add_streams([0], [8], [1], [1], 0, 4, 2)
+
+    def block(stream_ends):
+        """Three one-access phases cut into streams by ``stream_ends``."""
+        return BatchedLRU().add_streams(
+            [0, 8, 16], [8, 8, 8], [1, 2, 3], stream_ends, 8, 4, 2
+        )
+
+    assert block([0, 2, 2, 3]) == range(4)  # a stream may have no phase
+    for stream_ends in ([2, 1, 3], [-1, 3], [2], [1, 4], [], [3, 3, 2]):
+        with pytest.raises(ValueError, match="stream_ends"):
+            block(stream_ends)
+    for stream_ends in ([3.0], [True], [[3]]):
+        with pytest.raises(ValueError, match="stream_ends must be a 1-D integer"):
+            block(stream_ends)
+    assert BatchedLRU().add_streams([], [], [], [], 8, 4, 2) == range(0)
     with pytest.raises(RuntimeError):
         BatchedLRU().phases_of(0)
     BatchedLRU().run()  # no stream at all

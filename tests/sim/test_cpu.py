@@ -96,12 +96,12 @@ class TestCompute:
     )
     def test_bad_fallback_miss_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="fallback_miss_rate"):
-            ClientCPU(use_cache_sim=False, fallback_miss_rate=rate)
+            ClientCPU(fallback_miss_rate=rate)
 
     def test_fallback_miss_rate_bounds_accepted(self):
         for rate in (0, 0.0, 1.0):
-            cost = ClientCPU(use_cache_sim=False, fallback_miss_rate=rate).compute(
-                _range_counter()
+            cost = ClientCPU(fallback_miss_rate=rate).compute(
+                _range_counter(trace=False)
             )
             assert cost.dcache_misses == (0 if rate == 0 else cost.dcache_accesses)
 

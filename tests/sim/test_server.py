@@ -61,7 +61,7 @@ class TestServerCycles:
     )
     def test_bad_fallback_miss_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="fallback_miss_rate"):
-            ServerCPU(use_cache_sim=False, fallback_miss_rate=rate)
+            ServerCPU(fallback_miss_rate=rate)
 
 
 class TestServerCostAlgebra:
