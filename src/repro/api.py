@@ -303,8 +303,14 @@ class Session:
         scheme's plans from them.  Returns one plan list per scheme, in
         scheme order, and records one ledger ``plan`` event per scheme.
         """
-        queries = _as_queries(workload)
-        configs = _as_schemes(schemes)
+        planned = self._plan_grid(
+            _as_queries(workload), _as_schemes(schemes), reset_caches, planner
+        )
+        return [list(plans) for plans in planned]
+
+    def _plan_grid(self, queries: List[Query], configs: List[SchemeConfig],
+                   reset_caches: bool, planner: str) -> List[Sequence[QueryPlan]]:
+        """:meth:`plan_grid`, with batched plans left as columns."""
         _check_choice("planner", planner, PLANNERS)
         start = time.perf_counter()
         if planner == "batched":
@@ -345,7 +351,7 @@ class Session:
         :class:`~repro.core.gridrun.GridResult`, whose per-cell
         ``result(i, j)`` the service's per-query outcomes are built from.
         """
-        return price_grid(list(plans), _as_policies(policies), self.env)
+        return price_grid(plans, _as_policies(policies), self.env)
 
     def price(
         self,
@@ -423,9 +429,7 @@ class Session:
         if not pols:
             raise ValueError("run() requires at least one policy")
         _check_choice("engine", engine, ENGINES)
-        grid_plans = self.plan_grid(
-            queries, configs, reset_caches=reset_caches, planner=planner
-        )
+        grid_plans = self._plan_grid(queries, configs, reset_caches, planner)
         rows: List[RunRow] = []
         for config, plans in zip(configs, grid_plans):
             priced = self._price(plans, pols, engine, scheme=config.label)

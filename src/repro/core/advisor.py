@@ -72,7 +72,7 @@ class WorkloadProfile:
     """Plans for one workload under every applicable scheme."""
 
     kind: QueryKind
-    plans: Dict[str, Tuple[SchemeConfig, List[QueryPlan]]]
+    plans: Dict[str, Tuple[SchemeConfig, Sequence[QueryPlan]]]
 
     @property
     def schemes(self) -> List[SchemeConfig]:

@@ -4,8 +4,7 @@
 tree, replays its memory trace through the stateful CPU caches, and prices
 the counts — a Python loop per query, per scheme, that dominates
 ``Session.run`` wall time on figure-scale workloads.  This module produces
-the *identical* :class:`~repro.core.executor.QueryPlan` objects in two
-vectorized stages:
+the *identical* plans, as columns, in two vectorized stages:
 
 1. **Phase data** (:func:`compute_query_phases`): every point/range query in
    the workload is filtered in one call of the compiled depth-first filter
@@ -18,21 +17,22 @@ vectorized stages:
    best-first search (:func:`repro.spatial.batchtraverse.batch_nearest`),
    which reproduces each query's scalar heap-pop order, tie-breaks and op
    tallies exactly; its visit/refine logs land in the same trace form.
-2. **Cache replay and assembly** (:func:`_replay_workload`, the one
-   replay builder, shared with :class:`repro.serve.QueryService`): each
-   side's phase traces are laid out at :mod:`repro.sim.cpu`'s region
-   addresses and concatenated into named streams of byte accesses (exactly
-   the ``CacheSim.access`` calls of the scalar path), all replayed in one
-   call of :class:`repro.sim.cache.BatchedLRU`.  A sweep
-   gives each configuration its own cold streams, and identical cold
-   streams (e.g. the server's work under both FULLY_SERVER placements)
-   are simulated once; warm planning chains every configuration on one
-   stream per side, seeded from the live caches.  Per-phase hit/miss
-   slices then price each step via the CPU models' ``compute_replayed``
-   mirrors, and plans are assembled branch-for-branch against
-   ``plan_query`` — same labels, payloads, step order, and cache-state
-   side effects (the environment's caches are left exactly as the scalar
-   loop would leave them).
+2. **Cache replay and pricing** (:func:`_replay_workload`, the one replay
+   builder, shared with :class:`repro.serve.QueryService`): each side's
+   phase traces are laid out at :mod:`repro.sim.cpu`'s region addresses and
+   concatenated into named streams of byte accesses (exactly the
+   ``CacheSim.access`` calls of the scalar path), all replayed in one call
+   of :class:`repro.sim.cache.BatchedLRU`.  A sweep gives each
+   configuration its own cold streams, and identical cold streams (e.g. the
+   server's work under both FULLY_SERVER placements) are simulated once;
+   warm planning chains every configuration on one stream per side, seeded
+   from the live caches.  Every phase of a side is then priced in one
+   array call of the CPU models' ``compute_replayed``, and the plans come
+   out as :class:`~repro.core.gridrun.PlanColumns`: per step template, one
+   column per step (:data:`_PLANS` lays the steps out as ``plan_query``
+   does).  A plan object is assembled only when one is read.  The
+   environment's caches are left exactly as the scalar loop would leave
+   them.
 
 The op counts are **replayed, not re-derived**: the counts in each
 ``PhaseTrace`` are the scalar traversal's tallies (the paper's cost model),
@@ -48,7 +48,9 @@ queries within one) are traversed once and shared across the scheme grid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,10 +70,11 @@ from repro.core.messages import (
     request_payload,
     request_with_candidates_payload,
 )
+from repro.core.gridrun import PlanAnswers, PlanColumns
 from repro.core.queries import Query, QueryKind, RangeQuery, query_key
-from repro.core.schemes import Scheme, SchemeConfig
+from repro.core.schemes import Scheme, SchemeConfig, validate_pairs
 from repro.sim.cache import BatchedLRU, CacheSim
-from repro.sim.cpu import REGION_BASES, region_strides
+from repro.sim.cpu import REGION_BASES, ComputeCost, region_strides
 from repro.sim.trace import REGION_DATA, REGION_INDEX, REGION_RESULT, OpCounter
 from repro.spatial import vecgeom
 from repro.spatial.batchtraverse import batch_filter, batch_nearest
@@ -456,42 +459,55 @@ def compute_query_phases(
 # ----------------------------------------------------------------------
 # Cache replay + plan assembly
 # ----------------------------------------------------------------------
-def _query_phase_slots(
-    phases: QueryPhases, config: SchemeConfig, costs
-) -> List[Tuple[str, PhaseTrace]]:
-    """This query's compute phases under ``config``, in plan-step order.
+def _answer(qp: QueryPhases, config: SchemeConfig, costs) -> PhaseTrace:
+    return qp.nn_trace if qp.is_nn else qp.answer_trace
 
-    Stream building and plan assembly both walk this list, which is what
-    keeps the replayed hit/miss slices aligned with the steps they price.
-    """
-    scheme = config.scheme
-    received = not config.data_at_client
-    if phases.is_nn:
-        if scheme is Scheme.FULLY_CLIENT:
-            return [("client", phases.nn_trace)]
-        return [
-            ("server", phases.nn_trace),
-            ("client", phases.display(received, costs)),
-        ]
-    if scheme is Scheme.FULLY_CLIENT:
-        return [("client", phases.answer_trace)]
-    if scheme is Scheme.FULLY_SERVER:
-        return [
-            ("server", phases.answer_trace),
-            ("client", phases.display(received, costs)),
-        ]
-    if scheme is Scheme.FILTER_CLIENT_REFINE_SERVER:
-        return [
-            ("client", phases.filter_trace),
-            ("server", phases.refine_trace),
-            ("client", phases.display(received, costs)),
-        ]
-    if scheme is Scheme.FILTER_SERVER_REFINE_CLIENT:
-        return [
-            ("server", phases.filter_trace),
-            ("client", phases.refine_trace),
-        ]
-    raise ValueError(f"unhandled scheme {scheme!r}")  # pragma: no cover
+
+def _display(qp: QueryPhases, config: SchemeConfig, costs) -> PhaseTrace:
+    return qp.display(not config.data_at_client, costs)
+
+
+def _result(n: int, config: SchemeConfig, costs):
+    return (id_list_payload if config.data_at_client else data_items_payload)(n, costs)
+
+
+#: Each scheme's plan, step by step as ``plan_query`` builds it.  A compute
+#: step is ``(step type, labels, phase)``: its labels for point/range and
+#: for NN queries, and ``phase(query phases, config, costs)``, the trace it
+#: prices.  A message is ``(step type, payload, count)``:
+#: ``payload(n, config, costs)`` for the query's candidate (``count`` 0) or
+#: result (1) count.
+_PLANS = {
+    Scheme.FULLY_CLIENT: (
+        (ClientComputeStep, ("filter + refine at client", "nn search at client"), _answer),
+    ),
+    Scheme.FULLY_SERVER: (
+        (SendStep, lambda n, _, costs: request_payload(costs), 0),
+        (ServerComputeStep, ("filter + refine at server", "nn search at server"), _answer),
+        (RecvStep, _result, 1),
+        (ClientComputeStep, ("display",) * 2, _display),
+    ),
+    Scheme.FILTER_CLIENT_REFINE_SERVER: (
+        (ClientComputeStep, ("filter at client",) * 2, lambda qp, *_: qp.filter_trace),
+        (SendStep, lambda n, _, costs: request_with_candidates_payload(n, costs), 0),
+        (ServerComputeStep, ("refine at server",) * 2, lambda qp, *_: qp.refine_trace),
+        (RecvStep, _result, 1),
+        (ClientComputeStep, ("display",) * 2, _display),
+    ),
+    Scheme.FILTER_SERVER_REFINE_CLIENT: (
+        (SendStep, lambda n, _, costs: request_payload(costs), 0),
+        (ServerComputeStep, ("filter at server",) * 2, lambda qp, *_: qp.filter_trace),
+        (RecvStep, lambda n, _, costs: id_list_payload(n, costs), 0),
+        (ClientComputeStep, ("refine at client",) * 2, lambda qp, *_: qp.refine_trace),
+    ),
+}
+#: Each scheme's step template, and its compute steps' phases on each side.
+_TEMPLATE = {scheme: tuple(s[0] for s in steps) for scheme, steps in _PLANS.items()}
+_SIDES = (ClientComputeStep, ServerComputeStep)
+_PHASES = {
+    scheme: [[s[2] for s in steps if s[0] is side] for side in _SIDES]
+    for scheme, steps in _PLANS.items()
+}
 
 
 def _add_streams(
@@ -502,7 +518,7 @@ def _add_streams(
     costs,
     handles: Dict[Hashable, int],
     at: Dict[Hashable, int],
-) -> range:
+) -> Tuple[range, List[PhaseTrace]]:
     """Add one side's named streams to ``batch`` as one block; returns the
     block's handles.
 
@@ -511,7 +527,7 @@ def _add_streams(
     one step for the whole side.  Unseeded streams with identical trace
     sequences replay identically from cold, so they share one stream.  Each
     name's stream handle goes into ``handles`` and its first phase within
-    the block into ``at``.
+    the block into ``at``.  Also returns the block's traces, one per phase.
     """
     specs: List[Tuple[List[PhaseTrace], Optional[np.ndarray]]] = []
     spec_of: Dict[Hashable, int] = {}
@@ -529,7 +545,7 @@ def _add_streams(
         spec_of[name] = k
     traces = [t for ts, _ in specs for t in ts]
     if not traces:
-        return range(0)
+        return range(0), traces
     regions = np.concatenate([t.regions for t in traces])
     addrs = np.concatenate([t.ids for t in traces]).astype(np.int64, copy=False)
     addrs *= np.array(region_strides(costs), dtype=np.int64)[regions]
@@ -547,66 +563,37 @@ def _add_streams(
     )
     for name, k in spec_of.items():
         handles[name], at[name] = block[k], starts[k]
-    return block
-
-
-def _result_payload(n: int, costs, data_at_client: bool):
-    if data_at_client:
-        return id_list_payload(n, costs)
-    return data_items_payload(n, costs)
+    return block, traces
 
 
 def _assemble_plan(
-    query: Query,
-    config: SchemeConfig,
-    phases: QueryPhases,
-    costs,
-    slot_costs: list,
+    query: Query, config: SchemeConfig, qp: QueryPhases, costs, slot_costs: list
 ) -> QueryPlan:
-    """Mirror of ``plan_query``'s step assembly, with pre-priced compute."""
-    scheme = config.scheme
-    steps: List[PlanStep] = []
-    answer_ids = phases.answer_ids
-    n_res = int(answer_ids.size)
-    if phases.is_nn:
-        if scheme is Scheme.FULLY_CLIENT:
-            steps.append(ClientComputeStep(slot_costs[0], "nn search at client"))
-            return QueryPlan(query, config, steps, answer_ids, 0, n_res)
-        server_cost, disp = slot_costs
-        steps.append(SendStep(request_payload(costs)))
-        steps.append(ServerComputeStep(server_cost.cycles, "nn search at server"))
-        steps.append(RecvStep(_result_payload(n_res, costs, config.data_at_client)))
-        steps.append(ClientComputeStep(disp, "display"))
-        return QueryPlan(query, config, steps, answer_ids, 0, n_res)
+    """``plan_query``'s plan, with its compute steps pre-priced:
+    ``slot_costs`` holds a :class:`~repro.sim.cpu.ComputeCost` per client
+    step and cycles per server step, in step order."""
+    counts = (int(qp.cand_ids.size), int(qp.answer_ids.size))
+    slots = iter(slot_costs)
+    steps: List[PlanStep] = [
+        kind(next(slots), a[qp.is_nn]) if kind in _SIDES else kind(a(counts[b], config, costs))
+        for kind, a, b in _PLANS[config.scheme]
+    ]
+    return QueryPlan(query, config, steps, qp.answer_ids, *counts)
 
-    n_cand = int(phases.cand_ids.size)
-    if scheme is Scheme.FULLY_CLIENT:
-        steps.append(ClientComputeStep(slot_costs[0], "filter + refine at client"))
-        return QueryPlan(query, config, steps, answer_ids, n_cand, n_res)
-    if scheme is Scheme.FULLY_SERVER:
-        server_cost, disp = slot_costs
-        steps.append(SendStep(request_payload(costs)))
-        steps.append(
-            ServerComputeStep(server_cost.cycles, "filter + refine at server")
-        )
-        steps.append(RecvStep(_result_payload(n_res, costs, config.data_at_client)))
-        steps.append(ClientComputeStep(disp, "display"))
-        return QueryPlan(query, config, steps, answer_ids, n_cand, n_res)
-    if scheme is Scheme.FILTER_CLIENT_REFINE_SERVER:
-        filt_cost, ref_cost, disp = slot_costs
-        steps.append(ClientComputeStep(filt_cost, "filter at client"))
-        steps.append(SendStep(request_with_candidates_payload(n_cand, costs)))
-        steps.append(ServerComputeStep(ref_cost.cycles, "refine at server"))
-        steps.append(RecvStep(_result_payload(n_res, costs, config.data_at_client)))
-        steps.append(ClientComputeStep(disp, "display"))
-        return QueryPlan(query, config, steps, answer_ids, n_cand, n_res)
-    # FILTER_SERVER_REFINE_CLIENT
-    filt_cost, ref_cost = slot_costs
-    steps.append(SendStep(request_payload(costs)))
-    steps.append(ServerComputeStep(filt_cost.cycles, "filter at server"))
-    steps.append(RecvStep(id_list_payload(n_cand, costs)))
-    steps.append(ClientComputeStep(ref_cost, "refine at client"))
-    return QueryPlan(query, config, steps, answer_ids, n_cand, n_res)
+
+def _tallies(traces: Sequence[PhaseTrace]) -> OpCounter:
+    """The traces' op counts as one counter of int64 columns, a row per
+    trace: the array form the CPU models' ``compute_replayed`` price."""
+    fields = OpCounter._COUNT_FIELDS
+    counts = chain.from_iterable(map(operator.attrgetter(*fields), (t.counter for t in traces)))
+    counts = np.fromiter(counts, dtype=np.int64, count=len(fields) * len(traces))
+    return OpCounter(*counts.reshape(-1, len(fields)).T, record_trace=False)
+
+
+def _answers(phases: Sequence[QueryPhases]) -> PlanAnswers:
+    """The answer ids and tallies each query's plans carry."""
+    return PlanAnswers([qp.answer_ids for qp in phases], [qp.cand_ids.size for qp in phases],
+                       [qp.answer_ids.size for qp in phases])
 
 
 #: One replay group: ``(queries, phase data, scheme, client-stream name,
@@ -618,8 +605,8 @@ def _replay_workload(
     env: Environment,
     groups: Sequence[_Group],
     seeds: Dict[Hashable, np.ndarray],
-) -> Tuple[List[List[QueryPlan]], BatchedLRU, Dict[Hashable, int]]:
-    """Replay every group's data-cache streams and assemble its plans.
+) -> Tuple[Dict[tuple, tuple], Dict[Hashable, tuple]]:
+    """Replay every group's data-cache streams and price its plans as columns.
 
     The one replay builder, behind :func:`plan_workload_batched` and
     :meth:`repro.serve.QueryService._replay_batch`.  ``groups`` come in
@@ -631,67 +618,95 @@ def _replay_workload(
     (:meth:`repro.sim.cache.CacheSim.ways`); other streams start cold, and
     cold streams with identical trace sequences are simulated once.  Each
     side's streams are one :meth:`~repro.sim.cache.BatchedLRU.add_streams`
-    block.
+    block, and each side's phases are priced in one ``compute_replayed``.
 
-    Returns each group's plans, in group order, the finished replay, and
-    each named stream's handle in it (a name with no phases has none), from
-    which callers read the final cache states.
+    Returns every group's plans, numbered in group order, as one
+    :class:`~repro.core.gridrun.PlanColumns` block per step template (a
+    group's plans consecutive in it), and each named stream's final way
+    matrix and per-phase hits and lines (a name with no phases has none).
     """
-    client = env.client_cpu
-    server = env.server_cpu
     costs = env.dataset.costs
 
-    # Each named stream's phase traces, in replay order.
-    named: Dict[str, Dict[Hashable, List[PhaseTrace]]] = {"client": {}, "server": {}}
-    for _, phases, scheme, client_name, server_name in groups:
-        lists = {
-            "client": named["client"].setdefault(client_name, []),
-            "server": named["server"].setdefault(server_name, []),
-        }
-        for qp in phases:
-            for side, trace in _query_phase_slots(qp, scheme, costs):
-                lists[side].append(trace)
+    # Each side's named streams of phase traces, in replay order, and, per
+    # step template, its groups: each one's first plan, its phase data, its
+    # configuration, its stream names and where its phases start in them.
+    named: List[Dict[Hashable, List[PhaseTrace]]] = [{}, {}]
+    layout: Dict[tuple, list] = {}
+    row = 0
+    for _, phases, config, *names in groups:
+        streams = [side.setdefault(name, []) for side, name in zip(named, names)]
+        layout.setdefault(_TEMPLATE[config.scheme], []).append(
+            (row, phases, config, names, [len(traces) for traces in streams])
+        )
+        row += len(phases)
+        for traces, get in zip(streams, _PHASES[config.scheme]):
+            traces += [phase(qp, config, costs) for qp in phases for phase in get]
 
-    # One block per side.  ``at`` points each name at its stream's next
+    # One block per side.  ``at`` points each name at its stream's first
     # phase in its side's per-phase hits and misses.
     batch = BatchedLRU()
     handles: Dict[Hashable, int] = {}
     at: Dict[Hashable, int] = {}
-    client_block = _add_streams(
-        batch, named["client"], seeds, client.dcache, costs, handles, at
-    )
-    server_block = _add_streams(
-        batch, named["server"], seeds, server.l1, costs, handles, at
-    )
+    sims = (env.client_cpu.dcache, env.server_cpu.l1)
+    sides = [_add_streams(batch, s, seeds, sim, costs, handles, at) for s, sim in zip(named, sims)]
     batch.run()
-    hits, lines = batch.phases_of(client_block)
-    client_hits, client_misses = hits.tolist(), (lines - hits).tolist()
-    hits, lines = batch.phases_of(server_block)
-    server_hits, server_misses = hits.tolist(), (lines - hits).tolist()
+    replayed = [batch.phases_of(block) for block, _ in sides]
+    finals = {}
+    for side, (hits, lines) in zip(named, replayed):
+        for name, traces in side.items():
+            if name in handles:
+                span = slice(at[name], at[name] + len(traces))
+                finals[name] = (batch.final_ways(handles[name]), hits[span], lines[span])
+    del batch  # free the accesses and per-line verdicts before pricing
 
-    # Walk the groups again: price each phase from its stream's next
-    # (hits, misses), and assemble each plan once its costs exist.
-    plans_per_group: List[List[QueryPlan]] = []
-    for queries, phases, scheme, client_name, server_name in groups:
-        ci = at.get(client_name, 0)
-        si = at.get(server_name, 0)
-        plans: List[QueryPlan] = []
-        for query, qp in zip(queries, phases):
-            slot_costs = []
-            for side, trace in _query_phase_slots(qp, scheme, costs):
-                if side == "client":
-                    h, m = client_hits[ci], client_misses[ci]
-                    slot_costs.append(client.compute_replayed(trace.counter, h, m))
-                    ci += 1
-                else:
-                    h, m = server_hits[si], server_misses[si]
-                    slot_costs.append(server.compute_replayed(trace.counter, h, m))
-                    si += 1
-            plans.append(_assemble_plan(query, scheme, qp, costs, slot_costs))
-        at[client_name] = ci
-        at[server_name] = si
-        plans_per_group.append(plans)
-    return plans_per_group, batch, handles
+    # Price every phase of each side in one call, then gather the phases
+    # behind the blocks' compute columns, block by block and step by step,
+    # so that each compute column is a slice.
+    cpus = (env.client_cpu, env.server_cpu)
+    priced = [cpu.compute_replayed(_tallies(traces), hits, lines - hits)
+              for cpu, (_, traces), (hits, lines) in zip(cpus, sides, replayed)]
+    picks: List[List[int]] = [[], []]
+    for template, parts in layout.items():
+        for i, (kind, slots) in enumerate(zip(_SIDES, picks)):
+            k = template.count(kind)
+            for pos in range(k):
+                for _, phases, _, names, first in parts:
+                    lo = at.get(names[i], 0) + first[i]
+                    slots.extend(range(lo + pos, lo + k * len(phases), k))
+    taken = {
+        ClientComputeStep: _take(priced[0], np.array(picks[0], dtype=np.intp)),
+        ServerComputeStep: priced[1].cycles[np.array(picks[1], dtype=np.intp)],
+    }
+    used = dict.fromkeys(taken, 0)
+    blocks: Dict[tuple, tuple] = {}
+    for template, parts in layout.items():
+        rows: List[int] = []
+        sizes = {pos: [] for pos, kind in enumerate(template) if kind not in taken}
+        for r, phases, config, _, _ in parts:
+            rows.extend(range(r, r + len(phases)))
+            for pos, column in sizes.items():
+                # Every payload of repro.core.messages is affine in its count.
+                _, payload, count = _PLANS[config.scheme][pos]
+                zero = payload(0, config, costs).nbytes
+                per = payload(1, config, costs).nbytes - zero
+                column += [zero + per * (qp.answer_ids if count else qp.cand_ids).size
+                           for qp in phases]
+        columns = []
+        for pos, kind in enumerate(template):
+            if kind in taken:
+                columns.append(_take(taken[kind], slice(used[kind], used[kind] + len(rows))))
+                used[kind] += len(rows)
+            else:
+                columns.append(np.array(sizes[pos], dtype=np.int64))
+        blocks[template] = (template, np.array(rows, dtype=np.intp), columns)
+    return blocks, finals
+
+
+def _take(column, part):
+    """``part`` (a slice or an index array) of one step position's column."""
+    if isinstance(column, ComputeCost):
+        return ComputeCost(*(v[part] for v in vars(column).values()))
+    return column[part]
 
 
 def plan_workload_batched(
@@ -701,7 +716,7 @@ def plan_workload_batched(
     *,
     reset_caches: bool = True,
     phase_cache: Optional[PhaseDataCache] = None,
-) -> List[List[QueryPlan]]:
+) -> List[PlanColumns]:
     """Plan every query under every scheme configuration at once.
 
     Equivalent, plan for plan and bit for bit, to::
@@ -713,18 +728,19 @@ def plan_workload_batched(
     including the caches' final state.  Each configuration replays on its
     own cold streams.  With ``reset_caches=False`` the replay instead
     continues from the caches' current contents, chaining all
-    configurations on one warm stream per side.  Returns one plan list per
-    configuration, aligned with ``configs``.
+    configurations on one warm stream per side.  Returns one
+    :class:`~repro.core.gridrun.PlanColumns` per configuration, aligned
+    with ``configs``: what :func:`~repro.core.gridrun.price_grid` prices,
+    and a sequence of the ``plan_query`` plans, each built when read.
     """
     queries = list(queries)
     configs = list(configs)
-    # Scalar planning validates config-major, query-minor; keep the first
-    # error identical (but raise before doing any work).
-    for config in configs:
-        for q in queries:
-            config.validate_for(q)
     if not configs:
         return []
+    # Scalar planning validates config-major, query-minor; raise its first
+    # error before doing any work, checking the first query of each kind.
+    kinds = {q.kind: q for q in reversed(queries)}.values()
+    validate_pairs((config, q) for config in configs for q in kinds)
     phases = compute_query_phases(env, queries, phase_cache)
     sims = (env.client_cpu.dcache, env.server_cpu.l1)
     if reset_caches:
@@ -736,18 +752,30 @@ def plan_workload_batched(
     else:
         groups = [(queries, phases, config, "client", "server") for config in configs]
         seeds = {"client": sims[0].ways(), "server": sims[1].ways()}
-    plans, batch, handles = _replay_workload(env, groups, seeds)
+    blocks, finals = _replay_workload(env, groups, seeds)
 
     # Leave the environment's caches exactly as the scalar loop would.
     if reset_caches:
         env.reset_caches()
     for sim, name in zip(sims, groups[-1][3:]):
-        if name in handles:
-            hits, lines = batch.phases_of(handles[name])
-            sim.load_ways(batch.final_ways(handles[name]))
+        if name in finals:
+            ways, hits, lines = finals[name]
+            sim.load_ways(ways)
             sim.hits += int(hits.sum())
             sim.misses += int((lines - hits).sum())
-    return plans
+
+    # Configuration i's plans are group i's rows of its template's block.
+    answers, n, firsts, out = _answers(phases), len(queries), {}, []
+    for config in configs:
+        template, _, columns = blocks[_TEMPLATE[config.scheme]]
+        first = firsts[template] = firsts.get(template, -n) + n
+        part = slice(first, first + n)
+        out.append(PlanColumns(
+            [(template, np.arange(n), [_take(c, part) for c in columns])], answers,
+            lambda i, slot_costs, config=config: _assemble_plan(
+                queries[i], config, phases[i], env.dataset.costs, slot_costs),
+        ))
+    return out
 
 
 def plans_equal(a: Sequence[QueryPlan], b: Sequence[QueryPlan]) -> bool:

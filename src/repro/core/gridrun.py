@@ -6,15 +6,15 @@ wait policies — but :func:`repro.core.executor.price_plan` walks one
 bench re-walks thousands of tiny plans serially.  This module prices the
 whole grid at once:
 
-1. :func:`_compile_for` reduces plans to policy-independent aggregate
-   columns (:class:`PlanAggregates`: compute cycles/joules, wire bits and
-   frames per direction, NIC-quiet and wait dwell seconds, sleep-exit
-   counts under both NIC disciplines).  Plans are grouped by step template
-   — the Table 1 schemes produce a handful of fixed step sequences — and
-   each template is walked symbolically once; the numbers at each step
-   position are priced as arrays through the scalar walk's own formulas
-   (``packetize``, ``ClientCPU.protocol``/``seconds``,
-   ``ServerCPU.seconds``), in its step order, so the aggregates are
+1. :func:`_compile_for` reduces :class:`PlanColumns` — plans as one
+   column per step, in a block per step template (the Table 1 schemes
+   produce a handful of fixed step sequences) — to policy-independent
+   aggregate columns (:class:`PlanAggregates`: compute cycles/joules, wire
+   bits and frames per direction, NIC-quiet and wait dwell seconds,
+   sleep-exit counts under both NIC disciplines).  Each template is walked
+   symbolically once, and each column priced through the scalar walk's
+   own formulas (``packetize``, ``ClientCPU.protocol``/``seconds``,
+   ``ServerCPU.seconds``) in step order, so the aggregates are
    bit-identical to what a per-plan walk would sum.
 2. :func:`price_grid` broadcasts those aggregates against per-policy
    scalars (bandwidth, transmit power, blocked-CPU power, NIC state powers)
@@ -38,12 +38,13 @@ so both variants are counted up front.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import IO, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, repeat
+from typing import IO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from repro.core.executor import (
     ServerComputeStep,
     WaitStep,
 )
+from repro.sim.cpu import ComputeCost
 from repro.sim.lossy import expected_retx
 from repro.sim.metrics import CycleBreakdown, EnergyBreakdown, LossStats, NICDwell
 from repro.sim.protocol import packetize
@@ -66,6 +68,7 @@ from repro.sim.radio import RadioModel
 
 __all__ = [
     "PlanAggregates",
+    "PlanColumns",
     "framing_key",
     "GridResult",
     "price_grid",
@@ -153,21 +156,123 @@ def _template(steps: Sequence[object]) -> tuple:
     return kinds
 
 
-def _compile_template(
-    plans: Sequence[QueryPlan], env: Environment, network: NetworkConfig
-) -> np.ndarray:
-    """Aggregate plans that share one step template.
+#: Message direction of each step type that carries a payload.
+_DIRECTION = {SendStep: "tx", RecvStep: "rx"}
+#: The number a step of each type puts in its column.
+_NUMBER = {
+    ClientComputeStep: lambda s: tuple(vars(s.cost).values()),
+    ServerComputeStep: lambda s: s.cycles,
+    WaitStep: lambda s: s.seconds,
+    SendStep: lambda s: s.payload.nbytes,
+    RecvStep: lambda s: s.payload.nbytes,
+}
+
+
+@dataclass
+class PlanAnswers:
+    """Each plan's answer ids and tallies; a workload's schemes share one."""
+
+    ids: Sequence[np.ndarray]
+    n_candidates: Sequence[int]
+    n_results: Sequence[int]
+
+    @cached_property
+    def totals(self) -> Tuple[np.ndarray, int, int]:
+        """The concatenated answer ids and the summed tallies."""
+        return np.concatenate(self.ids), sum(self.n_candidates), sum(self.n_results)
+
+
+class PlanColumns(Sequence):
+    """N plans as blocks of columns, what :func:`price_grid` prices.
+
+    A block ``(template, rows, columns)`` holds the plans at ``rows`` that
+    share a step template (:func:`_template`'s key), with one column per
+    step: a :class:`~repro.sim.cpu.ComputeCost` of arrays (client compute),
+    cycles (server compute), payload bytes (send, receive) or seconds
+    (wait).  The batched planner emits columns; :meth:`from_plans` converts
+    a plan list.  As a sequence they read as plans: the converted ones, or
+    plan ``i`` built by ``assemble(i, costs)`` from its compute steps'
+    costs (a ComputeCost, or server cycles).
+    """
+
+    def __init__(self, blocks: List[tuple], answers: PlanAnswers,
+                 assemble: Optional[Callable] = None, plans: Optional[list] = None):
+        self.blocks, self.answers = blocks, answers
+        self._assemble, self._plans = assemble, plans
+
+    @classmethod
+    def from_plans(cls, plans: Sequence[QueryPlan]) -> "PlanColumns":
+        """``plans`` as one block per step template."""
+        plans = list(plans)
+        groups: Dict[tuple, List[int]] = {}
+        for i, plan in enumerate(plans):
+            groups.setdefault(_template(plan.steps), []).append(i)
+        blocks = []
+        for template, rows in groups.items():
+            columns = []
+            for kind, steps in zip(template, zip(*(plans[i].steps for i in rows))):
+                if kind not in _NUMBER:
+                    raise TypeError(f"unknown plan step {steps[0]!r}")
+                numbers = [_NUMBER[kind](s) for s in steps]
+                columns.append(ComputeCost(*map(np.array, zip(*numbers)))
+                               if kind is ClientComputeStep else np.array(numbers))
+            blocks.append((template, np.array(rows, dtype=np.intp), columns))
+        answers = PlanAnswers([p.answer_ids for p in plans],
+                              [p.n_candidates for p in plans], [p.n_results for p in plans])
+        return cls(blocks, answers, plans=plans)
+
+    def __len__(self) -> int:
+        return len(self.answers.ids)
+
+    def __getitem__(self, i: int) -> QueryPlan:
+        i = range(len(self))[operator.index(i)]
+        if self._plans is not None:
+            return self._plans[i]
+        b, r = self._where[:, i]
+        template, _, columns = self.blocks[b]
+        return self._assemble(i, [
+            ComputeCost(*(v.item(r) for v in vars(col).values()))
+            if kind is ClientComputeStep else col.item(r)
+            for kind, col in zip(template, columns)
+            if kind is ClientComputeStep or kind is ServerComputeStep
+        ])
+
+    @cached_property
+    def _where(self) -> np.ndarray:
+        """Each plan's block, and its row in it."""
+        where = np.empty((2, len(self)), dtype=np.intp)
+        for b, (_, rows, _) in enumerate(self.blocks):
+            where[0, rows] = b
+            where[1, rows] = np.arange(rows.size)
+        return where
+
+    @cached_property
+    def messages(self) -> List[tuple]:
+        """Each plan's ``(direction, payload_bytes)`` message log, in step
+        order (the scalar walk's ``RunResult.messages``)."""
+        out: List[tuple] = [()] * len(self)
+        for template, rows, columns in self.blocks:
+            logs = [zip(repeat(_DIRECTION[kind]), col.tolist())
+                    for kind, col in zip(template, columns) if kind in _DIRECTION]
+            for i, log in zip(rows.tolist(), zip(*logs)):
+                out[i] = log
+        return out
+
+
+def _compile_template(template: tuple, rows: np.ndarray, columns: list,
+                      env: Environment, messages: Iterator[tuple]) -> np.ndarray:
+    """Aggregate one block of plans.
 
     The NIC state machine depends only on the template, so one symbolic
-    walk counts its SLEEP exits under both disciplines.  The numbers each
-    step position carries are gathered into arrays and priced through the
-    formulas ``price_plan`` calls (``packetize``, ``ClientCPU.protocol`` /
-    ``seconds``, ``ServerCPU.seconds``), accumulating in its step order, so
-    every aggregate is bit-identical to the scalar walk's.  Returns the
+    walk counts its SLEEP exits under both disciplines.  Each step's column
+    is priced through the formulas ``price_plan`` calls (``messages``
+    yields each send's and receive's wire bits, frames and protocol
+    cycles, joules and seconds), accumulating in step order, so every
+    aggregate is bit-identical to the scalar walk's.  Returns the
     ``(_ROWS, k)`` block.
     """
     client = env.client_cpu
-    block = np.zeros((_ROWS, len(plans)))
+    block = np.zeros((_ROWS, rows.size))
     (proc_cycles, proc_energy, quiet_s, idle_wait_s, sleep_wait_s,
      tx_bits, rx_bits, tx_frames, rx_frames) = block[:_SUMS]
     # One symbolic NIC state machine per nic_sleep discipline; index 0 is
@@ -191,77 +296,72 @@ def _compile_template(
                     tx_wakes[v] += 1
             state[v] = new_state
 
-    def payloads(column: list):
-        return packetize(
-            np.array([s.payload.nbytes for s in column], dtype=np.int64), network
-        )
-
-    for pos in range(len(plans[0].steps)):
-        column = [p.steps[pos] for p in plans]
-        kind = type(column[0])
+    listening = iter(template[len(columns):])
+    for kind, col in zip(template, columns):
         if kind is ClientComputeStep:
-            cycles = np.array([s.cost.cycles for s in column], dtype=np.float64)
-            proc_cycles += cycles
-            proc_energy += np.array([s.cost.energy_j for s in column], dtype=np.float64)
-            quiet_s += client.seconds(cycles)
+            proc_cycles += col.cycles
+            proc_energy += col.energy_j
+            quiet_s += client.seconds(col.cycles)
             nic_quiet()
         elif kind is SendStep:
-            msg = payloads(column)
-            proto = client.protocol(msg)
-            proc_cycles += proto.cycles
-            proc_energy += proto.energy_j
-            quiet_s += client.seconds(proto.cycles)
+            bits, frames, cycles, energy, seconds = next(messages)
+            proc_cycles += cycles
+            proc_energy += energy
+            quiet_s += seconds
             nic_quiet()
             wake_to(_TRANSMIT, in_transmit=True)
-            tx_bits += msg.wire_bits
-            tx_frames += msg.n_frames
+            tx_bits += bits
+            tx_frames += frames
         elif kind is ServerComputeStep:
-            cycles = np.array([s.cycles for s in column], dtype=np.float64)
-            idle_wait_s += env.server_cpu.seconds(cycles)
+            idle_wait_s += env.server_cpu.seconds(col)
             wake_to(_IDLE)
         elif kind is WaitStep:
-            seconds = np.array([s.seconds for s in column], dtype=np.float64)
-            if column[0].radio_listening:
-                idle_wait_s += seconds
+            if next(listening):
+                idle_wait_s += col
                 wake_to(_IDLE)
             else:
-                sleep_wait_s += seconds
+                sleep_wait_s += col
                 state[0] = state[1] = _SLEEP
-        elif kind is RecvStep:
-            msg = payloads(column)
+        else:  # RecvStep
+            bits, frames, cycles, energy, seconds = next(messages)
             # A receive out of SLEEP wakes via idle(0.0) in the scalar walk.
             wake_to(_RECEIVE)
-            rx_bits += msg.wire_bits
-            rx_frames += msg.n_frames
-            proto = client.protocol(msg)
-            proc_cycles += proto.cycles
-            proc_energy += proto.energy_j
-            quiet_s += client.seconds(proto.cycles)
+            rx_bits += bits
+            rx_frames += frames
+            proc_cycles += cycles
+            proc_energy += energy
+            quiet_s += seconds
             nic_quiet()
-        else:
-            raise TypeError(f"unknown plan step {column[0]!r}")
     block[_SUMS:] = np.array(exits + tx_wakes)[:, None]
     return block
 
 
 def _compile_for(
-    plans: Sequence[QueryPlan], env: Environment, network: NetworkConfig
+    cols: PlanColumns, env: Environment, network: NetworkConfig
 ) -> PlanAggregates:
-    """Compile ``plans`` under one wire framing into aggregate columns.
+    """Compile ``cols`` under one wire framing into aggregate columns.
 
-    Plans are grouped by step template (:func:`_template`); each group is
-    compiled once by :func:`_compile_template` and scattered back into
-    plan order.  ``network`` supplies the wire framing (MTU + headers) —
+    Every message of every block is packetized and priced for protocol
+    processing in one call each; each block is then compiled by
+    :func:`_compile_template` and scattered into plan order.
+    ``network`` supplies the wire framing (MTU + headers) —
     normally the policy's network; protocol *instruction* rates come from
     the client CPU model's own network config, exactly as in the scalar
     walk.
     """
-    groups: Dict[tuple, List[int]] = {}
-    for i, plan in enumerate(plans):
-        groups.setdefault(_template(plan.steps), []).append(i)
-    block = np.empty((_ROWS, len(plans)))
-    for rows in groups.values():
-        block[:, rows] = _compile_template([plans[i] for i in rows], env, network)
+    client = env.client_cpu
+    sizes = [c for t, _, cs in cols.blocks for kind, c in zip(t, cs) if kind in _DIRECTION]
+    messages: Iterator[tuple] = iter(())
+    if sizes:
+        msg = packetize(np.concatenate(sizes), network)
+        proto = client.protocol(msg)
+        priced = (msg.wire_bits, msg.n_frames, proto.cycles, proto.energy_j,
+                  client.seconds(proto.cycles))
+        ends = list(accumulate(s.size for s in sizes))
+        messages = (tuple(a[lo:hi] for a in priced) for lo, hi in zip([0] + ends, ends))
+    block = np.empty((_ROWS, len(cols)))
+    for template, rows, columns in cols.blocks:
+        block[:, rows] = _compile_template(template, rows, columns, env, messages)
     return PlanAggregates(
         *block[:_SUMS],
         exits2=block[_SUMS:_SUMS + 2].T,
@@ -325,10 +425,6 @@ class _PolicyColumns:
         )
 
 
-#: Message direction of each step type that carries a payload.
-_DIRECTION = {SendStep: "tx", RecvStep: "rx"}
-
-
 @dataclass
 class GridResult:
     """Every bucket of an N-plans x M-policies pricing grid, as arrays.
@@ -338,10 +434,10 @@ class GridResult:
     the ledger reports.  :meth:`result` materializes any single cell as the
     scalar executor's :class:`RunResult`; :meth:`combine_policy` sums a
     policy's column over the workload.  Answer ids, tallies and message
-    logs come from :attr:`plans`, derived once per grid.
+    logs come from the columns in :attr:`plans`, derived once per grid.
     """
 
-    plans: List[QueryPlan]
+    plans: PlanColumns
     policies: List[Policy]
     energy_processor: np.ndarray
     energy_tx: np.ndarray
@@ -367,30 +463,17 @@ class GridResult:
         """(n_plans, n_policies)."""
         return self.energy_processor.shape
 
-    @cached_property
+    @property
     def messages(self) -> List[tuple]:
         """Each plan's ``(direction, payload_bytes)`` message log, in step
         order (the scalar walk's ``RunResult.messages``)."""
-        return [
-            tuple(
-                (d, s.payload.nbytes)
-                for s in plan.steps
-                if (d := _DIRECTION.get(type(s))) is not None
-            )
-            for plan in self.plans
-        ]
+        return self.plans.messages
 
     @cached_property
     def _workload(self) -> Tuple[np.ndarray, int, int, tuple]:
         """The workload's answer ids, candidate and result tallies and
         message log, in plan order — the same for every policy."""
-        plans = self.plans
-        return (
-            np.concatenate([p.answer_ids for p in plans]),
-            sum(p.n_candidates for p in plans),
-            sum(p.n_results for p in plans),
-            tuple(chain.from_iterable(self.messages)),
-        )
+        return (*self.plans.answers.totals, tuple(chain.from_iterable(self.messages)))
 
     # ------------------------------------------------------------------
     def _energy(self, i, j) -> EnergyBreakdown:
@@ -420,14 +503,14 @@ class GridResult:
 
     def result(self, i: int, j: int) -> RunResult:
         """The (plan i, policy j) cell as a scalar-walk-shaped RunResult."""
-        plan = self.plans[i]
+        answers = self.plans.answers
         return RunResult(
             energy=self._energy(i, j),
             cycles=self._cycles(i, j),
             wall_seconds=float(self.wall_s[i, j]),
-            answer_ids=plan.answer_ids,
-            n_candidates=plan.n_candidates,
-            n_results=plan.n_results,
+            answer_ids=answers.ids[i],
+            n_candidates=answers.n_candidates[i],
+            n_results=answers.n_results[i],
             messages=self.messages[i],
             loss=self.loss(i, j),
         )
@@ -582,21 +665,24 @@ def _price_framing_into(
 
 
 def price_grid(
-    plans: Sequence[QueryPlan],
+    plans: Union[PlanColumns, Sequence[QueryPlan]],
     policies: Sequence[Policy],
     env: Environment,
 ) -> GridResult:
     """Price the full plans x policies grid in one vectorized pass.
 
-    Matches :func:`repro.core.executor.price_plan` cell-for-cell to float
-    tolerance (property-tested).  Policies may mix bandwidths, distances,
-    power tables, framings and discipline flags freely; plans are compiled
-    once per distinct wire framing.  Each cell depends only on its plan and
-    its policy, never on the rest of the grid.
+    ``plans`` are the batched planner's :class:`PlanColumns`, or a list of
+    plans, converted once by :meth:`PlanColumns.from_plans`.  Matches
+    :func:`repro.core.executor.price_plan` cell-for-cell to float tolerance
+    (property-tested).  Policies may mix bandwidths, distances, power
+    tables, framings and discipline flags freely; plans are compiled once
+    per distinct wire framing.  Each cell depends only on its plan and its
+    policy, never on the rest of the grid.
     """
-    plans = list(plans)
+    if not isinstance(plans, PlanColumns):
+        plans = PlanColumns.from_plans(plans)
     policies = list(policies)
-    if not plans:
+    if not len(plans):
         raise ValueError("price_grid() requires at least one plan")
     if not policies:
         raise ValueError("price_grid() requires at least one policy")

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import Iterable, List, Tuple
 
 from repro.core.queries import Query, QueryKind
 
-__all__ = ["Scheme", "SchemeConfig", "ADEQUATE_MEMORY_CONFIGS", "table1_rows"]
+__all__ = ["Scheme", "SchemeConfig", "ADEQUATE_MEMORY_CONFIGS", "table1_rows", "validate_pairs"]
 
 
 class Scheme(Enum):
@@ -107,6 +107,17 @@ class SchemeConfig:
         if self.scheme is Scheme.FULLY_CLIENT:
             return self.scheme.label
         return self.scheme.label + suffix
+
+
+def validate_pairs(pairs: Iterable[Tuple[SchemeConfig, Query]]) -> None:
+    """``config.validate_for(query)`` for each pair, in order, but once per
+    distinct (configuration, query kind): ``validate_for`` reads only the
+    query's kind, so the first error is the one the full loop raises."""
+    seen = set()
+    for config, query in pairs:
+        if (config, query.kind) not in seen:
+            seen.add((config, query.kind))
+            config.validate_for(query)
 
 
 #: Every adequate-memory configuration the paper evaluates, in Table 1 order.

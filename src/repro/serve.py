@@ -61,8 +61,9 @@ from repro.core.executor import (
     plan_query,
     price_plan,
 )
-from repro.core.gridrun import RunLedger
+from repro.core.gridrun import PlanColumns, RunLedger
 from repro.core.queries import Query
+from repro.core.schemes import SchemeConfig, validate_pairs
 from repro.data.model import SegmentDataset
 from repro.data.workloads import ClientProfile, QueryRequest
 from repro.sim.cache import CacheSim
@@ -247,6 +248,16 @@ class _ClientState:
         self.spent_j = 0.0
 
 
+def _server_cycles(cols: PlanColumns) -> List[float]:
+    """Each plan's server compute cycles, summed in step order."""
+    out = [0] * len(cols)
+    for template, rows, columns in cols.blocks:
+        servers = [c.tolist() for k, c in zip(template, columns) if k is ServerComputeStep]
+        for i, *cycles in zip(rows.tolist(), *servers):
+            out[i] = sum(cycles)
+    return out
+
+
 def _blocked_power_w(policy, env: Environment) -> float:
     """Watts a client burns while blocked waiting (NIC idle + wait-policy CPU)."""
     return policy.nic_power.idle_w + env.client_cpu.blocked_power_w(
@@ -332,13 +343,13 @@ class QueryService:
                 raise ValueError(f"duplicate client_id {p.client_id} in fleet")
             profiles[p.client_id] = p
         reqs = sorted(requests, key=lambda r: (r.arrival_s, r.client_id))
-        for r in reqs:
-            prof = profiles.get(r.client_id)
-            if prof is None:
-                raise ValueError(
-                    f"request references unknown client_id {r.client_id}"
-                )
-            prof.scheme.validate_for(r.query)
+
+        def scheme_of(r: QueryRequest) -> SchemeConfig:
+            if r.client_id not in profiles:
+                raise ValueError(f"request references unknown client_id {r.client_id}")
+            return profiles[r.client_id].scheme
+
+        validate_pairs((scheme_of(r), r.query) for r in reqs)
 
         env = self.session.env
         states = {cid: _ClientState(p, env) for cid, p in profiles.items()}
@@ -379,27 +390,21 @@ class QueryService:
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
             if planner == "batched":
-                plans = self._replay_batch(batch_reqs, states, server_ways)
-                results = self._price_batch(batch_reqs, plans, states)
+                cols = self._replay_batch(batch_reqs, states, server_ways)
+                results = self._price_batch(batch_reqs, cols, states)
             else:
-                plans, results = self._serve_serial(
+                cols, results = self._serve_serial(
                     batch_reqs, states, server_ways
                 )
             # Contention: server-side compute serializes within the batch.
+            answers = cols.answers
+            server_cycles = _server_cycles(cols)
             clock = env.server_cpu.clock_hz
             cursor = 0.0
             for k, idx in enumerate(batch):
                 r = reqs[idx]
                 st = states[r.client_id]
-                plan, result = plans[k], results[k]
-                server_s = (
-                    sum(
-                        s.cycles
-                        for s in plan.steps
-                        if isinstance(s, ServerComputeStep)
-                    )
-                    / clock
-                )
+                result, server_s = results[k], server_cycles[k] / clock
                 delay = (t_start - r.arrival_s) + cursor
                 cursor += server_s
                 contention_j = delay * _blocked_power_w(st.profile.policy, env)
@@ -418,8 +423,8 @@ class QueryService:
                     latency_s=delay + result.wall_seconds,
                     energy_j=energy_j,
                     contention_j=contention_j,
-                    answer_ids=tuple(plan.answer_ids.tolist()),
-                    n_results=plan.n_results,
+                    answer_ids=tuple(answers.ids[k].tolist()),
+                    n_results=answers.n_results[k],
                     result=result,
                 )
             t_free = t_start + cursor
@@ -456,7 +461,7 @@ class QueryService:
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
-    ) -> List[QueryPlan]:
+    ) -> PlanColumns:
         """Plan one micro-batch through the batched machinery.
 
         One phase computation covers every distinct query in the batch
@@ -467,8 +472,8 @@ class QueryService:
         warm-seeded from its saved way matrix so every timeline continues
         exactly where the last batch left it.  The environment's own
         caches are never touched; the per-client way matrices and
-        ``server_ways`` are advanced in place.  Returns one plan per
-        request.
+        ``server_ways`` are advanced in place.  Returns the batch's plans,
+        one per request, as columns.
         """
         env = self.session.env
         phases = compute_query_phases(
@@ -480,17 +485,23 @@ class QueryService:
         ]
         seeds = {r.client_id: states[r.client_id].ways for r in batch_reqs}
         seeds["server"] = server_ways
-        plans, replay, handles = batchplan._replay_workload(env, groups, seeds)
-        for name, h in handles.items():
+        blocks, finals = batchplan._replay_workload(env, groups, seeds)
+        for name, (final, *_) in finals.items():
             # Client ids are ints, so no client stream is named "server".
             ways = server_ways if name == "server" else states[name].ways
-            ways[...] = replay.final_ways(h)
-        return [group_plans[0] for group_plans in plans]
+            ways[...] = final
+        return PlanColumns(
+            list(blocks.values()),
+            batchplan._answers(phases),
+            lambda k, slot_costs: batchplan._assemble_plan(
+                batch_reqs[k].query, groups[k][2], phases[k], env.dataset.costs, slot_costs
+            ),
+        )
 
     def _price_batch(
         self,
         batch_reqs: List[QueryRequest],
-        plans: List[QueryPlan],
+        cols: PlanColumns,
         states: Dict[int, _ClientState],
     ) -> List[RunResult]:
         """Price one micro-batch in one vectorized grid call.
@@ -501,24 +512,25 @@ class QueryService:
         that request alone would give.
         """
         column: Dict[object, int] = {}
-        cols = [
+        policy_of = [
             column.setdefault(states[r.client_id].profile.policy, len(column))
             for r in batch_reqs
         ]
-        grid = self.session.price_grid(plans, list(column))
-        return [grid.result(k, j) for k, j in enumerate(cols)]
+        grid = self.session.price_grid(cols, list(column))
+        return [grid.result(k, j) for k, j in enumerate(policy_of)]
 
     def _serve_serial(
         self,
         batch_reqs: List[QueryRequest],
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
-    ) -> Tuple[List[QueryPlan], List[RunResult]]:
+    ) -> Tuple[PlanColumns, List[RunResult]]:
         """The per-query scalar reference: swap in each query's caches.
 
         Each query loads its client's way matrix into a scalar
         :class:`~repro.sim.cache.CacheSim` and stores it back after
-        planning; the shared server L1 converts once per batch.
+        planning; the shared server L1 converts once per batch.  Returns
+        the plans as columns, like the batched path.
         """
         env = self.session.env
         client, server = env.client_cpu, env.server_cpu
@@ -540,4 +552,4 @@ class QueryService:
         finally:
             client.dcache, server.l1 = saved
         server_ways[...] = server_sim.ways()
-        return plans, results
+        return PlanColumns.from_plans(plans), results

@@ -35,6 +35,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from repro.constants import (
     DEFAULT_CLIENT,
     DEFAULT_COSTS,
@@ -86,7 +88,8 @@ def instruction_counts(counter: OpCounter, costs: CostModel) -> Tuple[float, flo
     """``(integer_instructions, fp_operations)`` implied by a counter.
 
     Shared by the client and server models so both sides price *the same
-    work* and differ only in how their hardware executes it.
+    work* and differ only in how their hardware executes it.  A counter
+    whose counts are equal-length int arrays prices one phase per element.
     """
     int_instr = (
         counter.nodes_visited * costs.instr_per_node_visit
@@ -102,6 +105,8 @@ def instruction_counts(counter: OpCounter, costs: CostModel) -> Tuple[float, flo
         + counter.range_refine_tests * costs.fp_per_range_refine
         + counter.distance_evals * costs.fp_per_distance
     )
+    if isinstance(int_instr, np.ndarray):
+        return int_instr.astype(np.float64), fp_ops.astype(np.float64)
     return float(int_instr), float(fp_ops)
 
 
@@ -241,7 +246,8 @@ class ClientCPU:
 
         :meth:`compute` replays through the D-cache and lands here; the
         batched planner replays through :class:`repro.sim.cache.BatchedLRU`
-        and calls it directly.
+        and prices every phase of a replay in one call, with array counts,
+        hits and misses.
         """
         # Known defect, kept so both engines agree: the D-cache is charged
         # for the hits only, not for every line touched.

@@ -120,6 +120,7 @@ class ServerCPU:
 
         :meth:`compute` replays through the L1 and lands here; the batched
         planner replays through :class:`repro.sim.cache.BatchedLRU` and
-        calls it directly.
+        prices every phase of a replay in one call, with array counts, hits
+        and misses.
         """
         return self._price(self._instructions(counter), hits + misses, misses)

@@ -20,7 +20,7 @@ from repro.core.batchplan import (
 )
 from repro.core.executor import Environment, plan_query
 from repro.core.gridrun import RunLedger
-from repro.core.queries import PointQuery, RangeQuery, query_key
+from repro.core.queries import NNQuery, PointQuery, RangeQuery, query_key
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
 from repro.data import tiger
 from repro.data.workloads import point_queries, range_queries
@@ -152,3 +152,17 @@ def test_query_key_distinguishes_kinds_and_fields():
     assert query_key(p) != query_key(r)
     assert query_key(p) == query_key(PointQuery(1.0, 2.0))
     assert query_key(p) != query_key(PointQuery(1.0, 2.5))
+
+
+def test_invalid_pair_raises_the_scalar_error_before_any_work(env):
+    """An NN query under filter-client/refine-server in a mixed workload:
+    the same ValueError as the scalar planner, and no phase computed."""
+    queries = range_queries(env.dataset, 2, seed=44) + [NNQuery(*env.dataset.extent.center())]
+    config = ADEQUATE_MEMORY_CONFIGS[3]
+    with pytest.raises(ValueError) as scalar:
+        [plan_query(q, config, env) for q in queries]
+    cache = PhaseDataCache()
+    with pytest.raises(ValueError) as batched:
+        plan_workload_batched(env, queries, [ADEQUATE_MEMORY_CONFIGS[0], config], phase_cache=cache)
+    assert str(batched.value) == str(scalar.value)
+    assert len(cache) == 0 and cache.hits == cache.misses == 0

@@ -21,6 +21,7 @@ from repro.core.executor import (
 )
 from repro.core.freshness import FreshClientSession, UpdateStream
 from repro.core.gridrun import (
+    PlanColumns,
     RunLedger,
     _compile_for,
     framing_key,
@@ -241,7 +242,9 @@ class TestBatchedMatchesScalar:
     def test_compiled_wait_matches_oracle(self, grid_env, mixed_batch):
         """The compiled wait columns are the scalar walk's wait seconds,
         split by whether the radio listens."""
-        agg = _compile_for(mixed_batch, grid_env, Policy().network)
+        agg = _compile_for(
+            PlanColumns.from_plans(mixed_batch), grid_env, Policy().network
+        )
         clock = grid_env.client_cpu.clock_hz
         for i, plan in enumerate(mixed_batch):
             ref = price_plan(plan, grid_env, Policy())

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_CLIENT, DEFAULT_COSTS, CostModel
 from repro.sim.cpu import ClientCPU, ComputeCost, instruction_counts
+from repro.sim.server import ServerCPU
 from repro.sim.protocol import packetize
 from repro.sim.trace import REGION_DATA, REGION_INDEX, OpCounter
 
@@ -45,6 +47,28 @@ class TestInstructionCounts:
         _, fp_pt = instruction_counts(pt, DEFAULT_COSTS)
         _, fp_rg = instruction_counts(rg, DEFAULT_COSTS)
         assert fp_rg > fp_pt
+
+
+def test_array_pricing_equals_scalar_pricing_bitwise():
+    """Counters of int arrays, with array hits and misses, price each
+    element exactly as the scalar calls do, zero counters included."""
+    rng = np.random.default_rng(5)
+    fields = OpCounter._COUNT_FIELDS
+    counts = rng.integers(0, 5000, size=(40, len(fields)))
+    counts[:5] = 0
+    hits, misses = rng.integers(0, 900, 40), rng.integers(0, 300, 40)
+    hits[:3] = misses[:3] = 0
+    columns = OpCounter(*counts.T, record_trace=False)
+    scalars = [OpCounter(*map(int, row), record_trace=False) for row in counts]
+    client, server = ClientCPU(), ServerCPU()
+    arrays = list(instruction_counts(columns, DEFAULT_COSTS))
+    for i, c in enumerate(scalars):
+        assert instruction_counts(c, DEFAULT_COSTS) == (arrays[0][i], arrays[1][i])
+    for cpu in (client, server):
+        got = cpu.compute_replayed(columns, hits, misses)
+        for i, c in enumerate(scalars):
+            want = cpu.compute_replayed(c, int(hits[i]), int(misses[i]))
+            assert type(want)(*(v[i] for v in vars(got).values())) == want
 
 
 class TestCompute:
