@@ -17,15 +17,14 @@ deprecation cycle; this module is the one facade::
     for row in table:
         print(row.scheme, row.bandwidth_mbps, row.energy_j)
 
-A :class:`Session` owns one environment plus everything the batched
-runtime keeps between calls: the phase-data cache (each distinct query is
-traversed once, whatever schemes and calls reuse it) and an optional
+A :class:`Session` owns one environment and an optional
 :class:`~repro.core.gridrun.RunLedger` that every phase reports into.
-Plans themselves are never cached: every call computes them, through the
-batched planner and grid pricer by default, or through the scalar oracle
-(``planner="scalar"``, ``engine="scalar"``).  Hand a session to
+Nothing is cached between calls: every call computes its plans, through
+the batched planner and grid pricer by default (each distinct query of a
+call is traversed once, whatever schemes share it), or through the scalar
+oracle (``planner="scalar"``, ``engine="scalar"``).  Hand a session to
 :class:`repro.serve.QueryService` when single-user runs and multi-tenant
-serving should share the phase cache and ledger::
+serving should share the environment and ledger::
 
     session = Session(dataset)
     service = QueryService(session, max_queue=256)
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import MBPS
-from repro.core.batchplan import PhaseDataCache, plan_workload_batched
+from repro.core.batchplan import plan_workload_batched
 from repro.core.clientcache import ClientCacheSession
 from repro.core.executor import (
     Environment,
@@ -218,10 +217,10 @@ class Session:
     :class:`~repro.core.executor.Environment` (for custom CPU models, as in
     the Figure 8 clock-ratio experiment).
 
-    The session carries a :class:`~repro.core.batchplan.PhaseDataCache` so
-    identical queries share one traversal, and optionally a
+    The session optionally carries a
     :class:`~repro.core.gridrun.RunLedger` every phase reports into.
-    :class:`repro.serve.QueryService` takes a session to share both.
+    :class:`repro.serve.QueryService` takes a session to share its
+    environment and ledger.
     """
 
     def __init__(
@@ -245,22 +244,8 @@ class Session:
             )
         self.dataset = self.env.dataset
         self.ledger = ledger
-        self._phase_cache: Optional[PhaseDataCache] = None
 
     # ------------------------------------------------------------------
-    @property
-    def phase_cache(self) -> PhaseDataCache:
-        """Per-query phase work, memoized across schemes and plan calls.
-
-        Created lazily and handed to the batched planner so that identical
-        queries — within a workload, across repeated ``plan``/``run``
-        calls, or across a service fleet's clients — have their
-        filter/refine phases computed once.
-        """
-        if self._phase_cache is None:
-            self._phase_cache = PhaseDataCache()
-        return self._phase_cache
-
     def record(self, event: str, **fields) -> None:
         """Record a ledger event, if this session has a ledger."""
         if self.ledger is not None:
@@ -299,9 +284,9 @@ class Session:
         """Plan a workload under several schemes, sharing per-query work.
 
         The batched planner computes each distinct query's filter/refine
-        phases once (through :attr:`phase_cache`) and assembles every
-        scheme's plans from them.  Returns one plan list per scheme, in
-        scheme order, and records one ledger ``plan`` event per scheme.
+        phases once and assembles every scheme's plans from them.  Returns
+        one plan list per scheme, in scheme order, and records one ledger
+        ``plan`` event per scheme.
         """
         planned = self._plan_grid(
             _as_queries(workload), _as_schemes(schemes), reset_caches, planner
@@ -315,11 +300,7 @@ class Session:
         start = time.perf_counter()
         if planner == "batched":
             planned = plan_workload_batched(
-                self.env,
-                queries,
-                configs,
-                reset_caches=reset_caches,
-                phase_cache=self.phase_cache,
+                self.env, queries, configs, reset_caches=reset_caches
             )
         else:
             planned = []

@@ -71,8 +71,8 @@ def run_table_once(
 ) -> RunTable:
     """One cold workload→RunTable pass.
 
-    A fresh :class:`Session` per call means a fresh phase cache — a timed
-    pass is the full cost a new session pays, not an incremental re-price.
+    Nothing is cached between calls, so a timed pass is the full cost of
+    planning and pricing the workload, not an incremental re-price.
     """
     return Session(env).run(
         list(queries),

@@ -8,8 +8,8 @@ that :mod:`repro.bench.report` renders as the paper-shaped table.
 
 All sweeps route through :class:`repro.api.Session` and its batched grid
 pricer: each workload x scheme is planned once and every bandwidth is
-priced in one vectorized pass.  Pass a ``session`` to share the phase cache
-and a run-ledger across figures; passing a bare environment still works and
+priced in one vectorized pass.  Pass a ``session`` to share its environment
+and run-ledger across figures; passing a bare environment still works and
 creates a throwaway session.
 
 The benchmark files under ``benchmarks/`` call these with full-scale

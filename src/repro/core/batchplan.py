@@ -6,23 +6,24 @@ the counts — a Python loop per query, per scheme, that dominates
 ``Session.run`` wall time on figure-scale workloads.  This module produces
 the *identical* plans, as columns, in two vectorized stages:
 
-1. **Phase data** (:func:`compute_query_phases`): every point/range query in
-   the workload is filtered in one call of the compiled depth-first filter
+1. **Phase data** (:func:`compute_query_phases`): every distinct point/range
+   query is filtered in one call of the compiled depth-first filter
    (:func:`repro.spatial.batchtraverse.batch_filter`) and refined in one
    bulk :mod:`~repro.spatial.vecgeom` call over the concatenated candidate
-   sets.  The result per query — candidate ids, answer ids, and per-phase
-   :class:`PhaseTrace` records (operation counts + the ordered memory-touch
-   arrays) — is *placement-free*: schemes differ in where phases run, never
-   in what they compute.  NN/k-NN queries run through the compiled
+   sets; every distinct NN/k-NN query runs in one call of the compiled
    best-first search (:func:`repro.spatial.batchtraverse.batch_nearest`),
    which reproduces each query's scalar heap-pop order, tie-breaks and op
-   tallies exactly; its visit/refine logs land in the same trace form.
+   tallies exactly.  Their CSR outputs become one :class:`PhaseTable`, a
+   row per distinct query: its candidates and answers, and for each phase
+   kind its memory accesses (byte address and size, laid out once at
+   :mod:`repro.sim.cpu`'s region addresses) and op counts.  Phase data is
+   *placement-free*: schemes differ in where phases run, never in what they
+   compute, so one table serves every scheme of a grid.
 2. **Cache replay and pricing** (:func:`_replay_workload`, the one replay
    builder, shared with :class:`repro.serve.QueryService`): each side's
-   phase traces are laid out at :mod:`repro.sim.cpu`'s region addresses and
-   concatenated into named streams of byte accesses (exactly the
-   ``CacheSim.access`` calls of the scalar path), all replayed in one call
-   of :class:`repro.sim.cache.BatchedLRU`.  A sweep gives each
+   phases are gathered from the table into named streams of byte accesses
+   (exactly the ``CacheSim.access`` calls of the scalar path), all replayed
+   in one call of :class:`repro.sim.cache.BatchedLRU`.  A sweep gives each
    configuration its own cold streams, and identical cold streams (e.g. the
    server's work under both FULLY_SERVER placements) are simulated once;
    warm planning chains every configuration on one stream per side, seeded
@@ -34,24 +35,17 @@ the *identical* plans, as columns, in two vectorized stages:
    environment's caches are left exactly as the scalar loop would leave
    them.
 
-The op counts are **replayed, not re-derived**: the counts in each
-``PhaseTrace`` are the scalar traversal's tallies (the paper's cost model),
-assembled from the batch traversal's per-query outputs, never from counting
-NumPy operations.  Equality with the scalar planner — ids, counts, priced
-energy/cycles, final cache state — is enforced bit for bit by the
-differential suite.
-
-:class:`PhaseDataCache` is the plan-dedup layer: phase data is keyed by
-:func:`repro.core.queries.query_key`, so repeated workloads (and repeated
-queries within one) are traversed once and shared across the scheme grid.
+The op counts are **replayed, not re-derived**: a table's counts are the
+scalar traversal's tallies (the paper's cost model), assembled from the
+batch traversal's outputs, never from counting NumPy operations.  Equality
+with the scalar planner — ids, counts, priced energy/cycles, final cache
+state — is enforced bit for bit by the differential suite.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -80,9 +74,8 @@ from repro.spatial import vecgeom
 from repro.spatial.batchtraverse import batch_filter, batch_nearest
 
 __all__ = [
-    "PhaseTrace",
-    "QueryPhases",
-    "PhaseDataCache",
+    "PhaseRow",
+    "PhaseTable",
     "compute_query_phases",
     "plan_workload_batched",
     "plans_equal",
@@ -92,531 +85,394 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Phase data
 # ----------------------------------------------------------------------
-@dataclass
-class PhaseTrace:
-    """One phase's operation counts plus its memory-touch trace as arrays.
+#: Phase kinds, the first axis of a :class:`PhaseTable`'s spans and counts:
+#: the filter, the refinement, the answer (the filter followed by the
+#: refinement, or the NN search), and the client's display of the answers
+#: with the data items (received over the wire) and without them.
+_KINDS = 5
+FILTER, REFINE, ANSWER, DISPLAY_DATA, DISPLAY_IDS = range(_KINDS)
+#: Each op count's column in a count matrix.
+_FIELD = {name: i for i, name in enumerate(OpCounter._COUNT_FIELDS)}
 
-    The array triplet ``(regions, ids, nbytes)`` is the exact sequence of
-    :class:`~repro.sim.trace.Access` records the scalar phase appends to its
-    counter.
+
+class PhaseRow(NamedTuple):
+    """One query's row of a :class:`PhaseTable`."""
+
+    is_nn: bool
+    cand_ids: np.ndarray
+    answer_ids: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTable(Sequence):
+    """Placement-free phase data of a query list, a row per distinct query.
+
+    ``rows[i]`` is input query ``i``'s row; queries with one
+    :func:`~repro.core.queries.query_key` share it.  Row ``r``'s candidates
+    are ``cand_ids[cand_offsets[r]:cand_offsets[r + 1]]`` (none for an NN
+    row) and its answers ``ans_ids[ans_offsets[r]:ans_offsets[r + 1]]``.
+    Its phase of kind ``k`` makes the accesses ``(addrs[j], nbytes[j])``
+    for ``j`` from ``starts[k, r]`` to ``ends[k, r]``, in order: the scalar
+    phase's ``CacheSim.access`` calls.  ``counts[k, r]`` are that phase's op
+    counts, in ``OpCounter._COUNT_FIELDS`` order.  As a sequence the table
+    reads as each input query's :class:`PhaseRow`.
     """
 
-    counter: OpCounter
-    regions: np.ndarray
-    ids: np.ndarray
+    rows: np.ndarray
+    is_nn: np.ndarray
+    cand_offsets: np.ndarray
+    cand_ids: np.ndarray
+    ans_offsets: np.ndarray
+    ans_ids: np.ndarray
+    addrs: np.ndarray
     nbytes: np.ndarray
-
-
-class QueryPhases:
-    """Placement-free phase data for one query (shared across schemes)."""
-
-    __slots__ = (
-        "key",
-        "is_nn",
-        "cand_ids",
-        "answer_ids",
-        "filter_trace",
-        "refine_trace",
-        "answer_trace",
-        "nn_trace",
-        "_displays",
-    )
-
-    def __init__(
-        self,
-        key: tuple,
-        *,
-        is_nn: bool,
-        cand_ids: np.ndarray,
-        answer_ids: np.ndarray,
-        filter_trace: Optional[PhaseTrace] = None,
-        refine_trace: Optional[PhaseTrace] = None,
-        answer_trace: Optional[PhaseTrace] = None,
-        nn_trace: Optional[PhaseTrace] = None,
-    ) -> None:
-        self.key = key
-        self.is_nn = is_nn
-        self.cand_ids = cand_ids
-        self.answer_ids = answer_ids
-        self.filter_trace = filter_trace
-        self.refine_trace = refine_trace
-        self.answer_trace = answer_trace
-        self.nn_trace = nn_trace
-        self._displays: Dict[bool, PhaseTrace] = {}
-
-    def display(self, received_data_items: bool, costs) -> PhaseTrace:
-        """The client's display phase (``executor._display_counter``).
-
-        Each result id touches the result region; when full data items came
-        over the wire the record store interleaves with it, id by id.
-        """
-        trace = self._displays.get(received_data_items)
-        if trace is None:
-            ids = self.answer_ids.astype(np.int64)
-            n = ids.size
-            counter = OpCounter(record_trace=False)
-            counter.results_produced = n
-            if received_data_items:
-                regions = np.empty(2 * n, dtype=np.int8)
-                regions[0::2] = REGION_RESULT
-                regions[1::2] = REGION_DATA
-                rid = np.repeat(ids, 2)
-                nb = np.empty(2 * n, dtype=np.int64)
-                nb[0::2] = costs.object_id_bytes
-                nb[1::2] = costs.segment_record_bytes
-            else:
-                regions = np.full(n, REGION_RESULT, dtype=np.int8)
-                rid = ids
-                nb = np.full(n, costs.object_id_bytes, dtype=np.int64)
-            trace = PhaseTrace(counter, regions, rid, nb)
-            self._displays[received_data_items] = trace
-        return trace
-
-
-class PhaseDataCache:
-    """Keyed store of :class:`QueryPhases`: the plan-dedup layer.
-
-    Keys are :func:`~repro.core.queries.query_key` tuples.  Phase data
-    belongs to the dataset it was computed against, so a cache serves one
-    environment only (each :class:`repro.api.Session` owns one).  Bounded
-    FIFO to keep long sweeps from accumulating unbounded trace arrays.
-    """
-
-    def __init__(self, max_entries: int = 8192):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._data: Dict[tuple, QueryPhases] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional[QueryPhases]:
-        qp = self._data.get(key)
-        if qp is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return qp
-
-    def put(self, key: tuple, phases: QueryPhases) -> None:
-        if key not in self._data and len(self._data) >= self.max_entries:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = phases
+    starts: np.ndarray
+    ends: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.rows)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def __getitem__(self, i: int) -> PhaseRow:
+        return self.row(self.rows[i])
+
+    def row(self, r: int) -> PhaseRow:
+        """Row ``r``'s query kind, candidates and answers."""
+        c, a = self.cand_offsets, self.ans_offsets
+        return PhaseRow(bool(self.is_nn[r]), self.cand_ids[c[r]:c[r + 1]],
+                        self.ans_ids[a[r]:a[r + 1]])
 
 
-# ----------------------------------------------------------------------
-# Phase computation
-# ----------------------------------------------------------------------
-def _counts(**fields: int) -> OpCounter:
-    c = OpCounter(record_trace=False)
+def _set(counts: np.ndarray, **fields) -> None:
+    """Write op counts by name into a ``(rows, fields)`` count matrix."""
     for name, value in fields.items():
-        setattr(c, name, value)
-    return c
+        counts[:, _FIELD[name]] = value
 
 
-def _nn_phases_batch(
-    env: Environment, keys: List[tuple], queries: List[Query]
-) -> Dict[tuple, QueryPhases]:
-    """Phase data for every distinct NN/k-NN query in one batched search.
-
-    :func:`repro.spatial.batchtraverse.batch_nearest` hands back, per query,
-    the scalar tallies plus the visit/refine log in exact pop order; the log
-    maps directly onto trace arrays — index-region node touches sized by
-    the node-bytes table, data-region segment fetches sized by the record
-    stride — which is precisely the access sequence the scalar search
-    appends to its counter.
-    """
-    tree = env.tree
-    costs = env.dataset.costs
-    node_bytes = tree.node_bytes_array()
-    seg_bytes = costs.segment_record_bytes
-    px = np.array([q.x for q in queries], dtype=np.float64)
-    py = np.array([q.y for q in queries], dtype=np.float64)
-    ks = np.array([getattr(q, "k", 1) for q in queries], dtype=np.int64)
-    nn = batch_nearest(tree, px, py, ks)
-    # One vectorized pass over the engine's flat visit/refine log; the
-    # per-query trace arrays below are views into these.
-    ends = nn.log_ends
-    ids_all = nn.flat_ids
-    flags_all = nn.flat_is_entry
-    regions_all = np.where(flags_all, REGION_DATA, REGION_INDEX).astype(np.int8)
-    nb_all = np.full(ids_all.size, seg_bytes, dtype=np.int64)
-    node_rows = ~flags_all
-    nb_all[node_rows] = node_bytes[ids_all[node_rows]]
-    out: Dict[tuple, QueryPhases] = {}
-    a = 0
-    for i, key in enumerate(keys):
-        b = int(ends[i])
-        regions = regions_all[a:b]
-        ids = ids_all[a:b]
-        nb = nb_all[a:b]
-        refined = int(nn.candidates_refined[i])
-        counter = OpCounter(
-            nodes_visited=int(nn.nodes_visited[i]),
-            mbr_tests=int(nn.mbr_tests[i]),
-            candidates_refined=refined,
-            distance_evals=refined,
-            heap_ops=int(nn.heap_ops[i]),
-            results_produced=int(nn.results_produced[i]),
-            record_trace=False,
+def _refine(ds, res, windows: np.ndarray, is_range: np.ndarray) -> np.ndarray:
+    """Which of a :func:`batch_filter` result's candidates are answers:
+    every query's candidates in one bulk call per predicate.  Row ``i`` of
+    ``windows`` is query ``i``'s ``(xmin, ymin, xmax, ymax, eps)``, a point
+    query's window the degenerate ``(x, y, x, y)``."""
+    cand = res.cand_ids
+    rq = np.repeat(np.arange(is_range.size), np.diff(res.cand_offsets))
+    ranged = is_range[rq]
+    mask = np.empty(cand.size, dtype=bool)
+    sel = np.flatnonzero(ranged)
+    if sel.size:
+        c, q = cand[sel], windows[rq[sel]].T
+        mask[sel] = vecgeom.segments_intersect_rects(
+            ds.x1[c], ds.y1[c], ds.x2[c], ds.y2[c], *q[:4]
         )
-        out[key] = QueryPhases(
-            key,
-            is_nn=True,
-            cand_ids=np.empty(0, dtype=np.int64),
-            answer_ids=nn.answer_ids[i],
-            nn_trace=PhaseTrace(counter, regions, ids, nb),
+    sel = np.flatnonzero(~ranged)
+    if sel.size:
+        c, q = cand[sel], windows[rq[sel]].T
+        mask[sel] = vecgeom.segments_contain_points(
+            q[0], q[1], ds.x1[c], ds.y1[c], ds.x2[c], ds.y2[c], q[4]
         )
-        a = b
-    return out
+    return mask
 
 
-def _pr_phases(
-    key: tuple,
-    q: Query,
-    visited: np.ndarray,
-    node_bytes: np.ndarray,
-    cand_ids: np.ndarray,
-    answer_ids: np.ndarray,
-    mbr_tests: int,
-    costs,
-) -> QueryPhases:
-    nc = int(cand_ids.size)
-    na = int(answer_ids.size)
-    filter_trace = PhaseTrace(
-        _counts(
-            nodes_visited=int(visited.size),
-            mbr_tests=mbr_tests,
-            entries_scanned=nc,
-        ),
-        np.full(visited.size, REGION_INDEX, dtype=np.int8),
-        visited.astype(np.int64),
-        node_bytes[visited],
-    )
-    refine_fields = dict(candidates_refined=nc)
-    if nc > 0:
-        # engine.refine returns before the geometry tests when the
-        # candidate set is empty — the test tallies must stay zero then.
-        if isinstance(q, RangeQuery):
-            refine_fields["range_refine_tests"] = nc
-        else:
-            refine_fields["point_refine_tests"] = nc
-        refine_fields["results_produced"] = na
-    refine_trace = PhaseTrace(
-        _counts(**refine_fields),
-        np.concatenate(
-            [
-                np.full(nc, REGION_DATA, dtype=np.int8),
-                np.full(na, REGION_RESULT, dtype=np.int8),
-            ]
-        ),
-        np.concatenate([cand_ids.astype(np.int64), answer_ids.astype(np.int64)]),
-        np.concatenate(
-            [
-                np.full(nc, costs.segment_record_bytes, dtype=np.int64),
-                np.full(na, costs.object_id_bytes, dtype=np.int64),
-            ]
-        ),
-    )
-    merged = _counts(**filter_trace.counter.counts_dict())
-    merged.merge(refine_trace.counter)
-    answer_trace = PhaseTrace(
-        merged,
-        np.concatenate([filter_trace.regions, refine_trace.regions]),
-        np.concatenate([filter_trace.ids, refine_trace.ids]),
-        np.concatenate([filter_trace.nbytes, refine_trace.nbytes]),
-    )
-    return QueryPhases(
-        key,
-        is_nn=False,
-        cand_ids=cand_ids,
-        answer_ids=answer_ids,
-        filter_trace=filter_trace,
-        refine_trace=refine_trace,
-        answer_trace=answer_trace,
-    )
-
-
-def _compute_phases(env: Environment, todo: Dict[tuple, Query]) -> Dict[tuple, QueryPhases]:
+def _compute_phases(env: Environment, todo: Dict[tuple, Query]) -> PhaseTable:
+    """The phase table of the distinct queries ``todo`` (by key), its
+    ``rows`` in ``todo`` order: one compiled filter call and one bulk
+    refinement for the point/range queries, one compiled best-first call
+    for the NN/k-NN queries."""
     ds = env.dataset
     tree = env.tree
     costs = ds.costs
-    result: Dict[tuple, QueryPhases] = {}
-    nn_keys: List[tuple] = []
-    nn_queries: List[Query] = []
-    pr_keys: List[tuple] = []
-    pr_queries: List[Query] = []
-    for k, q in todo.items():
-        if q.kind is QueryKind.NEAREST_NEIGHBOR:
-            nn_keys.append(k)
-            nn_queries.append(q)
-        else:
-            pr_keys.append(k)
-            pr_queries.append(q)
-    if nn_queries:
-        result.update(_nn_phases_batch(env, nn_keys, nn_queries))
-    if not pr_queries:
-        return result
+    queries = list(todo.values())
+    nn_of = np.array([q.kind is QueryKind.NEAREST_NEIGHBOR for q in queries], dtype=bool)
+    # Point/range rows first, then NN rows.
+    order = np.argsort(nn_of, kind="stable")
+    rows = np.empty(order.size, dtype=np.intp)
+    rows[order] = np.arange(order.size)
+    pr = [queries[i] for i in order[: order.size - int(nn_of.sum())]]
+    nq = [queries[i] for i in order[len(pr):]]
 
-    n = len(pr_queries)
-    qx0 = np.empty(n)
-    qy0 = np.empty(n)
-    qx1 = np.empty(n)
-    qy1 = np.empty(n)
-    is_range = np.zeros(n, dtype=bool)
-    px = np.zeros(n)
-    py = np.zeros(n)
-    eps = np.zeros(n)
-    for i, q in enumerate(pr_queries):
-        if isinstance(q, RangeQuery):
-            r = q.rect
-            qx0[i], qy0[i], qx1[i], qy1[i] = r.xmin, r.ymin, r.xmax, r.ymax
-            is_range[i] = True
-        else:
-            # A point query is the degenerate window (x, y, x, y).
-            qx0[i] = qx1[i] = px[i] = q.x
-            qy0[i] = qy1[i] = py[i] = q.y
-            eps[i] = q.eps
-    res = batch_filter(tree, qx0, qy0, qx1, qy1)
+    is_range = np.array([isinstance(q, RangeQuery) for q in pr], dtype=bool)
+    windows = np.array(
+        [(q.rect.xmin, q.rect.ymin, q.rect.xmax, q.rect.ymax, 0.0) if isinstance(q, RangeQuery)
+         else (q.x, q.y, q.x, q.y, q.eps) for q in pr],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    res = batch_filter(tree, *windows.T[:4])
+    nn = batch_nearest(
+        tree, [q.x for q in nq], [q.y for q in nq], np.array([getattr(q, "k", 1) for q in nq])
+    )
+    mask = _refine(ds, res, windows, is_range)
 
-    # Bulk refinement: every query's candidates in one call per predicate.
+    n_pr, n_rows = len(pr), order.size
+    is_nn = np.arange(n_rows) >= n_pr
     cand = res.cand_ids
-    counts = np.diff(res.cand_offsets)
-    rq = np.repeat(np.arange(n, dtype=np.int64), counts)
-    x1 = ds.x1[cand]
-    y1 = ds.y1[cand]
-    x2 = ds.x2[cand]
-    y2 = ds.y2[cand]
-    mask = np.zeros(cand.size, dtype=bool)
-    range_rows = is_range[rq]
-    if np.any(range_rows):
-        sel = np.nonzero(range_rows)[0]
-        qq = rq[sel]
-        mask[sel] = vecgeom.segments_intersect_rects(
-            x1[sel], y1[sel], x2[sel], y2[sel],
-            qx0[qq], qy0[qq], qx1[qq], qy1[qq],
-        )
-    if cand.size and np.any(~range_rows):
-        sel = np.nonzero(~range_rows)[0]
-        qq = rq[sel]
-        mask[sel] = vecgeom.segments_contain_points(
-            px[qq], py[qq], x1[sel], y1[sel], x2[sel], y2[sel], eps[qq],
-        )
+    nc = np.diff(res.cand_offsets)
+    ans = np.concatenate([cand[mask], nn.ans_ids])
+    na = np.concatenate([
+        np.diff(np.cumsum(np.r_[0, mask])[res.cand_offsets]), np.diff(nn.ans_offsets)
+    ])
 
-    node_bytes = tree.node_bytes_array()
-    for i, (k, q) in enumerate(zip(pr_keys, pr_queries)):
-        o0, o1 = int(res.cand_offsets[i]), int(res.cand_offsets[i + 1])
-        c_ids = cand[o0:o1]
-        a_ids = c_ids[mask[o0:o1]]
-        result[k] = _pr_phases(
-            k, q, res.nodes_of(i), node_bytes, c_ids, a_ids,
-            int(res.mbr_tests[i]), costs,
-        )
-    return result
+    # A row's accesses, part after part: the filter's node visits (or the
+    # NN search's visits and fetches), the refinement's candidate fetches,
+    # its answer writes (also the display's, when only ids came back), and
+    # the display of each answer with its data item.  Every access is laid
+    # out at its byte address in its region (sim.cpu's layout).
+    sizes = np.stack([
+        np.concatenate([np.diff(res.visited_offsets), np.diff(nn.log_offsets)]),
+        np.concatenate([nc, np.zeros(len(nq), dtype=np.int64)]),
+        na,
+        2 * na,
+    ])
+    ends = np.cumsum(sizes.T.ravel()).reshape(n_rows, len(sizes)).T
+    starts = ends - sizes
+    addrs = np.empty(int(sizes.sum()), dtype=np.int64)
+    nbytes = np.empty(addrs.size, dtype=np.int64)
+    bases = np.array(REGION_BASES, dtype=np.int64)
+    strides = np.array(region_strides(costs), dtype=np.int64)
+
+    def place(part, every=1):
+        """Where each access of ``part`` goes, each row's from its start:
+        every ``every``-th position, for ``every`` accesses per id."""
+        n = sizes[part] // every
+        at = np.arange(0, every * int(n.sum()), every)
+        at += np.repeat(starts[part] - every * (np.cumsum(n) - n), n)
+        return at
+
+    def put(at, region, ids, size):
+        addrs[at] = bases[region] + ids * strides[region]
+        nbytes[at] = size
+
+    seg, oid = costs.segment_record_bytes, costs.object_id_bytes
+    log_entry = np.concatenate([np.zeros(res.visited.size, dtype=bool), nn.log_is_entry])
+    log_ids = np.concatenate([res.visited, nn.log_ids])
+    log_nbytes = np.full(log_ids.size, seg, dtype=np.int64)
+    nodes = ~log_entry
+    log_nbytes[nodes] = tree.node_bytes_array()[log_ids[nodes]]
+    put(place(0), np.where(log_entry, REGION_DATA, REGION_INDEX), log_ids, log_nbytes)
+    put(place(1), REGION_DATA, cand, seg)
+    put(place(2), REGION_RESULT, ans, oid)
+    at = place(3, every=2)
+    put(at, REGION_RESULT, ans, oid)
+    put(at + 1, REGION_DATA, ans, seg)
+    spans = (
+        (starts[0], np.where(is_nn, starts[0], ends[0])),  # filter
+        (starts[1], np.where(is_nn, starts[1], ends[2])),  # refine
+        (starts[0], np.where(is_nn, ends[0], ends[2])),  # answer
+        (starts[3], ends[3]),  # display with data items
+        (starts[2], ends[2]),  # display without
+    )
+
+    counts = np.zeros((_KINDS, n_rows, len(_FIELD)), dtype=np.int64)
+    filt, refine = counts[FILTER, :n_pr], counts[REFINE, :n_pr]
+    _set(filt, nodes_visited=np.diff(res.visited_offsets), mbr_tests=res.mbr_tests,
+         entries_scanned=nc)
+    # A window with no candidates refines nothing: zero counts, as
+    # engine.refine returns before its geometry tests.
+    _set(refine, candidates_refined=nc, point_refine_tests=np.where(is_range, 0, nc),
+         range_refine_tests=np.where(is_range, nc, 0), results_produced=na[:n_pr])
+    counts[ANSWER, :n_pr] = filt + refine
+    _set(counts[ANSWER, n_pr:], nodes_visited=nn.nodes_visited, mbr_tests=nn.mbr_tests,
+         candidates_refined=nn.candidates_refined, distance_evals=nn.candidates_refined,
+         heap_ops=nn.heap_ops, results_produced=nn.results_produced)
+    counts[DISPLAY_DATA:, :, _FIELD["results_produced"]] = na
+
+    return PhaseTable(
+        rows=rows,
+        is_nn=is_nn,
+        cand_offsets=np.concatenate([res.cand_offsets, np.full(len(nq), cand.size)]),
+        cand_ids=cand,
+        ans_offsets=np.concatenate([[0], np.cumsum(na)]),
+        ans_ids=ans,
+        addrs=addrs,
+        nbytes=nbytes,
+        starts=np.stack([s for s, _ in spans]),
+        ends=np.stack([e for _, e in spans]),
+        counts=counts,
+    )
 
 
-def compute_query_phases(
-    env: Environment,
-    queries: Sequence[Query],
-    cache: Optional[PhaseDataCache] = None,
-) -> List[QueryPhases]:
-    """Phase data for every query, deduplicated and cache-backed.
-
-    Repeated queries (by :func:`~repro.core.queries.query_key`) share one
-    :class:`QueryPhases`; with a ``cache``, phase data survives across
-    calls — the plan-dedup layer of the batched planner.
-    """
-    out: List[Optional[QueryPhases]] = [None] * len(queries)
-    keys: List[tuple] = []
-    missing: Dict[tuple, Query] = {}
-    for i, q in enumerate(queries):
-        k = query_key(q)
-        keys.append(k)
-        phases = cache.get(k) if cache is not None else None
-        if phases is not None:
-            out[i] = phases
-        elif k not in missing:
-            missing[k] = q
-    if missing:
-        fresh = _compute_phases(env, missing)
-        if cache is not None:
-            for k, phases in fresh.items():
-                cache.put(k, phases)
-        for i, k in enumerate(keys):
-            if out[i] is None:
-                out[i] = fresh[k]
-    return out  # type: ignore[return-value]
+def compute_query_phases(env: Environment, queries: Sequence[Query]) -> PhaseTable:
+    """The phase table of ``queries``: each distinct query (by
+    :func:`~repro.core.queries.query_key`) is computed once, and repeats
+    share its row."""
+    keys = [query_key(q) for q in queries]
+    todo: Dict[tuple, Query] = {}
+    for k, q in zip(keys, queries):
+        todo.setdefault(k, q)
+    table = _compute_phases(env, todo)
+    pos = {k: i for i, k in enumerate(todo)}
+    return replace(table, rows=table.rows[np.array([pos[k] for k in keys], dtype=np.intp)])
 
 
 # ----------------------------------------------------------------------
 # Cache replay + plan assembly
 # ----------------------------------------------------------------------
-def _answer(qp: QueryPhases, config: SchemeConfig, costs) -> PhaseTrace:
-    return qp.nn_trace if qp.is_nn else qp.answer_trace
-
-
-def _display(qp: QueryPhases, config: SchemeConfig, costs) -> PhaseTrace:
-    return qp.display(not config.data_at_client, costs)
-
-
 def _result(n: int, config: SchemeConfig, costs):
     return (id_list_payload if config.data_at_client else data_items_payload)(n, costs)
 
 
+#: The display step's phase kind, chosen per configuration (:func:`_spec`).
+_DISPLAY = -1
+
 #: Each scheme's plan, step by step as ``plan_query`` builds it.  A compute
-#: step is ``(step type, labels, phase)``: its labels for point/range and
-#: for NN queries, and ``phase(query phases, config, costs)``, the trace it
-#: prices.  A message is ``(step type, payload, count)``:
-#: ``payload(n, config, costs)`` for the query's candidate (``count`` 0) or
-#: result (1) count.
+#: step is ``(step type, labels, kind)``: its labels for point/range and
+#: for NN queries, and the phase kind it prices.  A message is
+#: ``(step type, payload, count)``: ``payload(n, config, costs)`` for the
+#: query's candidate (``count`` 0) or result (1) count.
 _PLANS = {
     Scheme.FULLY_CLIENT: (
-        (ClientComputeStep, ("filter + refine at client", "nn search at client"), _answer),
+        (ClientComputeStep, ("filter + refine at client", "nn search at client"), ANSWER),
     ),
     Scheme.FULLY_SERVER: (
         (SendStep, lambda n, _, costs: request_payload(costs), 0),
-        (ServerComputeStep, ("filter + refine at server", "nn search at server"), _answer),
+        (ServerComputeStep, ("filter + refine at server", "nn search at server"), ANSWER),
         (RecvStep, _result, 1),
-        (ClientComputeStep, ("display",) * 2, _display),
+        (ClientComputeStep, ("display",) * 2, _DISPLAY),
     ),
     Scheme.FILTER_CLIENT_REFINE_SERVER: (
-        (ClientComputeStep, ("filter at client",) * 2, lambda qp, *_: qp.filter_trace),
+        (ClientComputeStep, ("filter at client",) * 2, FILTER),
         (SendStep, lambda n, _, costs: request_with_candidates_payload(n, costs), 0),
-        (ServerComputeStep, ("refine at server",) * 2, lambda qp, *_: qp.refine_trace),
+        (ServerComputeStep, ("refine at server",) * 2, REFINE),
         (RecvStep, _result, 1),
-        (ClientComputeStep, ("display",) * 2, _display),
+        (ClientComputeStep, ("display",) * 2, _DISPLAY),
     ),
     Scheme.FILTER_SERVER_REFINE_CLIENT: (
         (SendStep, lambda n, _, costs: request_payload(costs), 0),
-        (ServerComputeStep, ("filter at server",) * 2, lambda qp, *_: qp.filter_trace),
+        (ServerComputeStep, ("filter at server",) * 2, FILTER),
         (RecvStep, lambda n, _, costs: id_list_payload(n, costs), 0),
-        (ClientComputeStep, ("refine at client",) * 2, lambda qp, *_: qp.refine_trace),
+        (ClientComputeStep, ("refine at client",) * 2, REFINE),
     ),
 }
-#: Each scheme's step template, and its compute steps' phases on each side.
+#: Each scheme's step template.
 _TEMPLATE = {scheme: tuple(s[0] for s in steps) for scheme, steps in _PLANS.items()}
 _SIDES = (ClientComputeStep, ServerComputeStep)
-_PHASES = {
-    scheme: [[s[2] for s in steps if s[0] is side] for side in _SIDES]
-    for scheme, steps in _PLANS.items()
-}
+
+
+def _spec(config: SchemeConfig, costs) -> tuple:
+    """``config``'s step template; each side's compute steps' phase kinds,
+    in step order (the client displays the data items it received, unless
+    the data sits at the client and only ids came back); and each message
+    step's payload as ``(zero, per, count)``: ``zero + per * n`` bytes for
+    the query's ``n`` candidates (``count`` 0) or results (1), since every
+    payload of :mod:`repro.core.messages` is affine in its count."""
+    display = DISPLAY_IDS if config.data_at_client else DISPLAY_DATA
+    steps = _PLANS[config.scheme]
+    kinds = [
+        np.array([display if s[2] == _DISPLAY else s[2] for s in steps if s[0] is side],
+                 dtype=np.intp)
+        for side in _SIDES
+    ]
+    sizes = {}
+    for pos, (kind, payload, count) in enumerate(steps):
+        if kind not in _SIDES:
+            zero = payload(0, config, costs).nbytes
+            sizes[pos] = (zero, payload(1, config, costs).nbytes - zero, count)
+    return _TEMPLATE[config.scheme], kinds, sizes
 
 
 def _add_streams(
     batch: BatchedLRU,
-    named: Dict[Hashable, List[PhaseTrace]],
+    table: PhaseTable,
+    named: Dict[Hashable, list],
     seeds: Dict[Hashable, np.ndarray],
     sim: CacheSim,
-    costs,
     handles: Dict[Hashable, int],
     at: Dict[Hashable, int],
-) -> Tuple[range, List[PhaseTrace]]:
-    """Add one side's named streams to ``batch`` as one block; returns the
-    block's handles.
+) -> Tuple[range, np.ndarray]:
+    """Add one side's named streams to ``batch`` as one block.
 
-    Each stream is its traces' accesses end to end, one phase per trace, at
-    the byte addresses of :mod:`repro.sim.cpu`'s region layout, computed in
-    one step for the whole side.  Unseeded streams with identical trace
-    sequences replay identically from cold, so they share one stream.  Each
-    name's stream handle goes into ``handles`` and its first phase within
-    the block into ``at``.  Also returns the block's traces, one per phase.
+    ``named`` maps each name to its phases, as arrays of flat
+    ``(kind, row)`` indices into ``table``'s spans and counts, and their
+    number.  Each stream is its phases' accesses end to end, gathered from
+    the table in one step for the whole side.  Unseeded streams with
+    identical phase sequences replay identically from cold, so they share
+    one stream.  Each name's stream handle goes into ``handles`` and its
+    first phase within the block into ``at``.  Returns the block's handles
+    and its phases.
     """
-    specs: List[Tuple[List[PhaseTrace], Optional[np.ndarray]]] = []
+    specs: List[tuple] = []
     spec_of: Dict[Hashable, int] = {}
-    cold: Dict[tuple, int] = {}
-    for name, traces in named.items():
-        if not traces:
+    cold: Dict[bytes, int] = {}
+    for name, (parts, n) in named.items():
+        if not n:
             continue
         seed = seeds.get(name)
         if seed is None:
-            k = cold.setdefault(tuple(map(id, traces)), len(specs))
+            k = cold.setdefault(np.concatenate(parts).tobytes(), len(specs))
         else:
             k = len(specs)
         if k == len(specs):
-            specs.append((traces, seed))
+            specs.append((parts, n, seed))
         spec_of[name] = k
-    traces = [t for ts, _ in specs for t in ts]
-    if not traces:
-        return range(0), traces
-    regions = np.concatenate([t.regions for t in traces])
-    addrs = np.concatenate([t.ids for t in traces]).astype(np.int64, copy=False)
-    addrs *= np.array(region_strides(costs), dtype=np.int64)[regions]
-    addrs += np.array(REGION_BASES, dtype=np.int64)[regions]
-    nbytes = np.concatenate([t.nbytes for t in traces])
-    phase_ends = np.cumsum([t.regions.size for t in traces], dtype=np.int64)
-    starts = np.cumsum([0] + [len(ts) for ts, _ in specs]).tolist()
+    if not specs:
+        return range(0), np.empty(0, dtype=np.intp)
+    phases = np.concatenate([p for parts, _, _ in specs for p in parts])
+    # One multi-range gather: phase j's accesses are the table's from
+    # lo[j] to lo[j] + size[j].
+    lo = table.starts.ravel()[phases]
+    size = table.ends.ravel()[phases] - lo
+    phase_ends = np.cumsum(size)
+    gather = np.repeat(lo - (phase_ends - size), size)
+    gather += np.arange(gather.size)
+    stream_ends = np.cumsum([n for _, n, _ in specs]).tolist()
     seed_ways = None
-    if any(seed is not None for _, seed in specs):
+    if any(seed is not None for *_, seed in specs):
         cold_ways = np.full((sim.n_sets, sim.assoc), -1, dtype=np.int64)
-        seed_ways = np.stack([cold_ways if w is None else w for _, w in specs])
+        seed_ways = np.stack([cold_ways if w is None else w for *_, w in specs])
     block = batch.add_streams(
-        addrs, nbytes, phase_ends, starts[1:],
+        table.addrs[gather], table.nbytes[gather], phase_ends, stream_ends,
         sim.line_bytes, sim.n_sets, sim.assoc, seed_ways,
     )
     for name, k in spec_of.items():
-        handles[name], at[name] = block[k], starts[k]
-    return block, traces
+        handles[name], at[name] = block[k], stream_ends[k] - specs[k][1]
+    return block, phases
 
 
 def _assemble_plan(
-    query: Query, config: SchemeConfig, qp: QueryPhases, costs, slot_costs: list
+    query: Query, config: SchemeConfig, row: PhaseRow, costs, slot_costs: list
 ) -> QueryPlan:
     """``plan_query``'s plan, with its compute steps pre-priced:
     ``slot_costs`` holds a :class:`~repro.sim.cpu.ComputeCost` per client
     step and cycles per server step, in step order."""
-    counts = (int(qp.cand_ids.size), int(qp.answer_ids.size))
+    counts = (int(row.cand_ids.size), int(row.answer_ids.size))
     slots = iter(slot_costs)
     steps: List[PlanStep] = [
-        kind(next(slots), a[qp.is_nn]) if kind in _SIDES else kind(a(counts[b], config, costs))
+        kind(next(slots), a[row.is_nn]) if kind in _SIDES else kind(a(counts[b], config, costs))
         for kind, a, b in _PLANS[config.scheme]
     ]
-    return QueryPlan(query, config, steps, qp.answer_ids, *counts)
+    return QueryPlan(query, config, steps, row.answer_ids, *counts)
 
 
-def _tallies(traces: Sequence[PhaseTrace]) -> OpCounter:
-    """The traces' op counts as one counter of int64 columns, a row per
-    trace: the array form the CPU models' ``compute_replayed`` price."""
-    fields = OpCounter._COUNT_FIELDS
-    counts = chain.from_iterable(map(operator.attrgetter(*fields), (t.counter for t in traces)))
-    counts = np.fromiter(counts, dtype=np.int64, count=len(fields) * len(traces))
-    return OpCounter(*counts.reshape(-1, len(fields)).T, record_trace=False)
+def _answers(table: PhaseTable, rows: np.ndarray) -> PlanAnswers:
+    """The answer ids and tallies of the plans of table ``rows``."""
+    a, c = table.ans_offsets, table.cand_offsets
+    lo, hi = a[rows].tolist(), a[rows + 1].tolist()
+    return PlanAnswers([table.ans_ids[i:j] for i, j in zip(lo, hi)],
+                       (c[rows + 1] - c[rows]).tolist(), [j - i for i, j in zip(lo, hi)])
 
 
-def _answers(phases: Sequence[QueryPhases]) -> PlanAnswers:
-    """The answer ids and tallies each query's plans carry."""
-    return PlanAnswers([qp.answer_ids for qp in phases], [qp.cand_ids.size for qp in phases],
-                       [qp.answer_ids.size for qp in phases])
-
-
-#: One replay group: ``(queries, phase data, scheme, client-stream name,
+#: One replay group: ``(table rows, scheme, client-stream name,
 #: server-stream name)``; see :func:`_replay_workload`.
-_Group = Tuple[Sequence[Query], Sequence[QueryPhases], SchemeConfig, Hashable, Hashable]
+_Group = Tuple[np.ndarray, SchemeConfig, Hashable, Hashable]
 
 
 def _replay_workload(
     env: Environment,
+    table: PhaseTable,
     groups: Sequence[_Group],
     seeds: Dict[Hashable, np.ndarray],
 ) -> Tuple[Dict[tuple, tuple], Dict[Hashable, tuple]]:
     """Replay every group's data-cache streams and price its plans as columns.
 
     The one replay builder, behind :func:`plan_workload_batched` and
-    :meth:`repro.serve.QueryService._replay_batch`.  ``groups`` come in
+    :meth:`repro.serve.QueryService._replay_batch`.  A group plans the
+    queries at its ``table`` rows under its scheme.  ``groups`` come in
     replay order; each group's client phases run on the stream its client
     name names and its server phases on the stream its server name names,
     so a name several groups share is one timeline continuing across them
     (a name is a client name or a server name, never both).
     ``seeds`` warm-starts streams by name with a way matrix
     (:meth:`repro.sim.cache.CacheSim.ways`); other streams start cold, and
-    cold streams with identical trace sequences are simulated once.  Each
+    cold streams with identical phase sequences are simulated once.  Each
     side's streams are one :meth:`~repro.sim.cache.BatchedLRU.add_streams`
     block, and each side's phases are priced in one ``compute_replayed``.
 
@@ -626,21 +482,30 @@ def _replay_workload(
     matrix and per-phase hits and lines (a name with no phases has none).
     """
     costs = env.dataset.costs
+    n_rows = table.is_nn.size
 
-    # Each side's named streams of phase traces, in replay order, and, per
-    # step template, its groups: each one's first plan, its phase data, its
-    # configuration, its stream names and where its phases start in them.
-    named: List[Dict[Hashable, List[PhaseTrace]]] = [{}, {}]
+    # Each side's named streams, in replay order: per name, its groups'
+    # phases as flat (kind, row) indices and their number.  Per step
+    # template, its groups: each one's first plan, table rows, message
+    # sizes, stream names and where its phases start in them.
+    named: List[Dict[Hashable, list]] = [{}, {}]
     layout: Dict[tuple, list] = {}
-    row = 0
-    for _, phases, config, *names in groups:
-        streams = [side.setdefault(name, []) for side, name in zip(named, names)]
-        layout.setdefault(_TEMPLATE[config.scheme], []).append(
-            (row, phases, config, names, [len(traces) for traces in streams])
-        )
-        row += len(phases)
-        for traces, get in zip(streams, _PHASES[config.scheme]):
-            traces += [phase(qp, config, costs) for qp in phases for phase in get]
+    by_config: Dict[SchemeConfig, tuple] = {}
+    plan = 0
+    for rows, config, *names in groups:
+        spec = by_config.get(config)
+        if spec is None:
+            spec = by_config[config] = _spec(config, costs)
+        template, kinds, sizes = spec
+        firsts = []
+        for side, name, side_kinds in zip(named, names, kinds):
+            stream = side.setdefault(name, [[], 0])
+            firsts.append(stream[1])
+            if side_kinds.size:
+                stream[0].append((rows[:, None] + side_kinds * n_rows).ravel())
+                stream[1] += rows.size * side_kinds.size
+        layout.setdefault(template, []).append((plan, rows, sizes, names, firsts))
+        plan += rows.size
 
     # One block per side.  ``at`` points each name at its stream's first
     # phase in its side's per-phase hits and misses.
@@ -648,57 +513,60 @@ def _replay_workload(
     handles: Dict[Hashable, int] = {}
     at: Dict[Hashable, int] = {}
     sims = (env.client_cpu.dcache, env.server_cpu.l1)
-    sides = [_add_streams(batch, s, seeds, sim, costs, handles, at) for s, sim in zip(named, sims)]
+    sides = [_add_streams(batch, table, s, seeds, sim, handles, at)
+             for s, sim in zip(named, sims)]
     batch.run()
     replayed = [batch.phases_of(block) for block, _ in sides]
     finals = {}
     for side, (hits, lines) in zip(named, replayed):
-        for name, traces in side.items():
+        for name, (_, n) in side.items():
             if name in handles:
-                span = slice(at[name], at[name] + len(traces))
+                span = slice(at[name], at[name] + n)
                 finals[name] = (batch.final_ways(handles[name]), hits[span], lines[span])
     del batch  # free the accesses and per-line verdicts before pricing
 
-    # Price every phase of each side in one call, then gather the phases
-    # behind the blocks' compute columns, block by block and step by step,
-    # so that each compute column is a slice.
+    # Price every phase of each side in one call, its op counts one row
+    # gather from the table, then gather the phases behind the blocks'
+    # compute columns, block by block and step by step, so that each
+    # compute column is a slice.
     cpus = (env.client_cpu, env.server_cpu)
-    priced = [cpu.compute_replayed(_tallies(traces), hits, lines - hits)
-              for cpu, (_, traces), (hits, lines) in zip(cpus, sides, replayed)]
+    per_phase = table.counts.reshape(-1, len(_FIELD))
+    priced = [
+        cpu.compute_replayed(OpCounter(*per_phase[phases].T, record_trace=False),
+                             hits, lines - hits)
+        for cpu, (_, phases), (hits, lines) in zip(cpus, sides, replayed)
+    ]
     picks: List[List[int]] = [[], []]
     for template, parts in layout.items():
         for i, (kind, slots) in enumerate(zip(_SIDES, picks)):
             k = template.count(kind)
             for pos in range(k):
-                for _, phases, _, names, first in parts:
-                    lo = at.get(names[i], 0) + first[i]
-                    slots.extend(range(lo + pos, lo + k * len(phases), k))
+                for _, rows, _, names, firsts in parts:
+                    lo = at.get(names[i], 0) + firsts[i]
+                    slots.extend(range(lo + pos, lo + k * rows.size, k))
     taken = {
         ClientComputeStep: _take(priced[0], np.array(picks[0], dtype=np.intp)),
         ServerComputeStep: priced[1].cycles[np.array(picks[1], dtype=np.intp)],
     }
     used = dict.fromkeys(taken, 0)
+    # A message column is ``zero + per * count`` of each plan's candidate
+    # or result count, its coefficients its group's.
+    n_counts = np.stack([np.diff(table.cand_offsets), np.diff(table.ans_offsets)])
     blocks: Dict[tuple, tuple] = {}
     for template, parts in layout.items():
-        rows: List[int] = []
-        sizes = {pos: [] for pos, kind in enumerate(template) if kind not in taken}
-        for r, phases, config, _, _ in parts:
-            rows.extend(range(r, r + len(phases)))
-            for pos, column in sizes.items():
-                # Every payload of repro.core.messages is affine in its count.
-                _, payload, count = _PLANS[config.scheme][pos]
-                zero = payload(0, config, costs).nbytes
-                per = payload(1, config, costs).nbytes - zero
-                column += [zero + per * (qp.answer_ids if count else qp.cand_ids).size
-                           for qp in phases]
+        plans = np.concatenate([np.arange(p, p + r.size) for p, r, *_ in parts])
+        rows = np.concatenate([r for _, r, *_ in parts])
+        n_of = [r.size for _, r, *_ in parts]
         columns = []
         for pos, kind in enumerate(template):
             if kind in taken:
-                columns.append(_take(taken[kind], slice(used[kind], used[kind] + len(rows))))
-                used[kind] += len(rows)
+                columns.append(_take(taken[kind], slice(used[kind], used[kind] + rows.size)))
+                used[kind] += rows.size
             else:
-                columns.append(np.array(sizes[pos], dtype=np.int64))
-        blocks[template] = (template, np.array(rows, dtype=np.intp), columns)
+                zero, per, count = (np.repeat(v, n_of)
+                                    for v in zip(*(sizes[pos] for _, _, sizes, *_ in parts)))
+                columns.append(zero + per * n_counts[count, rows])
+        blocks[template] = (template, plans, columns)
     return blocks, finals
 
 
@@ -715,7 +583,6 @@ def plan_workload_batched(
     configs: Sequence[SchemeConfig],
     *,
     reset_caches: bool = True,
-    phase_cache: Optional[PhaseDataCache] = None,
 ) -> List[PlanColumns]:
     """Plan every query under every scheme configuration at once.
 
@@ -741,23 +608,24 @@ def plan_workload_batched(
     # error before doing any work, checking the first query of each kind.
     kinds = {q.kind: q for q in reversed(queries)}.values()
     validate_pairs((config, q) for config in configs for q in kinds)
-    phases = compute_query_phases(env, queries, phase_cache)
+    phases = compute_query_phases(env, queries)
+    rows = phases.rows
     sims = (env.client_cpu.dcache, env.server_cpu.l1)
     if reset_caches:
         groups = [
-            (queries, phases, config, ("client", i), ("server", i))
+            (rows, config, ("client", i), ("server", i))
             for i, config in enumerate(configs)
         ]
         seeds: Dict[Hashable, np.ndarray] = {}
     else:
-        groups = [(queries, phases, config, "client", "server") for config in configs]
+        groups = [(rows, config, "client", "server") for config in configs]
         seeds = {"client": sims[0].ways(), "server": sims[1].ways()}
-    blocks, finals = _replay_workload(env, groups, seeds)
+    blocks, finals = _replay_workload(env, phases, groups, seeds)
 
     # Leave the environment's caches exactly as the scalar loop would.
     if reset_caches:
         env.reset_caches()
-    for sim, name in zip(sims, groups[-1][3:]):
+    for sim, name in zip(sims, groups[-1][2:]):
         if name in finals:
             ways, hits, lines = finals[name]
             sim.load_ways(ways)
@@ -765,7 +633,7 @@ def plan_workload_batched(
             sim.misses += int((lines - hits).sum())
 
     # Configuration i's plans are group i's rows of its template's block.
-    answers, n, firsts, out = _answers(phases), len(queries), {}, []
+    answers, n, firsts, out = _answers(phases, rows), len(queries), {}, []
     for config in configs:
         template, _, columns = blocks[_TEMPLATE[config.scheme]]
         first = firsts[template] = firsts.get(template, -n) + n

@@ -139,10 +139,11 @@ Query = Union[PointQuery, RangeQuery, NNQuery, KNNQuery]
 def query_key(q: Query) -> tuple:
     """A stable identity tuple for one query: kind plus its defining fields.
 
-    This is the hashing/equality contract for every cache keyed on queries
-    (the batched planner's phase-dedup cache): an explicit enumeration of
-    the fields that determine the query's answer, rather than ``repr``
-    formatting, so cache identity can never drift with dataclass cosmetics.
+    This is the hashing/equality contract for everything keyed on queries
+    (the batched planner's phase table, one row per distinct key): an
+    explicit enumeration of the fields that determine the query's answer,
+    rather than ``repr`` formatting, so identity can never drift with
+    dataclass cosmetics.
     """
     if isinstance(q, PointQuery):
         return ("point", q.x, q.y, q.eps)

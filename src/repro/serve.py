@@ -10,9 +10,10 @@ of :class:`~repro.data.workloads.QueryRequest` arrivals, and the service
    (``battery_j``),
 2. **coalesces** admitted queries across clients into micro-batches (up to
    ``max_batch`` queries, formed after a ``batch_window_s`` collection
-   window), planned by one batched traversal and priced by one vectorized
-   grid call — the cross-client amortization the batched planner/pricer
-   were built for, and
+   window), each replayed from the stream's phase table (one batched
+   traversal of every distinct query of the stream, made before
+   admission) and priced by one vectorized grid call — the cross-client
+   amortization the batched planner/pricer were built for, and
 3. **prices contention** with a simple queueing/service-time model over
    :class:`~repro.sim.server.ServerCPU`: the server is a single resource,
    so each query's server-side compute serializes within its batch, and a
@@ -52,7 +53,7 @@ from repro.api import Session
 # The replay builder is looked up through its module at call time, so a
 # wrapper rebound there (perfbench's tracer) sees serve's replays too.
 from repro.core import batchplan
-from repro.core.batchplan import compute_query_phases
+from repro.core.batchplan import PhaseTable, compute_query_phases
 from repro.core.executor import (
     Environment,
     QueryPlan,
@@ -270,7 +271,7 @@ class QueryService:
 
     ``source`` is a :class:`~repro.data.model.SegmentDataset`, a ready
     :class:`~repro.core.executor.Environment`, or a
-    :class:`~repro.api.Session` to share (its phase cache and ledger are
+    :class:`~repro.api.Session` to share (its environment and ledger are
     then common; the ``ledger`` keyword must stay unset).
 
     ``max_queue`` bounds the arrival queue (arrivals beyond it are
@@ -324,10 +325,12 @@ class QueryService:
         or the server's free time if later), admits every arrival up to it
         against the queue bound and each client's battery budget, then
         serves up to ``max_batch`` queued queries as one micro-batch.
-        ``planner`` selects the coalesced batched path or the per-query
-        serial reference (:data:`SERVE_PLANNERS`); both yield identical
-        answers and cache states, and energies equal to the pricers'
-        agreement tolerance.
+        The batched planner computes every request's phase data in one
+        call before the loop, so a query repeated anywhere in the stream
+        is traversed once.  ``planner`` selects the coalesced batched path
+        or the per-query serial reference (:data:`SERVE_PLANNERS`); both
+        yield identical answers and cache states, and energies equal to
+        the pricers' agreement tolerance.
         """
         if planner not in SERVE_PLANNERS:
             raise ValueError(
@@ -352,6 +355,8 @@ class QueryService:
         validate_pairs((scheme_of(r), r.query) for r in reqs)
 
         env = self.session.env
+        if planner == "batched":
+            phases = compute_query_phases(env, [r.query for r in reqs])
         states = {cid: _ClientState(p, env) for cid, p in profiles.items()}
         server_ways = _cold_ways(env.server_cpu.l1)
         outcomes: List[Optional[QueryOutcome]] = [None] * len(reqs)
@@ -390,7 +395,9 @@ class QueryService:
             n_batches += 1
             batch_reqs = [reqs[k] for k in batch]
             if planner == "batched":
-                cols = self._replay_batch(batch_reqs, states, server_ways)
+                cols = self._replay_batch(
+                    batch_reqs, phases, phases.rows[batch], states, server_ways
+                )
                 results = self._price_batch(batch_reqs, cols, states)
             else:
                 cols, results = self._serve_serial(
@@ -459,16 +466,18 @@ class QueryService:
     def _replay_batch(
         self,
         batch_reqs: List[QueryRequest],
+        phases: PhaseTable,
+        rows: np.ndarray,
         states: Dict[int, _ClientState],
         server_ways: np.ndarray,
     ) -> PlanColumns:
         """Plan one micro-batch through the batched machinery.
 
-        One phase computation covers every distinct query in the batch
-        (cross-client dedup through the session's phase cache).  The replay
-        builder then gets one group per request, in dispatch order: each
-        client's phases run on that client's private D-cache stream and
-        every server phase on the one shared server-L1 stream, each
+        ``rows`` are the requests' rows of the stream's phase table
+        ``phases``.  The replay builder gets one group per request, in
+        dispatch order: each client's phases run on that client's private
+        D-cache stream and every server phase on the one shared server-L1
+        stream, each
         warm-seeded from its saved way matrix so every timeline continues
         exactly where the last batch left it.  The environment's own
         caches are never touched; the per-client way matrices and
@@ -476,25 +485,23 @@ class QueryService:
         one per request, as columns.
         """
         env = self.session.env
-        phases = compute_query_phases(
-            env, [r.query for r in batch_reqs], self.session.phase_cache
-        )
         groups = [
-            ([r.query], [qp], states[r.client_id].profile.scheme, r.client_id, "server")
-            for r, qp in zip(batch_reqs, phases)
+            (rows[k : k + 1], states[r.client_id].profile.scheme, r.client_id, "server")
+            for k, r in enumerate(batch_reqs)
         ]
         seeds = {r.client_id: states[r.client_id].ways for r in batch_reqs}
         seeds["server"] = server_ways
-        blocks, finals = batchplan._replay_workload(env, groups, seeds)
+        blocks, finals = batchplan._replay_workload(env, phases, groups, seeds)
         for name, (final, *_) in finals.items():
             # Client ids are ints, so no client stream is named "server".
             ways = server_ways if name == "server" else states[name].ways
             ways[...] = final
         return PlanColumns(
             list(blocks.values()),
-            batchplan._answers(phases),
+            batchplan._answers(phases, rows),
             lambda k, slot_costs: batchplan._assemble_plan(
-                batch_reqs[k].query, groups[k][2], phases[k], env.dataset.costs, slot_costs
+                batch_reqs[k].query, groups[k][1], phases.row(rows[k]),
+                env.dataset.costs, slot_costs,
             ),
         )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
@@ -236,34 +236,43 @@ def _scalar_filter(tree, qxmin, qymin, qxmax, qymax) -> BatchFilterResult:
 # ----------------------------------------------------------------------
 # Best-first (k-)NN
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class BatchNNResult:
-    """Per-query outputs of one batched NN/k-NN search.
+    """Per-query outputs of one batched NN/k-NN search, in CSR form.
 
-    ``answer_ids[i]`` are query ``i``'s result ids, nearest first (scalar
-    order, including the ``(distance, id)`` final sort).  The visit/refine
-    log is ``(trace_is_entry[i], trace_ids[i])``: in pop order, ``True``
-    rows are candidate-segment refinements (data-region touches), ``False``
-    rows are index-node visits.  Count arrays are the scalar OpCounter
-    tallies; ``distance_evals`` always equals ``candidates_refined`` for
-    this query kind.
+    Query ``i``'s answer ids (:meth:`answers_of`) are nearest first, in
+    scalar order (including the ``(distance, id)`` final sort).  Its
+    visit/refine log (:meth:`log_of`) is in pop order: ``True`` rows are
+    candidate-segment refinements (data-region touches), ``False`` rows
+    are index-node visits.  Count arrays are the scalar OpCounter tallies;
+    ``distance_evals`` always equals ``candidates_refined`` for this query
+    kind.
     """
 
-    answer_ids: List[np.ndarray]
-    trace_is_entry: List[np.ndarray]
-    trace_ids: List[np.ndarray]
+    #: Answer ids, all queries concatenated.
+    ans_ids: np.ndarray
+    #: ``(n_queries + 1,)`` offsets into :attr:`ans_ids`.
+    ans_offsets: np.ndarray
+    #: Log rows: whether each is a candidate refinement, and its node or
+    #: segment id; all queries concatenated.
+    log_is_entry: np.ndarray
+    log_ids: np.ndarray
+    #: ``(n_queries + 1,)`` offsets into the log arrays.
+    log_offsets: np.ndarray
     nodes_visited: np.ndarray
     mbr_tests: np.ndarray
     candidates_refined: np.ndarray
     heap_ops: np.ndarray
     results_produced: np.ndarray
-    # The per-query trace arrays above are views into these flat logs;
-    # query ``i`` owns rows ``[log_ends[i-1], log_ends[i])``.  Consumers
-    # that post-process the whole batch (the planner's phase builder) work
-    # on the flat arrays directly instead of re-concatenating the views.
-    flat_is_entry: np.ndarray = None  # type: ignore[assignment]
-    flat_ids: np.ndarray = None  # type: ignore[assignment]
-    log_ends: np.ndarray = None  # type: ignore[assignment]
+
+    def answers_of(self, i: int) -> np.ndarray:
+        """Query ``i``'s answer ids, nearest first."""
+        return self.ans_ids[self.ans_offsets[i] : self.ans_offsets[i + 1]]
+
+    def log_of(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Query ``i``'s visit/refine log: ``(is_entry, ids)`` in pop order."""
+        lo, hi = self.log_offsets[i], self.log_offsets[i + 1]
+        return self.log_is_entry[lo:hi], self.log_ids[lo:hi]
 
 
 def batch_nearest(tree: PackedRTree, px, py, ks) -> BatchNNResult:
@@ -326,9 +335,9 @@ def batch_nearest(tree: PackedRTree, px, py, ks) -> BatchNNResult:
             else:
                 heap = _grow(heap, 0)
     end = log_offsets[n]
-    return _nn_result(
+    return BatchNNResult(
         ans[: ans_offsets[n]], ans_offsets, log_entry[:end], log_id[:end],
-        log_offsets, tallies,
+        log_offsets, *tallies,
     )
 
 
@@ -345,30 +354,12 @@ def _scalar_nearest(tree, px, py, ks) -> BatchNNResult:
          c.results_produced)
         for c in counters
     ]
-    return _nn_result(
+    return BatchNNResult(
         np.concatenate(answers) if answers else np.empty(0, dtype=np.int64),
         _offsets(a.size for a in answers),
         np.array([a.region == REGION_DATA for a in trace], dtype=bool),
         np.array([a.object_id for a in trace], dtype=np.int64),
         _offsets(len(c.trace) for c in counters),
-        np.array(tallies, dtype=np.int64).reshape(-1, 5).T,
+        *np.array(tallies, dtype=np.int64).reshape(-1, 5).T,
     )
 
-
-def _nn_result(ans, ans_offsets, log_entry, log_id, log_offsets, tallies) -> BatchNNResult:
-    """The :class:`BatchNNResult` over flat CSR arrays, per-query views cut."""
-    a = ans_offsets.tolist()
-    o = log_offsets.tolist()
-    return BatchNNResult(
-        answer_ids=[ans[lo:hi] for lo, hi in zip(a, a[1:])],
-        trace_is_entry=[log_entry[lo:hi] for lo, hi in zip(o, o[1:])],
-        trace_ids=[log_id[lo:hi] for lo, hi in zip(o, o[1:])],
-        nodes_visited=tallies[0],
-        mbr_tests=tallies[1],
-        candidates_refined=tallies[2],
-        heap_ops=tallies[3],
-        results_produced=tallies[4],
-        flat_is_entry=log_entry,
-        flat_ids=log_id,
-        log_ends=log_offsets[1:],
-    )

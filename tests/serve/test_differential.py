@@ -106,8 +106,8 @@ class TestBatchedMatchesSerial:
         _compare(batched, serial)
 
     def test_repeat_queries_share_phases(self, env_small, pa_small):
-        # Hot queries repeat across clients; phase-cache dedup must not
-        # change any client's answer or energy.
+        # Hot queries repeat across clients and batches; sharing one
+        # phase-table row must not change any client's answer or energy.
         fleet = client_fleet(4, seed=21)
         reqs = fleet_query_stream(
             pa_small, fleet, duration_s=3.0, seed=23,

@@ -6,13 +6,21 @@ import math
 
 import pytest
 
+from repro import serve
 from repro.api import Session
 from repro.constants import MBPS
+from repro.core import batchplan
 from repro.core.executor import Policy
 from repro.core.gridrun import RunLedger
-from repro.core.queries import NNQuery
+from repro.core.queries import NNQuery, query_key
 from repro.core.schemes import Scheme, SchemeConfig
-from repro.data.workloads import ClientProfile, QueryRequest, range_queries
+from repro.data.workloads import (
+    ClientProfile,
+    QueryRequest,
+    client_fleet,
+    fleet_query_stream,
+    range_queries,
+)
 from repro.serve import SERVE_PLANNERS, VERDICTS, QueryService
 
 FS = SchemeConfig(Scheme.FULLY_SERVER, data_at_client=True)
@@ -38,16 +46,14 @@ class TestConstruction:
         assert QueryService(env_small).session.env is env_small
 
     def test_from_shared_engine(self, env_small, pa_small):
-        """A shared Session lends the service its phase cache and ledger."""
+        """A shared Session lends the service its environment and ledger."""
         ledger = RunLedger()
         session = Session(env_small, ledger=ledger)
         service = QueryService(session)
         assert service.session is session
         qs = range_queries(pa_small, 3, seed=14)
         session.plan(qs, FS)
-        hits = session.phase_cache.hits
         service.serve(_requests(qs), [_profile(0)])
-        assert session.phase_cache.hits == hits + len(qs)
         events = [r["event"] for r in ledger.records]
         assert events[0] == "plan" and events[-1] == "serve"
 
@@ -157,6 +163,36 @@ class TestAdmission:
         )
         assert report.n_served == 3
         assert math.isinf(_profile(0).battery_j)
+
+
+class TestPhaseData:
+    def test_one_phase_call_per_stream(self, env_small, pa_small, monkeypatch):
+        """The whole stream is phased in one call before admission: each
+        distinct query is computed once, whichever batches repeat it."""
+        fleet = client_fleet(4, seed=21)
+        reqs = fleet_query_stream(
+            pa_small, fleet, duration_s=3.0, seed=23, hot_fraction=1.0, hot_pool=2
+        )
+        calls, computed = [], []
+        phases, compute = serve.compute_query_phases, batchplan._compute_phases
+
+        def counting_phases(env, queries):
+            calls.append(len(queries))
+            return phases(env, queries)
+
+        def counting_compute(env, todo):
+            computed.extend(todo)
+            return compute(env, todo)
+
+        monkeypatch.setattr(serve, "compute_query_phases", counting_phases)
+        monkeypatch.setattr(batchplan, "_compute_phases", counting_compute)
+        service = QueryService(env_small, max_batch=4, batch_window_s=0.1)
+        report = service.serve(reqs, fleet)
+        assert report.n_batches > 1 and report.n_served == len(reqs)
+        assert calls == [len(reqs)]
+        keys = [query_key(r.query) for r in reqs]
+        assert len(set(keys)) < len(keys)  # the stream repeats queries
+        assert len(computed) == len(set(computed)) and set(computed) == set(keys)
 
 
 class TestSingleClientDegeneration:

@@ -42,7 +42,7 @@ def _assert_matches(tree: PackedRTree, px, py, ks) -> None:
     for i in range(px.size):
         c = OpCounter(record_trace=True)
         ans = tree.nearest_neighbors(float(px[i]), float(py[i]), int(ks[i]), c)
-        assert list(ans) == res.answer_ids[i].tolist(), f"answers, query {i}"
+        assert list(ans) == res.answers_of(i).tolist(), f"answers, query {i}"
         assert c.nodes_visited == res.nodes_visited[i], f"nodes, query {i}"
         assert c.mbr_tests == res.mbr_tests[i], f"mbr_tests, query {i}"
         assert c.candidates_refined == res.candidates_refined[i], (
@@ -54,10 +54,9 @@ def _assert_matches(tree: PackedRTree, px, py, ks) -> None:
         )
         ids = [a.object_id for a in c.trace]
         entry = [a.region == REGION_DATA for a in c.trace]
-        assert ids == res.trace_ids[i].tolist(), f"trace ids, query {i}"
-        assert entry == res.trace_is_entry[i].tolist(), (
-            f"trace regions, query {i}"
-        )
+        log_entry, log_ids = res.log_of(i)
+        assert ids == log_ids.tolist(), f"trace ids, query {i}"
+        assert entry == log_entry.tolist(), f"trace regions, query {i}"
 
 
 @pytest.fixture(scope="module")
@@ -122,31 +121,12 @@ def test_query_points_on_endpoints(tree):
     _assert_matches(tree, px, py, ks)
 
 
-def test_flat_log_views_consistent(tree):
-    """Per-query trace arrays are views into the flat log arrays."""
-    rng = np.random.default_rng(15)
-    n = 20
-    px = rng.uniform(0, 1000, n)
-    py = rng.uniform(0, 1000, n)
-    res = batch_nearest(tree, px, py, np.full(n, 2))
-    assert res.log_ends.shape == (n,)
-    assert int(res.log_ends[-1]) == res.flat_ids.size == res.flat_is_entry.size
-    lo = 0
-    for i in range(n):
-        hi = int(res.log_ends[i])
-        np.testing.assert_array_equal(res.trace_ids[i], res.flat_ids[lo:hi])
-        np.testing.assert_array_equal(
-            res.trace_is_entry[i], res.flat_is_entry[lo:hi]
-        )
-        lo = hi
-
-
 def test_empty_batch(tree):
     res = batch_nearest(
         tree, np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     )
-    assert res.answer_ids == []
-    assert res.nodes_visited.size == 0
+    assert res.ans_offsets.tolist() == res.log_offsets.tolist() == [0]
+    assert res.ans_ids.size == res.log_ids.size == res.nodes_visited.size == 0
 
 
 def test_validation_errors(tree):

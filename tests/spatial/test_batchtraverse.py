@@ -217,5 +217,5 @@ def test_compiled_kernels_run_when_a_compiler_is_on_path(monkeypatch, tmp_path, 
         nn = batch_nearest(tree, [500.0], [500.0], [3])
     assert np.array_equal(res.candidates_of(0), cands)
     assert np.array_equal(res.nodes_of(0), visited)
-    assert np.array_equal(nn.answer_ids[0], nearest)
+    assert np.array_equal(nn.answers_of(0), nearest)
     assert [f.suffix for f in (tmp_path / ".cache/repro").iterdir()] == [".so"]
