@@ -411,8 +411,11 @@ def _add_streams(
     lo = table.starts.ravel()[phases]
     size = table.ends.ravel()[phases] - lo
     phase_ends = np.cumsum(size)
-    gather = np.repeat(lo - (phase_ends - size), size)
-    gather += np.arange(gather.size)
+    # The index is the gather's largest temporary: 32-bit positions halve
+    # it, for any side and table of fewer than 2**31 accesses.
+    index = np.int32 if max(phase_ends[-1], table.addrs.size) < 2**31 else np.int64
+    gather = np.repeat((lo - (phase_ends - size)).astype(index), size)
+    gather += np.arange(gather.size, dtype=index)
     stream_ends = np.cumsum([n for _, n, _ in specs]).tolist()
     seed_ways = None
     if any(seed is not None for *_, seed in specs):
@@ -551,12 +554,14 @@ def _replay_workload(
     used = dict.fromkeys(taken, 0)
     # A message column is ``zero + per * count`` of each plan's candidate
     # or result count, its coefficients its group's.
-    n_counts = np.stack([np.diff(table.cand_offsets), np.diff(table.ans_offsets)])
+    c, a = table.cand_offsets, table.ans_offsets
     blocks: Dict[tuple, tuple] = {}
     for template, parts in layout.items():
         plans = np.concatenate([np.arange(p, p + r.size) for p, r, *_ in parts])
         rows = np.concatenate([r for _, r, *_ in parts])
         n_of = [r.size for _, r, *_ in parts]
+        n_counts = np.stack([c[rows + 1] - c[rows], a[rows + 1] - a[rows]])
+        at_plan = np.arange(rows.size)
         columns = []
         for pos, kind in enumerate(template):
             if kind in taken:
@@ -565,7 +570,7 @@ def _replay_workload(
             else:
                 zero, per, count = (np.repeat(v, n_of)
                                     for v in zip(*(sizes[pos] for _, _, sizes, *_ in parts)))
-                columns.append(zero + per * n_counts[count, rows])
+                columns.append(zero + per * n_counts[count, at_plan])
         blocks[template] = (template, plans, columns)
     return blocks, finals
 

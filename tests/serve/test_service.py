@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -193,6 +194,21 @@ class TestPhaseData:
         keys = [query_key(r.query) for r in reqs]
         assert len(set(keys)) < len(keys)  # the stream repeats queries
         assert len(computed) == len(set(computed)) and set(computed) == set(keys)
+
+    def test_wall_clock_covers_phasing(self, env_small, pa_small, monkeypatch):
+        """wall_seconds times the stream's phase call too, as the serial
+        planner's clock covers its per-batch traversals."""
+        fleet = client_fleet(2, seed=21)
+        reqs = fleet_query_stream(pa_small, fleet, duration_s=1.0, seed=23)
+        phases = serve.compute_query_phases
+
+        def slow_phases(env, queries):
+            time.sleep(0.05)
+            return phases(env, queries)
+
+        monkeypatch.setattr(serve, "compute_query_phases", slow_phases)
+        report = QueryService(env_small).serve(reqs, fleet)
+        assert report.wall_seconds >= 0.05
 
 
 class TestSingleClientDegeneration:
