@@ -3,7 +3,7 @@
 The acceptance bar for the batched engine: the full workload→RunTable
 pipeline — 100 full-scale PA range queries under all six Table 1
 adequate-memory configurations, priced over the standard bandwidth sweep —
-through ``Session.run()`` must be at least **10x** faster wall-clock than
+through ``Session.run()`` must be at least **30x** faster wall-clock than
 the per-query scalar planner+pricer, with the RunTables within 1e-9 of the
 scalar oracle (checked on the warm-up pass inside
 :func:`repro.bench.e2ebench.measure_e2e_speedup`).
@@ -24,7 +24,7 @@ from repro.bench.provenance import stamp_record
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
 from repro.data.workloads import DEFAULT_RUNS, range_queries
 
-E2E_SPEEDUP_FLOOR = 10.0
+E2E_SPEEDUP_FLOOR = 30.0
 
 
 def test_fig5_workload_batched_e2e_speedup(pa_env, save_report, save_json):

@@ -21,7 +21,6 @@ from repro.data import tiger
 from repro.data.workloads import nn_queries, point_queries, range_queries
 from repro.sim.cpu import ClientCPU
 from repro.sim.trace import OpCounter
-from repro.spatial import bruteforce as bf
 from repro.spatial import vecgeom
 from repro.spatial.quadtree import PMRQuadtree
 from repro.spatial.rtree import PackedRTree
@@ -41,11 +40,8 @@ def _price_fully_client(index, ds, queries, kind):
         if kind == "nn":
             ids = index.nearest_neighbors(q.x, q.y, 1, counter)
         else:
-            if kind == "range":
-                cand = index.range_filter(q.rect, counter)
-            else:
-                cand = index.point_filter(q.x, q.y, counter)
-            # Shared refinement (identical for both indexes).
+            cand = index.range_filter(q.window, counter)
+            # Shared refinement (identical for all three indexes).
             cand = np.asarray(cand, dtype=np.int64)
             for seg_id in cand:
                 counter.refine_candidate(int(seg_id), ds.costs.segment_record_bytes)
@@ -54,10 +50,10 @@ def _price_fully_client(index, ds, queries, kind):
                 x2, y2 = ds.x2[cand], ds.y2[cand]
                 if kind == "range":
                     counter.range_refine_tests += int(cand.size)
-                    mask = vecgeom.segments_intersect_rect(x1, y1, x2, y2, q.rect)
+                    mask = vecgeom.segments_intersect_rects(x1, y1, x2, y2, *q.rect)
                 else:
                     counter.point_refine_tests += int(cand.size)
-                    mask = vecgeom.segments_contain_point(
+                    mask = vecgeom.segments_contain_points(
                         q.x, q.y, x1, y1, x2, y2, q.eps
                     )
                 ids = cand[mask]

@@ -3,7 +3,7 @@
 The acceptance bar for the batched runtime: pricing the fig5 bandwidth
 sweep (six Table 1 configurations x five bandwidths over a 100-query range
 workload on full-scale PA) through :func:`repro.core.gridrun.price_grid`
-must run at least 10x faster wall-clock than the per-step scalar walk,
+must run at least 14x faster wall-clock than the per-step scalar walk,
 with both engines agreeing to 1e-9.
 
 Both sides price the same plans, planned once up front, through
@@ -27,7 +27,7 @@ from repro.core.executor import Policy
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
 from repro.data.workloads import DEFAULT_RUNS, range_queries
 
-SPEEDUP_FLOOR = 10.0
+SPEEDUP_FLOOR = 14.0
 ROUNDS = 3
 
 

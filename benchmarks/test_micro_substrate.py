@@ -55,12 +55,12 @@ def test_micro_range_filter(benchmark, pa_full, pa_tree):
 
 
 def test_micro_point_filter(benchmark, pa_full, pa_tree):
-    pts = [(q.x, q.y) for q in point_queries(pa_full, 200)]
+    windows = [q.window for q in point_queries(pa_full, 200)]
 
     def run():
         total = 0
-        for x, y in pts:
-            total += len(pa_tree.point_filter(x, y))
+        for window in windows:
+            total += len(pa_tree.range_filter(window))
         return total
 
     assert benchmark(run) > 0

@@ -192,8 +192,7 @@ def _compute_phases(env: Environment, todo: Dict[tuple, Query]) -> PhaseTable:
 
     is_range = np.array([isinstance(q, RangeQuery) for q in pr], dtype=bool)
     windows = np.array(
-        [(q.rect.xmin, q.rect.ymin, q.rect.xmax, q.rect.ymax, 0.0) if isinstance(q, RangeQuery)
-         else (q.x, q.y, q.x, q.y, q.eps) for q in pr],
+        [q.window.as_tuple() + (getattr(q, "eps", 0.0),) for q in pr],
         dtype=np.float64,
     ).reshape(-1, 5)
     res = batch_filter(tree, *windows.T[:4])

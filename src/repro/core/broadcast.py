@@ -51,7 +51,6 @@ from repro.core.schemes import Scheme, SchemeConfig
 from repro.sim.protocol import packetize
 from repro.sim.trace import OpCounter
 from repro.spatial.extract import coverage_rect
-from repro.spatial.mbr import MBR
 
 __all__ = ["BroadcastSchedule", "BroadcastClient"]
 
@@ -311,11 +310,7 @@ class BroadcastClient:
             self._held = (c_lo, c_hi)
             lo = sched.chunks[c_lo].entry_lo
             hi = sched.chunks[c_hi].entry_hi
-            anchor = (
-                query.rect if isinstance(query, RangeQuery)
-                else MBR.from_point(*query.focus())
-            )
-            self._held_coverage = coverage_rect(env.tree, anchor, lo, hi)
+            self._held_coverage = coverage_rect(env.tree, query.window, lo, hi)
         counter = OpCounter()
         counter.merge(lookup)
         out = sub_engine.answer(query, counter)

@@ -13,12 +13,12 @@ has, whether [the query] can be completely satisfied with its data locally".
 A subset index alone cannot prove completeness, so the server accompanies
 each shipment with a *coverage rectangle*: the largest anchor-centered
 rectangle such that every master segment intersecting it is in the shipment
-(found by a doubling-then-binary search over vectorized master scans, priced
-into the server's ``w2``).  A later query is answered locally iff its
-predicate region lies inside the coverage rectangle — for NN queries, iff
-the best local distance is no larger than the distance from the query point
-to the coverage boundary (otherwise a closer segment could be hiding outside
-the shipment).  This makes local answers *provably* equal to master answers,
+(found by a doubling-then-binary search over window filters of the master
+index, priced into the server's ``w2``).  A later query is answered locally
+iff its predicate region lies inside the coverage rectangle — for NN
+queries, iff the best local distance is no larger than the distance from
+the query point to the coverage boundary (otherwise a closer segment could
+be hiding outside the shipment).  This makes local answers *provably* equal to master answers,
 which the scheme-equivalence tests assert.
 """
 
@@ -44,7 +44,7 @@ from repro.core.messages import (
     extraction_payload,
     request_payload,
 )
-from repro.core.queries import PointQuery, Query, QueryKind, RangeQuery
+from repro.core.queries import Query, QueryKind
 from repro.core.schemes import Scheme, SchemeConfig
 from repro.data.model import SegmentDataset
 from repro.sim.trace import OpCounter
@@ -99,15 +99,6 @@ class CachedRegion:
     entry_hi: int = 0
 
 
-def _query_region(query: Query) -> MBR:
-    """The rectangle a phase-structured query must have covered locally."""
-    if isinstance(query, RangeQuery):
-        return query.rect
-    if isinstance(query, PointQuery):
-        return MBR.from_point(query.x, query.y)
-    raise TypeError(f"no static region for {type(query).__name__}")
-
-
 def _interior_distance(rect: MBR, x: float, y: float) -> float:
     """Distance from an interior point to the rectangle's boundary (0 if
     the point is outside)."""
@@ -160,7 +151,7 @@ class ClientCacheSession:
                 for i in local
             )
             return d <= _interior_distance(region.coverage, query.x, query.y)
-        return region.coverage.contains(_query_region(query))
+        return region.coverage.contains(query.window)
 
     # ------------------------------------------------------------------
     # Coverage search (server side, at extraction time)
@@ -235,11 +226,8 @@ class ClientCacheSession:
             candidates = env.tree.nearest_neighbors(
                 query.x, query.y, k, server_counter
             )
-            anchor_rect = MBR.from_point(query.x, query.y)
         else:
-            filt = env.engine.filter(query, server_counter)
-            candidates = filt.ids
-            anchor_rect = _query_region(query)
+            candidates = env.engine.filter(query, server_counter).ids
 
         fx, fy = query.focus()
         extraction = extract_range(
@@ -255,7 +243,7 @@ class ClientCacheSession:
             return self._plan_fallback_server(query, server_counter)
 
         coverage = self._coverage_rect(
-            anchor_rect, extraction.entry_lo, extraction.entry_hi, server_counter
+            query.window, extraction.entry_lo, extraction.entry_hi, server_counter
         )
         server_cost = env.server_cpu.compute(server_counter)
 

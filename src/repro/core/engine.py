@@ -4,9 +4,12 @@ One :class:`QueryEngine` binds a dataset to its packed R-tree and exposes the
 two demarcated phases of spatial query processing:
 
 * :meth:`QueryEngine.filter` — traverse the index, return candidate ids
-  (segments whose MBR satisfies the predicate);
+  (segments whose MBR meets the query's window; a point query's window is
+  the point's degenerate MBR);
 * :meth:`QueryEngine.refine` — run the exact geometric predicate on each
-  candidate, return the answer ids;
+  candidate, return the answer ids (the same segment–window and
+  segment–point tests of :mod:`repro.spatial.vecgeom` that the batched
+  planner runs over every query's candidates at once);
 
 plus :meth:`QueryEngine.nearest` for the phase-less NN query.  Every phase
 takes an :class:`~repro.sim.trace.OpCounter` and tallies its abstract
@@ -53,20 +56,19 @@ class QueryEngine:
     # Phase 1: filtering
     # ------------------------------------------------------------------
     def filter(self, query: Query, counter: Optional[OpCounter] = None) -> PhaseOutput:
-        """Index traversal producing candidate ids.
+        """Index traversal producing candidate ids: the R-tree's window
+        filter over the query's :attr:`window` (a point query's is the
+        point's degenerate MBR).
 
         Raises for NN queries — they have no separate filtering step; use
         :meth:`nearest`.
         """
-        counter = counter if counter is not None else OpCounter()
-        if isinstance(query, RangeQuery):
-            ids = self.tree.range_filter(query.rect, counter)
-        elif isinstance(query, PointQuery):
-            ids = self.tree.point_filter(query.x, query.y, counter)
-        else:
+        if not query.kind.has_phases:
             raise TypeError(
                 f"{type(query).__name__} has no separate filtering phase"
             )
+        counter = counter if counter is not None else OpCounter()
+        ids = self.tree.range_filter(query.window, counter)
         return PhaseOutput(ids=ids, counter=counter)
 
     # ------------------------------------------------------------------
@@ -98,10 +100,10 @@ class QueryEngine:
         y2 = ds.y2[cand]
         if isinstance(query, RangeQuery):
             counter.range_refine_tests += int(cand.size)
-            mask = vecgeom.segments_intersect_rect(x1, y1, x2, y2, query.rect)
+            mask = vecgeom.segments_intersect_rects(x1, y1, x2, y2, *query.rect)
         elif isinstance(query, PointQuery):
             counter.point_refine_tests += int(cand.size)
-            mask = vecgeom.segments_contain_point(
+            mask = vecgeom.segments_contain_points(
                 query.x, query.y, x1, y1, x2, y2, query.eps
             )
         else:

@@ -10,6 +10,12 @@ Road-atlas operations on line-segment data (section 3):
   landmark").  NN has *no separate filtering and refinement steps* in the
   paper's implementation (branch-and-bound search), so the phase-boundary
   work-partitioning schemes do not apply to it.
+
+Every query has a ``window``: the MBR its filtering phase tests index and
+entry MBRs against.  A range query's is its rectangle; every other query's
+is the degenerate MBR of its point, so a point query filters as the window
+query of that point (and an NN query's window is only its anchor for
+extraction and coverage).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from numbers import Integral
 from typing import Union
 
@@ -74,6 +81,14 @@ class PointQuery:
         """The query's anchor point (extraction centers shipments on it)."""
         return (self.x, self.y)
 
+    @cached_property
+    def window(self) -> MBR:
+        """The filter window: the point's degenerate MBR, whose window test
+        makes the four closed comparisons of ``MBR.contains_point``
+        (built on first use and kept: the query is immutable, and planning
+        reads it on every pass)."""
+        return MBR.from_point(self.x, self.y)
+
 
 @dataclass(frozen=True)
 class RangeQuery:
@@ -86,6 +101,11 @@ class RangeQuery:
     def focus(self) -> tuple[float, float]:
         """The window center."""
         return self.rect.center()
+
+    @property
+    def window(self) -> MBR:
+        """The filter window: ``rect`` itself."""
+        return self.rect
 
 
 @dataclass(frozen=True)
@@ -103,6 +123,12 @@ class NNQuery:
     def focus(self) -> tuple[float, float]:
         """The query point itself."""
         return (self.x, self.y)
+
+    @property
+    def window(self) -> MBR:
+        """The query point's degenerate MBR: the anchor that extraction
+        and coverage grow from (NN search itself filters nothing)."""
+        return MBR.from_point(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -130,6 +156,12 @@ class KNNQuery:
     def focus(self) -> tuple[float, float]:
         """The query point itself."""
         return (self.x, self.y)
+
+    @property
+    def window(self) -> MBR:
+        """The query point's degenerate MBR: the anchor that extraction
+        and coverage grow from (NN search itself filters nothing)."""
+        return MBR.from_point(self.x, self.y)
 
 
 #: Union of the supported query types.

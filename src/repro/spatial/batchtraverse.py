@@ -9,8 +9,8 @@ gives:
 * :func:`batch_filter` runs ``filter_run``, the port of
   :meth:`~repro.spatial.rtree.PackedRTree.range_filter`: the same
   candidates, depth-first preorder of visited nodes and MBR-test tallies.
-  A point query is the window ``(px, py, px, py)``, whose four comparisons
-  are then term-for-term ``point_filter``'s.
+  A point query is the window ``(px, py, px, py)`` of its degenerate MBR
+  (``PointQuery.window``), as in the scalar engine's filter.
 * :func:`batch_nearest` runs ``nn_run``, the port of
   :meth:`~repro.spatial.rtree.PackedRTree.nearest_neighbors`: the answer
   ids in ``(distance, id)`` order, the op tallies, and the ordered

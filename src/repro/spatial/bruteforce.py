@@ -2,7 +2,11 @@
 
 Every R-tree query must return exactly what a whole-dataset scan returns:
 these functions define that ground truth.  They are also the honest baseline
-for "how much does the index actually buy you" sanity checks.
+for "how much does the index actually buy you" sanity checks.  No module of
+the library calls them; tests and benchmarks compare against them.
+:func:`point_filter` keeps the point-containment form of the filter
+predicate, so comparing an index's filter over a point query's degenerate
+window with it checks that the two forms agree.
 
 Filtering and refinement are exposed separately, mirroring the two query
 phases, so tests can validate each phase of the engine independently:
@@ -38,7 +42,7 @@ def range_filter(ds: SegmentDataset, rect: MBR) -> np.ndarray:
 
 def range_query(ds: SegmentDataset, rect: MBR) -> np.ndarray:
     """Ids of segments that exactly intersect the window ``rect``."""
-    mask = vecgeom.segments_intersect_rect(ds.x1, ds.y1, ds.x2, ds.y2, rect)
+    mask = vecgeom.segments_intersect_rects(ds.x1, ds.y1, ds.x2, ds.y2, *rect)
     return np.nonzero(mask)[0].astype(np.int64)
 
 
@@ -52,7 +56,7 @@ def point_query(
     ds: SegmentDataset, px: float, py: float, eps: float = DEFAULT_EPS
 ) -> np.ndarray:
     """Ids of segments passing within ``eps`` of the point."""
-    mask = vecgeom.segments_contain_point(px, py, ds.x1, ds.y1, ds.x2, ds.y2, eps)
+    mask = vecgeom.segments_contain_points(px, py, ds.x1, ds.y1, ds.x2, ds.y2, eps)
     return np.nonzero(mask)[0].astype(np.int64)
 
 

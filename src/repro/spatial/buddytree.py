@@ -165,52 +165,27 @@ class BuddyTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _scan_node(
-        self, node: _Node, predicate, counter: OpCounter, out: List[int]
-    ) -> None:
-        counter.mbr_tests += len(node.seg_ids)
-        for seg_id in node.seg_ids:
-            if predicate(self.dataset.segment_mbr(seg_id)):
-                counter.entries_scanned += 1
-                out.append(seg_id)
-
     def range_filter(
         self, rect: MBR, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
-        """Candidate ids whose MBR intersects the window."""
+        """Candidate ids whose MBR intersects the window (a point query's
+        window is its degenerate MBR)."""
         counter = counter if counter is not None else OpCounter(record_trace=False)
         out: List[int] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             counter.visit_node(node.node_id, self._node_bytes(node))
-            self._scan_node(node, lambda m: m.intersects(rect), counter, out)
+            counter.mbr_tests += len(node.seg_ids)
+            for seg_id in node.seg_ids:
+                if self.dataset.segment_mbr(seg_id).intersects(rect):
+                    counter.entries_scanned += 1
+                    out.append(seg_id)
             if not node.is_leaf:
                 counter.mbr_tests += 2
                 if node.low.rect.intersects(rect):
                     stack.append(node.low)
                 if node.high.rect.intersects(rect):
-                    stack.append(node.high)
-        return np.asarray(sorted(out), dtype=np.int64)
-
-    def point_filter(
-        self, px: float, py: float, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """Candidate ids whose MBR contains the point."""
-        counter = counter if counter is not None else OpCounter(record_trace=False)
-        out: List[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            counter.visit_node(node.node_id, self._node_bytes(node))
-            self._scan_node(
-                node, lambda m: m.contains_point(px, py), counter, out
-            )
-            if not node.is_leaf:
-                counter.mbr_tests += 2
-                if node.low.rect.contains_point(px, py):
-                    stack.append(node.low)
-                if node.high.rect.contains_point(px, py):
                     stack.append(node.high)
         return np.asarray(sorted(out), dtype=np.int64)
 

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.trace import OpCounter
+from repro.spatial.batchtraverse import batch_filter
 from repro.spatial.rtree import PackedRTree
 
 __all__ = [
@@ -229,22 +230,19 @@ def coverage_rect(
     the guarantee that makes client-local answers provably equal to master
     answers (used by both the insufficient-memory cache and the broadcast
     hot-region construction).  Found by doubling then binary search over
-    vectorized master scans; ``probe``, when given, is called once per scan
-    so the caller can charge the work to the server's counter.
+    window filters of the master tree; ``probe``, when given, is called once
+    per filter so the caller can charge the work to the server's counter.
     """
-    from repro.spatial import bruteforce
     from repro.spatial.mbr import MBR
 
-    master = tree.dataset
-    ext = master.extent
+    ext = tree.dataset.extent
 
     def covered(rect: MBR) -> bool:
         if probe is not None:
             probe()
-        ids = bruteforce.range_filter(master, rect)
-        if ids.size == 0:
-            return True
-        pos = tree.entry_positions_for_ids(ids)
+        pos = batch_filter(
+            tree, [rect.xmin], [rect.ymin], [rect.xmax], [rect.ymax]
+        ).cand_positions
         return bool((pos >= entry_lo).all() and (pos < entry_hi).all())
 
     cx, cy = anchor.center()

@@ -15,9 +15,11 @@ existing overflow does not cascade: a cell splits at most once per
 insertion, which bounds the tree against pathological inputs; a maximum
 depth guards degenerate stacks of coincident segments.
 
-**Queries.**  Point and window queries descend the cells intersecting the
-predicate region and collect segment ids; because a segment is stored in
-every cell it crosses, range queries must deduplicate.  The k-NN search is
+**Queries.**  Window queries descend the cells intersecting the window and
+collect segment ids; because a segment is stored in every cell it crosses,
+they must deduplicate.  A point query is the window query of its degenerate
+MBR, so it visits every leaf on whose seam the point lies, as the R-tree
+visits every node whose MBR it touches.  The k-NN search is
 best-first over cells by MINDIST, evaluating exact distances at the leaves,
 mirroring the R-tree's search so the instrumented cost comparison is
 apples-to-apples.  All traversals tally the same
@@ -213,7 +215,8 @@ class PMRQuadtree:
 
         Candidates are segments stored in leaves intersecting the window
         whose own MBR also intersects it — the same MBR-level filter the
-        R-tree applies, so refinement work is comparable.
+        R-tree applies, so refinement work is comparable.  A point query's
+        window is its degenerate MBR.
         """
         counter = counter if counter is not None else OpCounter(record_trace=False)
         ds = self.dataset
@@ -234,36 +237,6 @@ class PMRQuadtree:
                 counter.mbr_tests += 4
                 for child in cell.children:
                     if child.rect.intersects(rect):
-                        stack.append(child)
-        return np.asarray(sorted(out), dtype=np.int64)
-
-    def point_filter(
-        self, px: float, py: float, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """Candidate ids for a point query.
-
-        A point lies in one leaf (or on the seam of up to four); all seam
-        leaves are visited so boundary points behave like the R-tree's.
-        """
-        counter = counter if counter is not None else OpCounter(record_trace=False)
-        ds = self.dataset
-        out: set = set()
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            counter.visit_node(cell.cell_id, self._cell_bytes(cell))
-            if cell.is_leaf:
-                counter.mbr_tests += len(cell.seg_ids)
-                for seg_id in cell.seg_ids:
-                    if seg_id in out:
-                        continue
-                    if ds.segment_mbr(seg_id).contains_point(px, py):
-                        counter.entries_scanned += 1
-                        out.add(seg_id)
-            else:
-                counter.mbr_tests += 4
-                for child in cell.children:
-                    if child.rect.contains_point(px, py):
                         stack.append(child)
         return np.asarray(sorted(out), dtype=np.int64)
 

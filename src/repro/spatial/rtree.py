@@ -22,8 +22,10 @@ coordinate arrays.  This layout
   the one-pass extraction algorithm of the insufficient-memory scenario needs
   to estimate shipment sizes without a second traversal (paper section 4).
 
-Queries are *filtering only* here: they return candidate segment ids whose
-MBRs satisfy the predicate.  Exact refinement lives in the query engine
+Queries are *filtering only* here: :meth:`PackedRTree.range_filter` returns
+the candidate segment ids whose MBRs meet a window, and a point query
+filters as the window of its degenerate MBR (the four closed comparisons of
+``MBR.contains_point``).  Exact refinement lives in the query engine
 (:mod:`repro.core.engine`), because where refinement runs — client or server —
 is precisely what the paper partitions.  The nearest-neighbor search is the
 exception: following the paper (and Roussopoulos et al.), it has no separate
@@ -299,6 +301,8 @@ class PackedRTree:
     ) -> np.ndarray:
         """Candidate ids for a window query: segments whose MBR meets ``rect``.
 
+        A point query's candidates are those of its degenerate window
+        ``MBR.from_point(x, y)``: the segments whose MBR contains the point.
         Depth-first traversal from the root, exactly as the paper describes;
         every visited node, MBR test and scanned entry is tallied in
         ``counter`` when one is supplied.
@@ -333,44 +337,6 @@ class PackedRTree:
                     & (self.node_ymax[sl] >= rect.ymin)
                 )
                 # Push in reverse so traversal order matches a recursive DFS.
-                children = np.nonzero(hit)[0] + s
-                stack.extend(int(ch) for ch in children[::-1])
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-    def point_filter(
-        self, px: float, py: float, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """Candidate ids for a point query: segments whose MBR contains it."""
-        counter = counter if counter is not None else OpCounter(record_trace=False)
-        out: List[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            counter.visit_node(node, self.node_bytes(node))
-            s = int(self.node_child_start[node])
-            c = int(self.node_child_count[node])
-            counter.mbr_tests += c
-            sl = slice(s, s + c)
-            if self.node_level[node] == 0:
-                hit = (
-                    (self.entry_xmin[sl] <= px)
-                    & (px <= self.entry_xmax[sl])
-                    & (self.entry_ymin[sl] <= py)
-                    & (py <= self.entry_ymax[sl])
-                )
-                matched = self.entry_ids[sl][hit]
-                counter.entries_scanned += int(hit.sum())
-                if matched.size:
-                    out.append(matched)
-            else:
-                hit = (
-                    (self.node_xmin[sl] <= px)
-                    & (px <= self.node_xmax[sl])
-                    & (self.node_ymin[sl] <= py)
-                    & (py <= self.node_ymax[sl])
-                )
                 children = np.nonzero(hit)[0] + s
                 stack.extend(int(ch) for ch in children[::-1])
         if not out:

@@ -3,13 +3,14 @@
 The scalar predicates in :mod:`repro.spatial.geometry` are the readable
 reference; these vectorized equivalents operate on the column arrays of a
 :class:`repro.data.model.SegmentDataset` (``x1, y1, x2, y2`` each of shape
-``(n,)``) and are used where whole-dataset scans occur:
-
-* the brute-force oracle (:mod:`repro.spatial.bruteforce`) that tests validate
-  the R-tree against,
-* workload generation (density-weighted window placement needs fast counting),
-* bulk refinement inside the query engine, where the candidate set can be
-  thousands of segments per range query.
+``(n,)``).  Every refinement runs through one segment–window test
+(:func:`segments_intersect_rects`) and one segment–point test
+(:func:`segments_contain_points`), whose query bounds may be scalars (one
+query over many segments: :meth:`repro.core.engine.QueryEngine.refine`) or
+per-row arrays (every query's candidates at once: the batched planner).
+The brute-force oracle (:mod:`repro.spatial.bruteforce`) that tests
+validate the indexes against scans whole datasets with the same functions,
+and :func:`mbr_mindist_sq` is the best-first NN bound.
 
 Per the HPC guides, hot loops are vectorized with masks rather than Python
 loops; all functions are allocation-conscious (no hidden copies of the input
@@ -27,9 +28,7 @@ __all__ = [
     "mbr_contains_point",
     "mbr_mindist_sq",
     "point_segment_distance_sq",
-    "segments_contain_point",
     "segments_contain_points",
-    "segments_intersect_rect",
     "segments_intersect_rects",
 ]
 
@@ -108,27 +107,18 @@ def point_segment_distance_sq(
     return ex * ex + ey * ey
 
 
-def segments_contain_point(
-    px: float, py: float,
-    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
-    eps: float = 1e-9,
-) -> np.ndarray:
-    """Mask of segments passing within ``eps`` of ``(px, py)``."""
-    return point_segment_distance_sq(px, py, x1, y1, x2, y2) <= eps * eps
-
-
 def segments_contain_points(
     px: np.ndarray, py: np.ndarray,
     x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
     eps: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise :func:`segments_contain_point`: one query point per segment.
+    """Mask of segments passing within ``eps`` of their query point.
 
-    All arguments are aligned ``(n,)`` arrays; row ``i`` tests segment ``i``
-    against point ``(px[i], py[i])`` with tolerance ``eps[i]``.  Every
-    arithmetic operation is the same elementwise expression the per-query
-    function evaluates, so the masks agree bit for bit — the batched
-    planner's bulk refinement depends on this (property-tested).
+    The segment columns are aligned ``(n,)`` arrays; ``px``, ``py`` and
+    ``eps`` are scalars or ``(n,)`` arrays, so row ``i`` tests segment ``i``
+    against point ``(px[i], py[i])`` with tolerance ``eps[i]``.  Matches
+    :func:`repro.spatial.geometry.segment_contains_point` row by row
+    (property-tested with a different point and tolerance per row).
     """
     return point_segment_distance_sq(px, py, x1, y1, x2, y2) <= eps * eps
 
@@ -138,96 +128,24 @@ def _cross_sign(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def segments_intersect_rect(
-    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, rect: MBR
-) -> np.ndarray:
-    """Mask of segments that truly intersect the window ``rect``.
-
-    Vectorized Cohen-Sutherland: trivial accept when an endpoint lies in the
-    window, trivial reject when both endpoints share an outside half-plane,
-    and an exact segment-vs-window-edge orientation test for the remainder.
-    Matches :func:`repro.spatial.geometry.segment_intersects_rect` (tested
-    property-wise against it).
-    """
-    in1 = (
-        (rect.xmin <= x1) & (x1 <= rect.xmax) & (rect.ymin <= y1) & (y1 <= rect.ymax)
-    )
-    in2 = (
-        (rect.xmin <= x2) & (x2 <= rect.xmax) & (rect.ymin <= y2) & (y2 <= rect.ymax)
-    )
-    result = in1 | in2
-
-    both_left = (x1 < rect.xmin) & (x2 < rect.xmin)
-    both_right = (x1 > rect.xmax) & (x2 > rect.xmax)
-    both_below = (y1 < rect.ymin) & (y2 < rect.ymin)
-    both_above = (y1 > rect.ymax) & (y2 > rect.ymax)
-    rejected = both_left | both_right | both_below | both_above
-
-    undecided = ~result & ~rejected
-    if not np.any(undecided):
-        return result
-
-    ux1, uy1 = x1[undecided], y1[undecided]
-    ux2, uy2 = x2[undecided], y2[undecided]
-    hit = np.zeros(ux1.shape, dtype=bool)
-    edges = (
-        (rect.xmin, rect.ymin, rect.xmax, rect.ymin),
-        (rect.xmax, rect.ymin, rect.xmax, rect.ymax),
-        (rect.xmax, rect.ymax, rect.xmin, rect.ymax),
-        (rect.xmin, rect.ymax, rect.xmin, rect.ymin),
-    )
-    for ex1, ey1, ex2, ey2 in edges:
-        d1 = _cross_sign(ex1, ey1, ex2, ey2, ux1, uy1)
-        d2 = _cross_sign(ex1, ey1, ex2, ey2, ux2, uy2)
-        d3 = _cross_sign(ux1, uy1, ux2, uy2, ex1, ey1)
-        d4 = _cross_sign(ux1, uy1, ux2, uy2, ex2, ey2)
-        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-        # Collinear touching: endpoint of one on the other. The undecided set
-        # has both endpoints strictly outside the window, so only the segment
-        # grazing an edge collinearly matters; treat d==0 plus bbox overlap.
-        graze = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        if np.any(graze):
-            bxmin, bxmax = min(ex1, ex2), max(ex1, ex2)
-            bymin, bymax = min(ey1, ey2), max(ey1, ey2)
-            overlap = (
-                (np.minimum(ux1, ux2) <= bxmax)
-                & (np.maximum(ux1, ux2) >= bxmin)
-                & (np.minimum(uy1, uy2) <= bymax)
-                & (np.maximum(uy1, uy2) >= bymin)
-            )
-            # A zero orientation with bbox overlap can still be a miss for
-            # non-collinear configurations; fall back to the scalar test for
-            # this rare residue to stay exact.
-            residue = graze & overlap & ~proper
-            if np.any(residue):
-                from repro.spatial.geometry import segments_intersect
-
-                idx = np.nonzero(residue)[0]
-                for i in idx:
-                    if segments_intersect(
-                        float(ux1[i]), float(uy1[i]), float(ux2[i]), float(uy2[i]),
-                        ex1, ey1, ex2, ey2,
-                    ):
-                        proper[i] = True
-        hit |= proper
-    result[np.nonzero(undecided)[0][hit]] = True
-    return result
-
-
 def segments_intersect_rects(
     x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
     rxmin: np.ndarray, rymin: np.ndarray, rxmax: np.ndarray, rymax: np.ndarray,
 ) -> np.ndarray:
-    """Row-wise :func:`segments_intersect_rect`: one window per segment.
+    """Mask of segments that truly intersect their query window.
 
-    All arguments are aligned ``(n,)`` arrays; row ``i`` clips segment ``i``
-    against window ``(rxmin[i], rymin[i], rxmax[i], rymax[i])``.  The
-    batched planner concatenates every query's candidate set and refines
-    them in one call, so each row must evaluate exactly the elementwise
-    arithmetic of the per-query function — including the scalar
-    :func:`repro.spatial.geometry.segments_intersect` fallback for the rare
-    collinear-graze residue (equality is property-tested).
+    The segment columns are aligned ``(n,)`` arrays; the window bounds are
+    scalars or ``(n,)`` arrays, so row ``i`` clips segment ``i`` against
+    window ``(rxmin[i], rymin[i], rxmax[i], rymax[i])``.  Vectorized
+    Cohen-Sutherland: trivial accept when an endpoint lies in the window,
+    trivial reject when both endpoints share an outside half-plane, and an
+    exact segment-vs-window-edge orientation test for the remainder, with
+    the scalar :func:`repro.spatial.geometry.segments_intersect` deciding
+    the rare collinear-graze residue.  Matches
+    :func:`repro.spatial.geometry.segment_intersects_rect` row by row
+    (property-tested with a different window per row).
     """
+    rxmin, rymin, rxmax, rymax, _ = np.broadcast_arrays(rxmin, rymin, rxmax, rymax, x1)
     in1 = (rxmin <= x1) & (x1 <= rxmax) & (rymin <= y1) & (y1 <= rymax)
     in2 = (rxmin <= x2) & (x2 <= rxmax) & (rymin <= y2) & (y2 <= rymax)
     result = in1 | in2
@@ -260,6 +178,9 @@ def segments_intersect_rects(
         d3 = _cross_sign(ux1, uy1, ux2, uy2, ex1, ey1)
         d4 = _cross_sign(ux1, uy1, ux2, uy2, ex2, ey2)
         proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+        # Collinear touching: endpoint of one on the other. The undecided set
+        # has both endpoints strictly outside the window, so only the segment
+        # grazing an edge collinearly matters; treat d==0 plus bbox overlap.
         graze = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
         if np.any(graze):
             bxmin, bxmax = np.minimum(ex1, ex2), np.maximum(ex1, ex2)
@@ -270,6 +191,9 @@ def segments_intersect_rects(
                 & (np.minimum(uy1, uy2) <= bymax)
                 & (np.maximum(uy1, uy2) >= bymin)
             )
+            # A zero orientation with bbox overlap can still be a miss for
+            # non-collinear configurations; fall back to the scalar test for
+            # this rare residue to stay exact.
             residue = graze & overlap & ~proper
             if np.any(residue):
                 from repro.spatial.geometry import segments_intersect

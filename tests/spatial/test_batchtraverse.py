@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.core.queries import PointQuery
 from repro.sim.trace import REGION_INDEX, OpCounter
 from repro.spatial import batchtraverse
+from repro.spatial import bruteforce as bf
 from repro.spatial.batchtraverse import batch_filter, batch_nearest
 from repro.spatial.mbr import MBR
 from repro.spatial.rtree import PackedRTree
@@ -92,17 +94,18 @@ def test_mbr_test_tallies_match_scalar(tree):
 
 def test_point_queries_as_degenerate_windows(tree):
     rng = np.random.default_rng(10)
-    px = rng.uniform(0, 1000, 40)
-    py = rng.uniform(0, 1000, 40)
+    # Twenty segment endpoints join the random points, so some points hit.
+    px = np.r_[rng.uniform(0, 1000, 40), tree.dataset.x1[:20]]
+    py = np.r_[rng.uniform(0, 1000, 40), tree.dataset.y1[:20]]
     res = batch_filter(tree, px, py, px, py)
     for i in range(len(px)):
-        counter = OpCounter(record_trace=True)
-        cands = tree.point_filter(float(px[i]), float(py[i]), counter)
-        visited = [a.object_id for a in counter.iter_trace()
-                   if a.region == REGION_INDEX]
+        x, y = float(px[i]), float(py[i])
+        cands, visited, tests = _scalar_visits(tree, PointQuery(x, y).window)
         assert np.array_equal(res.candidates_of(i), cands)
-        assert np.array_equal(res.nodes_of(i), np.asarray(visited, np.int64))
-        assert res.mbr_tests[i] == counter.mbr_tests
+        assert np.array_equal(res.nodes_of(i), visited)
+        assert res.mbr_tests[i] == tests
+        # The window test of a degenerate MBR is point containment.
+        assert np.array_equal(np.sort(cands), bf.point_filter(tree.dataset, x, y))
 
 
 def test_no_match_window_visits_root_only(tree):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.queries import PointQuery
 from repro.sim.trace import OpCounter
 from repro.spatial import bruteforce as bf
 from repro.spatial.buddytree import BuddyTree
@@ -92,7 +93,7 @@ class TestQueries:
     def test_point_filter_matches_oracle(self, bt, pa_small):
         for i in range(0, pa_small.size, max(1, pa_small.size // 25)):
             px, py = float(pa_small.x1[i]), float(pa_small.y1[i])
-            got = bt.point_filter(px, py)
+            got = bt.range_filter(PointQuery(px, py).window)
             want = np.sort(bf.point_filter(pa_small, px, py))
             assert np.array_equal(got, want)
 

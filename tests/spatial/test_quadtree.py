@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.queries import PointQuery
 from repro.sim.trace import OpCounter
 from repro.spatial import bruteforce as bf
 from repro.spatial.geometry import point_segment_distance_sq
@@ -100,10 +101,12 @@ class TestQueries:
     def test_point_candidates_superset_of_answers(self, qt, pa_small):
         for i in range(0, pa_small.size, max(1, pa_small.size // 30)):
             px, py = float(pa_small.x1[i]), float(pa_small.y1[i])
-            cand = set(qt.point_filter(px, py).tolist())
+            cand = set(qt.range_filter(PointQuery(px, py).window).tolist())
             want = set(bf.point_query(pa_small, px, py).tolist())
             assert want <= cand
             assert i in cand
+            # ...and within the whole-dataset point-containment filter.
+            assert cand <= set(bf.point_filter(pa_small, px, py).tolist())
 
     def test_nn_matches_oracle(self, qt, pa_small, rng):
         ext = pa_small.extent

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.queries import PointQuery
 from repro.data.model import SegmentDataset
 from repro.sim.trace import OpCounter
 from repro.spatial import bruteforce as bf
@@ -116,18 +117,21 @@ class TestRangeFilter:
 
 
 class TestPointFilter:
+    """A point query filters as the window of its degenerate MBR; the
+    oracle's point-containment scan checks that the two forms agree."""
+
     def test_matches_oracle_on_endpoints(self, pa_small, pa_small_tree):
         for i in range(0, pa_small.size, max(1, pa_small.size // 40)):
             px, py = float(pa_small.x1[i]), float(pa_small.y1[i])
-            got = np.sort(pa_small_tree.point_filter(px, py))
+            got = np.sort(pa_small_tree.range_filter(PointQuery(px, py).window))
             want = np.sort(bf.point_filter(pa_small, px, py))
             assert np.array_equal(got, want)
             assert i in got  # the anchoring segment's own MBR contains it
 
     def test_far_outside_point(self, pa_small, pa_small_tree):
         ext = pa_small.extent
-        got = pa_small_tree.point_filter(ext.xmax + 100, ext.ymax + 100)
-        assert len(got) == 0
+        q = PointQuery(ext.xmax + 100, ext.ymax + 100)
+        assert len(pa_small_tree.range_filter(q.window)) == 0
 
 
 class TestNearestNeighbor:

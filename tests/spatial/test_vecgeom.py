@@ -64,13 +64,87 @@ class TestAgainstScalar:
     @given(segment_arrays(), rects())
     @settings(max_examples=60, deadline=None)
     def test_segments_intersect_rect(self, segs, rect):
+        """One window for every row: the bounds go in as scalars."""
         x1, y1, x2, y2 = segs
-        mask = vg.segments_intersect_rect(x1, y1, x2, y2, rect)
+        mask = vg.segments_intersect_rects(x1, y1, x2, y2, *rect)
         for i in range(len(x1)):
             expected = sg.segment_intersects_rect(x1[i], y1[i], x2[i], y2[i], rect)
             assert mask[i] == expected, (
                 f"segment {(x1[i], y1[i], x2[i], y2[i])} vs {rect}"
             )
+
+
+#: A small integer grid: segments collinear with a window edge, endpoints
+#: on edges and degenerate windows are common, so the collinear-graze rows
+#: reach the scalar residue of the window test.
+grid = st.integers(min_value=-4, max_value=4).map(float)
+
+
+@st.composite
+def grid_rows(draw):
+    """``(x1, y1, x2, y2)`` columns plus one window per row."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    segs = draw(st.lists(st.tuples(grid, grid, grid, grid), min_size=n, max_size=n))
+    corners = draw(st.lists(st.tuples(grid, grid, grid, grid), min_size=n, max_size=n))
+    windows = [
+        (min(a, c), min(b, d), max(a, c), max(b, d)) for a, b, c, d in corners
+    ]
+    return np.array(segs).T, np.array(windows).T
+
+
+@st.composite
+def grid_point_rows(draw):
+    """``(x1, y1, x2, y2)`` columns plus one point and tolerance per row."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    half = st.integers(min_value=-8, max_value=8).map(lambda v: v / 2.0)
+    segs = draw(st.lists(st.tuples(grid, grid, grid, grid), min_size=n, max_size=n))
+    pts = draw(st.lists(st.tuples(half, half), min_size=n, max_size=n))
+    tol = st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0])
+    eps = draw(st.lists(tol, min_size=n, max_size=n))
+    return np.array(segs).T, np.array(pts).T, np.array(eps)
+
+
+class TestRowWise:
+    """Every batched query's refinement: one window, point and tolerance
+    per row, against the scalar predicates."""
+
+    @given(grid_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_segments_intersect_rects_per_row(self, rows):
+        (x1, y1, x2, y2), (rx0, ry0, rx1, ry1) = rows
+        mask = vg.segments_intersect_rects(x1, y1, x2, y2, rx0, ry0, rx1, ry1)
+        for i in range(len(x1)):
+            rect = MBR(rx0[i], ry0[i], rx1[i], ry1[i])
+            expected = sg.segment_intersects_rect(x1[i], y1[i], x2[i], y2[i], rect)
+            assert mask[i] == expected, (
+                f"segment {(x1[i], y1[i], x2[i], y2[i])} vs {rect}"
+            )
+
+    @given(grid_point_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_segments_contain_points_per_row(self, rows):
+        (x1, y1, x2, y2), (px, py), eps = rows
+        mask = vg.segments_contain_points(px, py, x1, y1, x2, y2, eps)
+        for i in range(len(x1)):
+            expected = sg.segment_contains_point(
+                px[i], py[i], x1[i], y1[i], x2[i], y2[i], eps[i]
+            )
+            assert mask[i] == expected, (
+                f"segment {(x1[i], y1[i], x2[i], y2[i])} vs point "
+                f"{(px[i], py[i])}, eps {eps[i]}"
+            )
+
+    def test_collinear_grazes_per_row(self):
+        """Rows whose segment runs along, or only touches, its own window's
+        edge line: the scalar residue decides each against its own window."""
+        x1 = np.array([-1.0, -2.0, 1.0, -1.0])
+        y1 = np.array([0.0, -2.0, -3.0, 1.0])
+        x2 = np.array([3.0, 3.0, -2.0, 1.0])
+        y2 = np.array([0.0, 0.0, -2.0, 3.0])
+        windows = [(0.0, 0.0, 2.0, 2.0), (1.0, -1.0, 1.0, -1.0),
+                   (0.0, -2.0, 2.0, -2.0), (0.0, 0.0, 2.0, 2.0)]
+        mask = vg.segments_intersect_rects(x1, y1, x2, y2, *np.array(windows).T)
+        assert mask.tolist() == [True, False, False, True]
 
 
 class TestEdgeCases:
@@ -86,8 +160,8 @@ class TestEdgeCases:
         y1 = np.array([0.0])
         x2 = np.array([10.0])
         y2 = np.array([0.0])
-        assert not vg.segments_contain_point(5.0, 0.05, x1, y1, x2, y2, eps=0.01)[0]
-        assert vg.segments_contain_point(5.0, 0.05, x1, y1, x2, y2, eps=0.1)[0]
+        assert not vg.segments_contain_points(5.0, 0.05, x1, y1, x2, y2, 0.01)[0]
+        assert vg.segments_contain_points(5.0, 0.05, x1, y1, x2, y2, 0.1)[0]
 
     def test_rect_all_inside_fast_path(self):
         rect = MBR(0, 0, 10, 10)
@@ -95,7 +169,7 @@ class TestEdgeCases:
         y1 = np.array([1.0, 2.0])
         x2 = np.array([3.0, 4.0])
         y2 = np.array([3.0, 4.0])
-        assert vg.segments_intersect_rect(x1, y1, x2, y2, rect).all()
+        assert vg.segments_intersect_rects(x1, y1, x2, y2, *rect).all()
 
     def test_rect_all_rejected_fast_path(self):
         rect = MBR(0, 0, 1, 1)
@@ -103,7 +177,7 @@ class TestEdgeCases:
         y1 = np.array([5.0, 6.0])
         x2 = np.array([7.0, 8.0])
         y2 = np.array([7.0, 8.0])
-        assert not vg.segments_intersect_rect(x1, y1, x2, y2, rect).any()
+        assert not vg.segments_intersect_rects(x1, y1, x2, y2, *rect).any()
 
     def test_rect_crossing_without_endpoints_inside(self):
         rect = MBR(0, 0, 10, 10)
@@ -111,5 +185,5 @@ class TestEdgeCases:
         y1 = np.array([5.0, 20.0])
         x2 = np.array([15.0, 15.0])
         y2 = np.array([5.0, 20.0])
-        mask = vg.segments_intersect_rect(x1, y1, x2, y2, rect)
+        mask = vg.segments_intersect_rects(x1, y1, x2, y2, *rect)
         assert mask[0] and not mask[1]
