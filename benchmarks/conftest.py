@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.provenance import stamp_record
+from repro.bench.provenance import provenance
 from repro.core.executor import Environment
 from repro.data import tiger
 
@@ -57,21 +57,34 @@ def save_report():
     return _save
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_provenance():
+    """The tree this pytest session started from.
+
+    Taken once, before any bench rewrites its tracked outputs under
+    ``benchmarks/results/``: a rewritten report would make every later
+    stamp read ``git_dirty: true``, so several gate files could not be
+    archived from one clean checkout in one run.
+    """
+    return provenance()
+
+
 @pytest.fixture(scope="session")
-def save_json():
+def save_json(session_provenance):
     """Write a machine-readable record to benchmarks/results/<name>.json.
 
-    Every record is stamped with a ``provenance`` block (git SHA, UTC
-    timestamp, platform, Python/NumPy versions) so archived numbers stay
-    attributable across PRs.
+    Every record is stamped with the session's ``provenance`` block (git
+    SHA, dirty flag, the session's start time in UTC, platform,
+    Python/NumPy versions) so archived numbers stay attributable across
+    commits.  Returns the stamped record.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _save(name: str, record: dict) -> pathlib.Path:
-        path = RESULTS_DIR / f"{name}.json"
-        with path.open("w") as fh:
-            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
+    def _save(name: str, record: dict) -> dict:
+        record = dict(record, provenance=session_provenance)
+        with (RESULTS_DIR / f"{name}.json").open("w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
+        return record
 
     return _save

@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.report import render_rows
+from repro.core.engine import QueryEngine
 from repro.data import tiger
 from repro.data.workloads import nn_queries, point_queries, range_queries
 from repro.sim.cpu import ClientCPU
 from repro.sim.trace import OpCounter
-from repro.spatial import vecgeom
 from repro.spatial.quadtree import PMRQuadtree
 from repro.spatial.rtree import PackedRTree
 
@@ -29,9 +29,11 @@ SCALE = 0.3
 N_QUERIES = 50
 
 
-def _price_fully_client(index, ds, queries, kind):
-    """Filter + refine (or NN) every query on ``index``; price on a fresh
-    client CPU; return (energy_J, cycles, answers_hash)."""
+def _price_fully_client(index, engine, queries, kind):
+    """Filter (or NN-search) every query on ``index``, refine through
+    ``engine``, the R-tree's :class:`~repro.core.engine.QueryEngine`
+    (refinement does not depend on the index); price on a fresh client
+    CPU; return (energy_J, cycles, answers_hash)."""
     cpu = ClientCPU()
     total_energy = total_cycles = 0.0
     answer_check = 0
@@ -41,25 +43,7 @@ def _price_fully_client(index, ds, queries, kind):
             ids = index.nearest_neighbors(q.x, q.y, 1, counter)
         else:
             cand = index.range_filter(q.window, counter)
-            # Shared refinement (identical for all three indexes).
-            cand = np.asarray(cand, dtype=np.int64)
-            for seg_id in cand:
-                counter.refine_candidate(int(seg_id), ds.costs.segment_record_bytes)
-            if cand.size:
-                x1, y1 = ds.x1[cand], ds.y1[cand]
-                x2, y2 = ds.x2[cand], ds.y2[cand]
-                if kind == "range":
-                    counter.range_refine_tests += int(cand.size)
-                    mask = vecgeom.segments_intersect_rects(x1, y1, x2, y2, *q.rect)
-                else:
-                    counter.point_refine_tests += int(cand.size)
-                    mask = vecgeom.segments_contain_points(
-                        q.x, q.y, x1, y1, x2, y2, q.eps
-                    )
-                ids = cand[mask]
-            else:
-                ids = cand
-            counter.results_produced += int(ids.size)
+            ids = engine.refine(q, cand, counter).ids
         cost = cpu.compute(counter)
         total_energy += cost.energy_j
         total_cycles += cost.cycles
@@ -76,6 +60,7 @@ def test_ext_index_structure_comparison(benchmark, save_report):
         "pmr": PMRQuadtree(ds),
         "buddy": BuddyTree(ds),
     }
+    engine = QueryEngine(ds, indexes["rtree"])
     workloads = {
         "point": point_queries(ds, N_QUERIES),
         "range": range_queries(ds, N_QUERIES),
@@ -88,7 +73,7 @@ def test_ext_index_structure_comparison(benchmark, save_report):
             row = {"workload": kind}
             hashes = {}
             for name, index in indexes.items():
-                e, c, h = _price_fully_client(index, ds, qs, kind)
+                e, c, h = _price_fully_client(index, engine, qs, kind)
                 row[f"{name}_energy_mJ"] = f"{e * 1e3:.3f}"
                 row[f"{name}_cycles"] = f"{c:.3e}"
                 hashes[name] = h

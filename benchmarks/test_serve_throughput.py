@@ -19,7 +19,6 @@ The machine-readable record lands in
 
 from __future__ import annotations
 
-from repro.bench.provenance import stamp_record
 from repro.data.workloads import client_fleet, fleet_query_stream
 from repro.serve import QueryService
 
@@ -115,9 +114,6 @@ def test_serve_microbatching_speedup(pa_env, save_report, save_json):
         "outcomes_equal": equal,
         "max_energy_rel_err": worst_rel,
     }
-    # Stamped before this test writes its own outputs, so the record names
-    # the tree it was measured on.
-    record = stamp_record(record)
     save_report("serve_throughput", _render(record))
     save_json("BENCH_serve", record)
 

@@ -257,28 +257,21 @@ class Session:
         workload: Union[Query, Sequence[Query]],
         scheme: SchemeConfig,
         *,
-        reset_caches: bool = True,
         planner: str = "batched",
     ) -> List[QueryPlan]:
         """Plan a workload under one scheme.
 
-        ``reset_caches=True`` (the default) cold-starts the device caches at
-        the workload boundary, as the sweep harness always did;
-        ``reset_caches=False`` plans against the environment's current warm
-        state.  ``planner`` selects the batched or scalar implementation
-        (:data:`PLANNERS`); both produce bit-identical plans and leave the
-        same cache state.
+        The device caches start cold at the workload boundary.  ``planner``
+        selects the batched or scalar implementation (:data:`PLANNERS`);
+        both produce bit-identical plans and leave the same cache state.
         """
-        return self.plan_grid(
-            workload, scheme, reset_caches=reset_caches, planner=planner
-        )[0]
+        return self.plan_grid(workload, scheme, planner=planner)[0]
 
     def plan_grid(
         self,
         workload: Union[Query, Sequence[Query]],
         schemes: Union[SchemeConfig, Sequence[SchemeConfig]],
         *,
-        reset_caches: bool = True,
         planner: str = "batched",
     ) -> List[List[QueryPlan]]:
         """Plan a workload under several schemes, sharing per-query work.
@@ -289,24 +282,21 @@ class Session:
         ``plan`` event per scheme.
         """
         planned = self._plan_grid(
-            _as_queries(workload), _as_schemes(schemes), reset_caches, planner
+            _as_queries(workload), _as_schemes(schemes), planner
         )
         return [list(plans) for plans in planned]
 
     def _plan_grid(self, queries: List[Query], configs: List[SchemeConfig],
-                   reset_caches: bool, planner: str) -> List[Sequence[QueryPlan]]:
+                   planner: str) -> List[Sequence[QueryPlan]]:
         """:meth:`plan_grid`, with batched plans left as columns."""
         _check_choice("planner", planner, PLANNERS)
         start = time.perf_counter()
         if planner == "batched":
-            planned = plan_workload_batched(
-                self.env, queries, configs, reset_caches=reset_caches
-            )
+            planned = plan_workload_batched(self.env, queries, configs)
         else:
             planned = []
             for config in configs:
-                if reset_caches:
-                    self.env.reset_caches()
+                self.env.reset_caches()
                 planned.append([plan_query(q, config, self.env) for q in queries])
         if self.ledger is not None:
             seconds = (time.perf_counter() - start) / len(configs)
@@ -392,7 +382,6 @@ class Session:
         schemes: Union[SchemeConfig, Sequence[SchemeConfig]],
         policies: Union[Policy, Sequence[Policy], None] = None,
         engine: str = "batched",
-        reset_caches: bool = True,
         planner: str = "batched",
     ) -> RunTable:
         """Plan and price the full schemes x policies grid.
@@ -410,7 +399,7 @@ class Session:
         if not pols:
             raise ValueError("run() requires at least one policy")
         _check_choice("engine", engine, ENGINES)
-        grid_plans = self._plan_grid(queries, configs, reset_caches, planner)
+        grid_plans = self._plan_grid(queries, configs, planner)
         rows: List[RunRow] = []
         for config, plans in zip(configs, grid_plans):
             priced = self._price(plans, pols, engine, scheme=config.label)
@@ -428,8 +417,6 @@ class Session:
         self,
         workload: Sequence[Query],
         budget_bytes: int,
-        *,
-        reset_caches: bool = True,
     ) -> Tuple[List[QueryPlan], ClientCacheSession]:
         """Plan under the insufficient-memory cached-client scheme.
 
@@ -439,8 +426,7 @@ class Session:
         """
         queries = _as_queries(workload)
         start = time.perf_counter()
-        if reset_caches:
-            self.env.reset_caches()
+        self.env.reset_caches()
         cache_session = ClientCacheSession(self.env, budget_bytes)
         plans = cache_session.plan_sequence(list(queries))
         self.record(

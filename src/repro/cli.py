@@ -11,8 +11,11 @@ Commands
     Regenerate a paper figure's table (fig4..fig10) at a chosen dataset
     scale and print it.
 ``bench``
-    Time the batched grid pricer against the scalar oracle on a figure
-    sweep; ``--ledger PATH`` writes the structured JSON-lines run-ledger.
+    Time the batched engine against the scalar oracle on a figure sweep
+    or per query kind, planning, pricing or end to end
+    (:mod:`repro.bench.speedup`); exits 1 when the batched side's results
+    differ or it is slower.  ``--ledger PATH`` writes the structured
+    JSON-lines run-ledger.
 ``serve``
     Run the multi-tenant query service over a generated client fleet and
     print throughput, admission, and latency/energy percentiles.
@@ -178,12 +181,30 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The query kind of each figure sweep that ``bench --sweep`` times.
+_SWEEP_KINDS = {"fig4": "point", "fig5": "range", "fig6": "nn"}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.bench import speedup
+    from repro.bench.provenance import stamp_record
     from repro.bench.report import summarize_ledger
     from repro.core.gridrun import RunLedger
 
+    kinds = None
+    if args.kinds:
+        kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+        unknown = [k for k in kinds if k not in speedup.KINDS]
+        if unknown:
+            print(
+                f"FAIL: unknown query kind(s) {', '.join(unknown)}; "
+                f"expected any of {', '.join(speedup.KINDS)}",
+                file=sys.stderr,
+            )
+            return 1
     env = _load_env(args.dataset, args.scale)
-    qs, configs = _sweep_workload(env, args.sweep, args.runs)
     if args.loss > 0.0:
         policies = Policy.sweep(
             loss_rates=(args.loss,), loss_burst_frames=args.burst_frames
@@ -191,36 +212,54 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         policies = Policy.sweep()
     with RunLedger(path=args.ledger) as ledger:
-        session = Session(env, ledger=ledger)
-        table = session.run(qs, schemes=configs, policies=policies)
-        scalar = session.run(
-            qs, schemes=configs, policies=policies, engine="scalar"
-        )
-        batched_s = sum(
-            r["seconds"]
-            for r in ledger.records
-            if r["event"] == "price" and r["engine"] == "batched"
-        )
-        scalar_s = sum(
-            r["seconds"]
-            for r in ledger.records
-            if r["event"] == "price" and r["engine"] == "scalar"
-        )
-        worst = max(
-            abs(b.energy_j - s.energy_j) / s.energy_j
-            for b, s in zip(table, scalar)
-        )
+        if kinds is not None:
+            record = speedup.measure_kinds(
+                args.stage, env, kinds, runs=args.runs, policies=policies,
+                repeats=args.repeat, ledger=ledger,
+            )
+            label = f"{args.stage} {','.join(kinds)}"
+        else:
+            qs, configs = speedup.kind_workload(
+                env, _SWEEP_KINDS[args.sweep], args.runs
+            )
+            record = speedup.measure(
+                args.stage, env, qs, configs, policies,
+                repeats=args.repeat, ledger=ledger,
+            )
+            record["sweep"] = args.sweep
+            label = f"{args.stage} {args.sweep} sweep"
+        record["scale"] = args.scale
         ledger.record(
             "speedup",
-            label=f"{args.sweep} bandwidth sweep",
-            batched_s=batched_s,
-            scalar_s=scalar_s,
-            speedup=scalar_s / batched_s if batched_s > 0 else float("inf"),
-            max_rel_err=worst,
+            label=label,
+            batched_s=record["batched_seconds"],
+            scalar_s=record["scalar_seconds"],
+            speedup=record["speedup"],
+            max_rel_err=record["max_rel_err"],
         )
-        print(summarize_ledger(ledger.records))
+    print(speedup.render(record))
+    print(summarize_ledger(ledger.records))
     if args.ledger:
         print(f"ledger  : {args.ledger}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"json    : {args.json}")
+    if not record["parity"]:
+        print(
+            f"FAIL: batched {args.stage} results differ from the scalar oracle"
+            f" (worst rel err {record['max_rel_err']:.2e})",
+            file=sys.stderr,
+        )
+        return 1
+    if record["speedup"] < 1.0:
+        print(
+            f"FAIL: batched {args.stage} slower than scalar"
+            f" ({record['speedup']:.2f}x)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -277,99 +316,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The query kind of each figure sweep that ``bench`` and ``planbench``
-#: time (:func:`repro.bench.planbench._kind_workload` builds its workload).
-_SWEEP_KINDS = {"fig4": "point", "fig5": "range", "fig6": "nn"}
-
-
-def _sweep_workload(env: Environment, sweep: str, runs: int):
-    """The (queries, configs) pair a ``--sweep`` entry runs."""
-    from repro.bench.planbench import _kind_workload
-
-    return _kind_workload(env, _SWEEP_KINDS[sweep], runs)
-
-
-def cmd_planbench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.planbench import (
-        PLAN_KINDS,
-        measure_plan_speedup,
-        measure_plan_speedup_kinds,
-        render_plan_speedup,
-        render_plan_speedup_kinds,
-    )
-    from repro.bench.provenance import stamp_record
-
-    env = _load_env(args.dataset, args.scale)
-    kinds = None
-    if args.kinds:
-        kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-        unknown = [k for k in kinds if k not in PLAN_KINDS]
-        if unknown:
-            print(
-                f"FAIL: unknown query kind(s) {', '.join(unknown)}; "
-                f"expected any of {', '.join(PLAN_KINDS)}",
-                file=sys.stderr,
-            )
-            return 1
-    if args.e2e:
-        from repro.bench.e2ebench import (
-            measure_e2e_speedup,
-            measure_e2e_speedup_kinds,
-            render_e2e_speedup,
-            render_e2e_speedup_kinds,
-        )
-
-        if kinds is not None:
-            record = measure_e2e_speedup_kinds(
-                env, kinds, runs=args.runs, repeats=args.repeat
-            )
-            render = render_e2e_speedup_kinds
-            worst = record["min_speedup"]
-        else:
-            qs, configs = _sweep_workload(env, args.sweep, args.runs)
-            record = measure_e2e_speedup(env, qs, configs, repeats=args.repeat)
-            record["sweep"] = args.sweep
-            render = render_e2e_speedup
-            worst = record["batched_vs_scalar"]
-        parity = record["tables_match"]
-        parity_fail = "FAIL: batched RunTables differ from the scalar oracle"
-        slow_fail = "FAIL: batched engine slower than scalar end to end"
-    elif kinds is not None:
-        record = measure_plan_speedup_kinds(
-            env, kinds, runs=args.runs, repeats=args.repeat
-        )
-        render = render_plan_speedup_kinds
-        worst = record["min_speedup"]
-        parity = record["plans_equal"]
-        parity_fail = "FAIL: batched plans differ from scalar plans"
-        slow_fail = "FAIL: batched planner slower than scalar"
-    else:
-        qs, configs = _sweep_workload(env, args.sweep, args.runs)
-        record = measure_plan_speedup(env, qs, configs, repeats=args.repeat)
-        record["sweep"] = args.sweep
-        render = render_plan_speedup
-        worst = record["speedup"]
-        parity = record["plans_equal"]
-        parity_fail = "FAIL: batched plans differ from scalar plans"
-        slow_fail = "FAIL: batched planner slower than scalar"
-    record["scale"] = args.scale
-    print(render(record))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(stamp_record(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"json    : {args.json}")
-    if not parity:
-        print(parity_fail, file=sys.stderr)
-        return 1
-    if worst < 1.0:
-        print(f"{slow_fail} ({worst:.2f}x)", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -413,11 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="time batched vs scalar pricing; --ledger PATH records the run",
+        help="time batched vs scalar planning, pricing or end to end; "
+             "--ledger PATH records the run",
     )
+    b.add_argument("--stage", default="price", choices=("plan", "price", "e2e"),
+                   help="what both sides do: plan, price planned workloads, "
+                        "or run workload -> RunTable")
     b.add_argument("--sweep", default="fig5", choices=("fig4", "fig5", "fig6"),
-                   help="which figure sweep to time")
+                   help="which figure workload to time")
+    b.add_argument("--kinds", default=None, metavar="K1,K2",
+                   help="comma-separated query kinds (point,range,nn,knn); "
+                        "reports one speedup row per kind and overrides "
+                        "--sweep")
     b.add_argument("--runs", type=int, default=25, help="queries per workload")
+    b.add_argument("--repeat", type=int, default=3,
+                   help="timed rounds per side (the fastest is reported)")
     b.add_argument("--loss", type=float, default=0.0,
                    help="frame-loss rate for the sweep's policies "
                         "(0 = ideal channel)")
@@ -425,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean loss-burst length (default: i.i.d. losses)")
     b.add_argument("--ledger", metavar="PATH", default=None,
                    help="write the JSON-lines run-ledger to PATH")
+    b.add_argument("--json", metavar="PATH", default=None,
+                   help="write the machine-readable record to PATH")
 
     sv = sub.add_parser(
         "serve",
@@ -451,25 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--json", metavar="PATH", default=None,
                     help="write the machine-readable summary to PATH")
 
-    pb = sub.add_parser(
-        "planbench",
-        help="time batched vs scalar planning; --json PATH writes BENCH_plan.json",
-    )
-    pb.add_argument("--sweep", default="fig5", choices=("fig4", "fig5", "fig6"),
-                    help="which figure workload to plan")
-    pb.add_argument("--kinds", default=None, metavar="K1,K2",
-                    help="comma-separated query kinds (point,range,nn,knn); "
-                         "reports one speedup row per kind and overrides "
-                         "--sweep")
-    pb.add_argument("--e2e", action="store_true",
-                    help="time the whole workload->RunTable pipeline "
-                         "(plan + price) vs the scalar reference instead "
-                         "of planning alone")
-    pb.add_argument("--runs", type=int, default=100, help="queries per workload")
-    pb.add_argument("--repeat", type=int, default=3,
-                    help="timed rounds per planner (min is reported)")
-    pb.add_argument("--json", metavar="PATH", default=None,
-                    help="write the machine-readable record to PATH")
     return parser
 
 
@@ -480,7 +419,6 @@ _COMMANDS = {
     "figure": cmd_figure,
     "bench": cmd_bench,
     "serve": cmd_serve,
-    "planbench": cmd_planbench,
 }
 
 

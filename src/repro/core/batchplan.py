@@ -26,12 +26,11 @@ the *identical* plans, as columns, in two vectorized stages:
    in one call of :class:`repro.sim.cache.BatchedLRU`.  A sweep gives each
    configuration its own cold streams, and identical cold streams (e.g. the
    server's work under both FULLY_SERVER placements) are simulated once;
-   warm planning chains every configuration on one stream per side, seeded
-   from the live caches.  Every phase of a side is then priced in one
-   array call of the CPU models' ``compute_replayed``, and the plans come
-   out as :class:`~repro.core.gridrun.PlanColumns`: per step template, one
-   column per step (:data:`_PLANS` lays the steps out as ``plan_query``
-   does).  A plan object is assembled only when one is read.  The
+   the service seeds its streams from the live caches.  Every phase of a
+   side is then priced in one array call of the CPU models'
+   ``compute_replayed``, and the plans come out as
+   :class:`~repro.core.gridrun.PlanColumns`: per step template, one column
+   per step (:data:`_PLANS` lays the steps out as ``plan_query`` does).  A plan object is assembled only when one is read.  The
    environment's caches are left exactly as the scalar loop would leave
    them.
 
@@ -585,24 +584,20 @@ def plan_workload_batched(
     env: Environment,
     queries: Sequence[Query],
     configs: Sequence[SchemeConfig],
-    *,
-    reset_caches: bool = True,
 ) -> List[PlanColumns]:
     """Plan every query under every scheme configuration at once.
 
     Equivalent, plan for plan and bit for bit, to::
 
         for config in configs:
-            env.reset_caches()          # reset_caches=True (the grid loop)
+            env.reset_caches()
             [plan_query(q, config, env) for q in queries]
 
     including the caches' final state.  Each configuration replays on its
-    own cold streams.  With ``reset_caches=False`` the replay instead
-    continues from the caches' current contents, chaining all
-    configurations on one warm stream per side.  Returns one
-    :class:`~repro.core.gridrun.PlanColumns` per configuration, aligned
-    with ``configs``: what :func:`~repro.core.gridrun.price_grid` prices,
-    and a sequence of the ``plan_query`` plans, each built when read.
+    own cold streams.  Returns one :class:`~repro.core.gridrun.PlanColumns`
+    per configuration, aligned with ``configs``: what
+    :func:`~repro.core.gridrun.price_grid` prices, and a sequence of the
+    ``plan_query`` plans, each built when read.
     """
     queries = list(queries)
     configs = list(configs)
@@ -614,22 +609,16 @@ def plan_workload_batched(
     validate_pairs((config, q) for config in configs for q in kinds)
     phases = compute_query_phases(env, queries)
     rows = phases.rows
-    sims = (env.client_cpu.dcache, env.server_cpu.l1)
-    if reset_caches:
-        groups = [
-            (rows, config, ("client", i), ("server", i))
-            for i, config in enumerate(configs)
-        ]
-        seeds: Dict[Hashable, np.ndarray] = {}
-    else:
-        groups = [(rows, config, "client", "server") for config in configs]
-        seeds = {"client": sims[0].ways(), "server": sims[1].ways()}
-    blocks, finals = _replay_workload(env, phases, groups, seeds)
+    groups = [
+        (rows, config, ("client", i), ("server", i))
+        for i, config in enumerate(configs)
+    ]
+    blocks, finals = _replay_workload(env, phases, groups, {})
 
-    # Leave the environment's caches exactly as the scalar loop would.
-    if reset_caches:
-        env.reset_caches()
-    for sim, name in zip(sims, groups[-1][2:]):
+    # Leave the environment's caches exactly as the scalar loop would: the
+    # last configuration's final states.
+    env.reset_caches()
+    for sim, name in zip((env.client_cpu.dcache, env.server_cpu.l1), groups[-1][2:]):
         if name in finals:
             ways, hits, lines = finals[name]
             sim.load_ways(ways)

@@ -3,8 +3,8 @@
 The bit-for-bit planner equality itself is covered by
 ``tests/integration/test_batchplan_differential.py``; this module pins the
 surrounding machinery: phase dedup of repeated queries, the Session
-``plan_grid``/``planner=`` surface and its ledger records, warm planning,
-and the explicit query keys.
+``plan_grid``/``planner=`` surface and its ledger records, and the
+explicit query keys.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import PLANNERS, Session
+from repro.api import Session
 from repro.core import batchplan
 from repro.core.batchplan import (
     ANSWER,
@@ -37,11 +37,10 @@ from repro.core.queries import (
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS
 from repro.data import tiger
 from repro.data.model import SegmentDataset
-from repro.data.workloads import point_queries, range_queries
+from repro.data.workloads import range_queries
 from repro.sim.cpu import REGION_BASES, region_strides
 from repro.sim.trace import OpCounter
 from repro.spatial.mbr import MBR
-from tests.integration.oracles import cache_state
 
 CONFIGS = list(ADEQUATE_MEMORY_CONFIGS[:3])
 
@@ -176,29 +175,6 @@ def test_plan_grid_one_ledger_event_per_scheme(env, workload):
     assert len(events) == len(CONFIGS)
     assert all(e["planner"] == "batched" for e in events)
     assert [e["scheme"] for e in events] == [c.label for c in CONFIGS]
-
-
-def test_plan_warm_matches_scalar_warm_plans(env, workload):
-    """``reset_caches=False`` continues from the live caches: the batched
-    planner returns the scalar planner's warm plans and leaves the same
-    cache state."""
-    # Small point queries keep their lines resident between plan calls.
-    qs = workload[:1] + point_queries(env.dataset, 6, seed=44)
-    out = {}
-    for planner in PLANNERS:
-        session = Session(env)
-        session.plan(qs, CONFIGS[0], planner=planner)
-        warm = [
-            session.plan(qs, config, reset_caches=False, planner=planner)
-            for config in CONFIGS
-        ]
-        out[planner] = (warm, cache_state(env))
-    (batched, batched_state), (scalar, scalar_state) = out["batched"], out["scalar"]
-    for config, b, s in zip(CONFIGS, batched, scalar):
-        assert plans_equal(b, s)
-        # The caches really were warm: cold plans of the scheme differ.
-        assert not plans_equal(b, Session(env).plan(qs, config))
-    assert batched_state == scalar_state
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,13 @@ class TestCommands:
 
 
 class TestBenchCommand:
+    @pytest.fixture(autouse=True)
+    def short_regions(self, monkeypatch):
+        """Time 50 ms regions: enough passes for a grid that wins by ~10x."""
+        from repro.bench import speedup
+
+        monkeypatch.setattr(speedup, "MIN_REGION_S", 0.05)
+
     def test_help_lists_bench_and_ledger(self, capsys):
         """``python -m repro --help`` advertises bench and its --ledger flag."""
         with pytest.raises(SystemExit):
@@ -85,45 +92,105 @@ class TestBenchCommand:
         args = build_parser().parse_args(["bench", "--ledger", "x.jsonl"])
         assert args.ledger == "x.jsonl"
         assert args.sweep == "fig5"
+        assert args.stage == "price"
 
     def test_bench_writes_ledger(self, capsys, tmp_path):
         from repro.core.gridrun import read_ledger
 
         path = str(tmp_path / "bench.jsonl")
         assert main(
-            ["--scale", "0.02", "bench", "--runs", "3", "--ledger", path]
+            ["--scale", "0.02", "bench", "--runs", "25", "--repeat", "1",
+             "--ledger", path]
         ) == 0
         out = capsys.readouterr().out
         assert "run-ledger summary" in out
         assert "speedup" in out
         records = read_ledger(path)
         events = {r["event"] for r in records}
-        assert {"plan", "price", "run", "speedup"} <= events
-        # One plan event per configuration and engine run: 6 x 2.
-        assert sum(r["event"] == "plan" for r in records) == 12
+        assert {"plan", "price", "speedup"} <= events
+        # The plans are made once, one plan event per configuration, and
+        # each engine prices them once per configuration.
+        assert sum(r["event"] == "plan" for r in records) == 6
+        assert sum(r["event"] == "price" for r in records) == 12
         speedup = [r for r in records if r["event"] == "speedup"][-1]
         assert speedup["batched_s"] > 0 and speedup["scalar_s"] > 0
         assert speedup["max_rel_err"] < 1e-9
 
     def test_bench_in_memory(self, capsys):
-        assert main(["--scale", "0.02", "bench", "--runs", "2", "--sweep", "fig6"]) == 0
+        argv = ["--scale", "0.02", "bench", "--runs", "25", "--repeat", "1",
+                "--sweep", "fig6"]
+        assert main(argv) == 0
         assert "price" in capsys.readouterr().out
 
-    def test_planbench_e2e(self, capsys, tmp_path):
+    def test_bench_e2e_json(self, capsys, tmp_path):
         import json
 
         out_json = str(tmp_path / "e2e.json")
         assert main(
             [
-                "--scale", "0.02", "planbench", "--e2e",
+                "--scale", "0.02", "bench", "--stage", "e2e",
                 "--runs", "8", "--repeat", "1", "--json", out_json,
             ]
         ) == 0
-        assert "batched engine vs scalar" in capsys.readouterr().out
+        assert "workload -> RunTable" in capsys.readouterr().out
         with open(out_json) as fh:
             record = json.load(fh)
         assert record["benchmark"] == "e2e_speedup"
-        assert record["tables_match"] is True
+        assert record["parity"] is True
+        assert record["sweep"] == "fig5" and "provenance" in record
+
+    def test_bench_kinds(self, capsys, tmp_path):
+        import json
+
+        out_json = str(tmp_path / "kinds.json")
+        assert main(
+            [
+                "--scale", "0.02", "bench", "--stage", "plan", "--kinds",
+                "range,knn", "--runs", "8", "--repeat", "1", "--json", out_json,
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "per query kind" in out and "knn" in out and "slowest" in out
+        with open(out_json) as fh:
+            record = json.load(fh)
+        assert record["benchmark"] == "plan_speedup_kinds"
+        assert set(record["kinds"]) == {"range", "knn"}
+        assert record["speedup"] == min(
+            row["speedup"] for row in record["kinds"].values()
+        )
+
+    def test_bench_rejects_unknown_kind(self, capsys):
+        assert main(["--scale", "0.02", "bench", "--kinds", "nn,join"]) == 1
+        assert "FAIL: unknown query kind(s) join" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, predicate, failed",
+        [
+            ("plan", "plans_equal", False),
+            ("e2e", "tables_match", (False, float("inf"))),
+        ],
+    )
+    def test_bench_fails_on_parity(self, capsys, monkeypatch, stage, predicate, failed):
+        """A parity failure exits 1 with a FAIL line, whatever the ratio."""
+        from repro.bench import speedup
+
+        monkeypatch.setattr(speedup, predicate, lambda *a, **kw: failed)
+        argv = ["--scale", "0.02", "bench", "--stage", stage,
+                "--runs", "8", "--repeat", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"FAIL: batched {stage} results differ from the scalar oracle" in err
+
+    def test_bench_fails_when_batched_is_slower(self, capsys, monkeypatch):
+        from repro.bench import speedup
+
+        def slow_batched(sides, rounds):
+            return {"scalar": (1.0, 2), "batched": (1.0, 1)}
+
+        monkeypatch.setattr(speedup, "time_regions", slow_batched)
+        argv = ["--scale", "0.02", "bench", "--stage", "plan", "--runs", "4"]
+        assert main(argv) == 1
+        assert "FAIL: batched plan slower than scalar (0.50x)" in capsys.readouterr().err
 
     def test_serve(self, capsys, tmp_path):
         import json

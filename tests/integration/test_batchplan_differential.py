@@ -197,53 +197,6 @@ def test_nn_query_points_on_endpoints(env):
     _assert_differential(env, queries, NN_CONFIGS)
 
 
-def test_warm_cache_knn_parity(env):
-    """k-NN planned against a live (unreset) client cache must continue
-    from that exact state — the NN trace replays through the warm sets."""
-    ds = env.dataset
-    warmup = nn_queries(ds, 5, seed=33)
-    work = knn_queries(ds, 10, seed=34)
-    cfg = NN_CONFIGS[0]
-
-    env.reset_caches()
-    for q in warmup:
-        plan_query(q, cfg, env)
-    scalar = [plan_query(q, cfg, env) for q in work]
-    scalar_state = _cache_state(env)
-
-    env.reset_caches()
-    for q in warmup:
-        plan_query(q, cfg, env)
-    [batched] = plan_workload_batched(env, work, [cfg], reset_caches=False)
-    batched_state = _cache_state(env)
-
-    assert plans_equal(batched, scalar)
-    assert batched_state == scalar_state
-
-
-def test_warm_cache_parity(env):
-    """reset_caches=False must continue from the live cache state exactly."""
-    ds = env.dataset
-    warmup = range_queries(ds, 5, seed=31)
-    work = range_queries(ds, 10, seed=32)
-    cfg = ADEQUATE_MEMORY_CONFIGS[0]
-
-    env.reset_caches()
-    for q in warmup:
-        plan_query(q, cfg, env)
-    scalar = [plan_query(q, cfg, env) for q in work]
-    scalar_state = _cache_state(env)
-
-    env.reset_caches()
-    for q in warmup:
-        plan_query(q, cfg, env)
-    [batched] = plan_workload_batched(env, work, [cfg], reset_caches=False)
-    batched_state = _cache_state(env)
-
-    assert plans_equal(batched, scalar)
-    assert batched_state == scalar_state
-
-
 def test_replay_without_a_compiler(env, monkeypatch, tmp_path):
     """Without a C compiler the replay warns once and runs through
     CacheSim: the plans and cache states are still the scalar path's."""

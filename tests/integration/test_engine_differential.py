@@ -9,8 +9,8 @@ and demands exactly that — including the simulated cache state both leave
 behind.
 
 Covers the fig4/5/6/7 workload shapes, all four query kinds, repeated and
-nested windows within one workload, lossy-link policy grids, warm-seeded
-caches, degenerate and empty windows, k past the dataset size, the
+nested windows within one workload, lossy-link policy grids, degenerate
+and empty windows, k past the dataset size, the
 Session/ledger surface, and hypothesis-random workloads over random
 datasets.
 """
@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.batchplan import plan_workload_batched, plans_equal
-from repro.core.executor import Environment, Policy, plan_query, price_plan
-from repro.core.gridrun import RunLedger, price_grid
+from repro.core.executor import Environment, Policy
+from repro.core.gridrun import RunLedger
 from repro.core.queries import KNNQuery, PointQuery, RangeQuery
 from repro.core.schemes import ADEQUATE_MEMORY_CONFIGS, Scheme, SchemeConfig
 from repro.data import tiger
@@ -37,10 +36,8 @@ from repro.data.workloads import (
 from repro.spatial.mbr import MBR
 from tests.integration.oracles import (
     assert_engine_differential,
-    assert_grid_matches_cells,
     assert_tables_close,
     assert_tables_identical,
-    cache_state,
     run_ledger_shape,
     run_table,
 )
@@ -191,40 +188,6 @@ def test_single_query_workload(env):
     assert_engine_differential(
         env, range_queries(env.dataset, 1, seed=9), ADEQUATE_MEMORY_CONFIGS
     )
-
-
-def test_warm_cache_parity(env):
-    """reset_caches=False continues the live cache state like the scalar walk.
-
-    Two identically warmed twin environments: the batched engine runs warm
-    on one, the scalar walk warm on the other; plans must coincide bit for
-    bit, grid cells to the scalar pricer's, and final cache states exactly.
-    """
-    ds = env.dataset
-    warmup = range_queries(ds, 5, seed=31)
-    work = range_queries(ds, 10, seed=32) + knn_queries(ds, 5, seed=33)
-    cfg = NN_CONFIGS[0]
-    policies = list(Policy.sweep())
-
-    def warmed() -> Environment:
-        twin = Environment.create(ds)
-        twin.reset_caches()
-        for q in warmup:
-            plan_query(q, cfg, twin)
-        return twin
-
-    env_batched, env_scalar = warmed(), warmed()
-    [plans] = plan_workload_batched(
-        env_batched, work, [cfg], reset_caches=False
-    )
-    scalar_plans = [plan_query(q, cfg, env_scalar) for q in work]
-    assert plans_equal(plans, scalar_plans)
-    assert_grid_matches_cells(
-        price_grid(plans, policies, env_batched),
-        [[price_plan(p, env_scalar, pol) for pol in policies]
-         for p in scalar_plans],
-    )
-    assert cache_state(env_batched) == cache_state(env_scalar)
 
 
 # ----------------------------------------------------------------------
